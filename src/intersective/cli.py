@@ -147,9 +147,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _parse_fraction(text: str) -> Fraction:
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad fraction {text!r}; use a/b with integers a, b and b != 0") from None
+
+
 def cmd_construct(args) -> int:
-    num, _, den = args.eps.partition("/")
-    eps = Fraction(int(num), int(den) if den else 1)
+    eps = _parse_fraction(args.eps)
     inst = build_construction(args.M, eps)
     report = verify_construction(inst) if args.verify else None
     if args.json:

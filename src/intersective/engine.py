@@ -203,6 +203,7 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
         notes.append(f"clique: {e}")
 
     pair_t = IntPolynomial.from_coeffs([1, -1])
+    pair_counts: dict[int, int] = {}  # the 1 - t count depends only on the order n_a
     best_dp = best_count = best_div = best_inv = None
     for a in sorted(j for j in Jt if j != G.zero()):
         n_a, index, jres = _cyclic_residues(G, a, Jt)
@@ -213,10 +214,13 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
             best_dp = (v, a)
         if math.comb(N + n_a - 1, n_a - 1) <= multiset_cap:
             try:
-                v = index**N * count_nonneg_tuples(pair_t, n_a, N, multiset_cap=multiset_cap)
+                if n_a not in pair_counts:
+                    pair_counts[n_a] = count_nonneg_tuples(pair_t, n_a, N,
+                                                           multiset_cap=multiset_cap)
             except MultisetCapExceeded as e:
                 notes.append(f"pair-count at {format_element(a)}: {e}")
             else:
+                v = index**N * pair_counts[n_a]
                 if best_count is None or v < best_count[0]:
                     best_count = (v, a)
         if not is_admissible_support(jres, n_a):

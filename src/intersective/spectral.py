@@ -9,6 +9,29 @@ symbolically: a product of values h(e_n(v_j)) lives in Z[t]/(t^n - 1), so
 "real part equals 1" is equivalent to an integer polynomial being divisible
 by the n-th cyclotomic polynomial. Ambiguity at the precision cap is counted
 conservatively for the bound direction in force and reported, never dropped.
+
+Tuple counts classify each multiset with a float64 first tier before any
+ball product. Each value w_v = h(e_n(v)) is taken as the float midpoint z_v
+of its start-precision ball, with |w_v - z_v| <= e_v (ball radius plus the
+exactly computed conversion error) and |z_v| + e_v <= M_v. The product
+p = z_1 * ... * z_N is formed by complex float multiplications (repeated
+factors by squaring), at most N nodes once the tree is unrolled. Each errs
+by at most sqrt(2) * gamma_2 * |a| * |b| < 4u|a||b| (u = 2^-53, with or
+without fused multiply-add, while |a||b| stays in the normal range), so
+|p - prod z_j| <= ((1 + 4u)^N - 1) * prod |z_j| <= 8Nu * prod M_j.
+Expanding prod(z_j + d_j) gives |prod w_j - prod z_j| <= prod M_j *
+sum_j e_j / M_j. Together
+
+    |Re(prod w_j) - Re(p)| <= prod M_j * (sum_j e_j / M_j + 8Nu),
+
+and the float evaluation of this margin (at most 4N + 3 roundings) is
+covered by a factor 1 + (3N + 4) * 4u. The tier answers "above" or "below"
+only when |Re(p) - 1| exceeds the margin; everything else, including an inf
+or nan margin, goes to the ball tier and the symbolic tie-breaker unchanged.
+The error model needs every partial product in the normal float range, so
+the tier is used for a count only when max(1, M_v)^N <= 2^990 and
+min(1, |z_v|)^N >= 2^-990 over the nonzero values (and N * u <= 2^-20, which
+keeps the linearised rounding bounds valid).
 """
 
 from __future__ import annotations
@@ -317,8 +340,88 @@ def _multinomial(N: int, mults: dict[int, int]) -> int:
     return out
 
 
-def _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec):
-    """Trichotomy of Re(product) against 1: above / below / equal / ambiguous."""
+_UNIT = 2.0**-53  # float64 unit roundoff
+
+
+@dataclass(frozen=True)
+class _FloatTier:
+    """Float midpoints z_v, magnitude bounds M_v, ratios e_v / M_v, and the
+    per-count constants of the first-tier margin (see the module docstring)."""
+
+    z: tuple[complex, ...]
+    mag: tuple[float, ...]
+    rel: tuple[float, ...]
+    mul_err: float  # 8Nu >= (1 + 4u)^N - 1, the relative rounding of an N-fold product
+    safety: float  # covers the rounding of the margin evaluation itself
+
+
+def _float_tier(vals: list[ComplexBall], N: int, roots: set[int]) -> _FloatTier | None:
+    """First-tier data from start-precision balls; None when the range guard fails."""
+    z, mag, rel = [], [], []
+    lo_min = hi_max = 1.0
+    for v, b in enumerate(vals):
+        x, y = float(b.re), float(b.im)
+        # float() truncates and the sums round, hence the relative and absolute pads
+        err = (float(b.rad) + float(abs(mp.fsub(b.re, x, exact=True)))
+               + float(abs(mp.fsub(b.im, y, exact=True)))) * (1 + 2.0**-48) + 2.0**-1000
+        a = math.hypot(x, y)
+        hi = (a * (1 + 2.0**-48) + err) * (1 + 2.0**-48)
+        z.append(complex(x, y))
+        mag.append(hi)
+        rel.append(err / hi)
+        if v not in roots:
+            if not math.isfinite(hi):
+                return None
+            lo_min = min(lo_min, a * (1 - 2.0**-48))
+            hi_max = max(hi_max, hi)
+    if not (lo_min > 0 and N * math.log2(lo_min) >= -990 and N * math.log2(hi_max) <= 990
+            and N * _UNIT <= 2.0**-20):
+        return None
+    return _FloatTier(tuple(z), tuple(mag), tuple(rel), 8 * N * _UNIT,
+                      1 + (3 * N + 4) * 4 * _UNIT)
+
+
+def _float_decide(mults: dict[int, int], tier: _FloatTier) -> str | None:
+    """'above' or 'below' when |Re(product) - 1| clears the proven margin, else None."""
+    z, mag_v, rel_v = tier.z, tier.mag, tier.rel
+    p = 1 + 0j
+    mag = 1.0
+    rel = tier.mul_err
+    for v, m in mults.items():
+        rel += m * rel_v[v]
+        zv, mv = z[v], mag_v[v]
+        while True:  # binary powering: m - 1 multiplications in the unrolled tree
+            if m & 1:
+                p *= zv
+                mag *= mv
+            m >>= 1
+            if not m:
+                break
+            zv *= zv
+            mv *= mv
+    margin = mag * rel * tier.safety
+    d = p.real - 1.0
+    if d > margin:
+        return "above"
+    if -d > margin:
+        return "below"
+    return None
+
+
+def _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec, tier):
+    """Trichotomy of Re(product) against 1: above / below / equal / ambiguous.
+
+    The float tier decides what its margin allows; the rest goes to the balls.
+    """
+    if tier is not None:
+        cls = _float_decide(mults, tier)
+        if cls is not None:
+            return cls
+    return _classify_multiset_ball(mults, ball_cache, h, n, shifted, start_prec, cap_prec)
+
+
+def _classify_multiset_ball(mults, ball_cache, h, n, shifted, start_prec, cap_prec):
+    """Ball tier: escalate precision, settling exact ties symbolically."""
     prec = start_prec
     exact_checked = False
     while prec <= cap_prec:
@@ -372,7 +475,8 @@ def _iter_multiplicities(h: IntPolynomial, n: int, N: int, multiset_cap: int,
             f"{n_multisets} multisets exceed cap {multiset_cap} for n={n}, N={N}")
     roots = _root_residues(h, n)
     shifted = {v: _poly_mod_circle(h, n, v) for v in range(n)}
-    ball_cache: dict[int, list[ComplexBall]] = {}
+    ball_cache = {start_prec: _ball_values(h, n, start_prec)}
+    tier = _float_tier(ball_cache[start_prec], N, roots)
     for combo in itertools.combinations_with_replacement(range(n), N):
         mults: dict[int, int] = {}
         for v in combo:
@@ -382,7 +486,7 @@ def _iter_multiplicities(h: IntPolynomial, n: int, N: int, multiset_cap: int,
             yield mults, weight, "zero-product"
             continue
         yield mults, weight, _classify_multiset(mults, ball_cache, h, n, shifted,
-                                                start_prec, cap_prec)
+                                                start_prec, cap_prec, tier)
 
 
 def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = MULTISET_CAP,
@@ -393,7 +497,8 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int =
     tuples. Values exactly on the threshold count (the condition is >=); values
     still ambiguous at the precision cap count too, keeping the result a valid
     upper-bound ingredient. When h divides t^n - 1 the closed bound
-    (n - deg h)^N is asserted against the result.
+    (n - deg h)^N is checked against the result, raising RuntimeError on
+    violation.
     """
     total = 0
     ambiguous = 0
@@ -406,7 +511,9 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int =
     if _divides_circle(h, n):
         # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
         # exactly deg(h) roots among the n-th roots of unity.
-        assert total <= (n - h.degree) ** N, "count exceeds the nonzero-product total"
+        if total > (n - h.degree) ** N:
+            raise RuntimeError(f"count {total} exceeds the nonzero-product total "
+                               f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
     if ambiguous:
         warnings.warn(f"{ambiguous} tuples ambiguous at precision cap {cap_prec}; counted")
     return total

@@ -163,6 +163,14 @@ def test_construct_bad_epsilon(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("eps", ["1/0", "x/3", "3/"])
+def test_construct_malformed_epsilon(capsys, eps):
+    rc, out, err = run(capsys, "construct", "--M", "2", "--eps", eps)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: bad fraction")
+
+
 # ---------------------------------------------------------------------------
 # slab
 

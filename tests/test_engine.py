@@ -2,13 +2,14 @@
 
 import pytest
 
-from intersective.abelian import GroupSpec, parse_group
-from intersective.cyclotomic import cyclotomic
+from intersective import engine
+from intersective.abelian import GroupSpec, element_order, parse_group
+from intersective.cyclotomic import IntPolynomial, cyclotomic
 from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
                                  best_divisor_polynomial, generic_upper_bound,
                                  pair_upper_bound, report_from_json, report_to_json)
 from intersective.oracle import AvoidanceResult
-from intersective.spectral import residue_dp_count
+from intersective.spectral import count_nonneg_tuples, residue_dp_count
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,29 @@ def test_z105_lower_and_notes(z105_report):
     assert r.method_value("product") == 36   # exact N=1 value is 6
     assert r.best_lower == 36
     assert any("oracle" in note and "cap" in note for note in r.notes)
+
+
+def test_pair_count_once_per_distinct_order(monkeypatch, z105_report):
+    calls = []
+
+    def counted(h, n, N, **kwargs):
+        calls.append(n)
+        return count_nonneg_tuples(h, n, N, **kwargs)
+
+    monkeypatch.setattr(engine, "count_nonneg_tuples", counted)
+    G = parse_group("105")
+    J = [(k,) for k in cyclotomic(105).support()]
+    r = best_bounds(G, J, 2, oracle_timeout=2.0)
+    orders = {element_order(G, j) for j in r.J if j != G.zero()}
+    assert len(orders) == 7
+    assert sorted(calls) == sorted(orders)  # 32 elements, one call per order
+    assert report_to_json(r) == report_to_json(z105_report)
+    # one count per element, without sharing, gives the same best value
+    h = IntPolynomial.from_coeffs([1, -1])
+    per_element = [(105 // n) ** 2 * count_nonneg_tuples(h, n, 2)
+                   for n in (element_order(G, a) for a in r.J if a != G.zero())]
+    assert r.method_value("pair-count") == min(per_element) == 4350
+    assert [e.params_dict() for e in r.upper if e.method == "pair-count"] == [{"a": "5"}]
 
 
 def test_f4_exact_through_reduction():

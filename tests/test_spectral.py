@@ -12,9 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from intersective import spectral
 from intersective.abelian import GroupSpec
-from intersective.cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic
+from intersective.cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic,
+                                     is_admissible_support)
 from intersective.oracle import build_cayley, verify_clique
 from intersective.spectral import (ComplexBall, MultisetCapExceeded, ResidueDPState,
                                    SignCount, WeightFunction, ball_add, ball_exact_int,
@@ -189,6 +193,88 @@ def test_count_closed_form_inequality():
 def test_count_strictly_below_closed_form_exists():
     # divisor closed form is an upper bound, not an identity
     assert count_nonneg_tuples(ONE_MINUS_T, 3, 3) == 6 < (3 - 1) ** 3
+
+
+def _tier_classes(h, n, N):
+    """(multiset, two-tier class, ball-only class) for every nonzero-product multiset."""
+    start, cap = spectral.PRECISION_START, spectral.PRECISION_CAP
+    roots = spectral._root_residues(h, n)
+    shifted = {v: spectral._poly_mod_circle(h, n, v) for v in range(n)}
+    cache = {start: spectral._ball_values(h, n, start)}
+    tier = spectral._float_tier(cache[start], N, roots)
+    assert tier is not None
+    for combo in itertools.combinations_with_replacement(range(n), N):
+        if any(v in roots for v in combo):
+            continue
+        mults = {v: combo.count(v) for v in set(combo)}
+        yield (combo,
+               spectral._classify_multiset(mults, cache, h, n, shifted, start, cap, tier),
+               spectral._classify_multiset_ball(mults, cache, h, n, shifted, start, cap))
+
+
+def _weight_candidates(n):
+    """Admissible weights on Z_n: 1 - t, 1 - t^2, cyclotomic factors, -Psi_d."""
+    hs = [ONE_MINUS_T]
+    if n >= 5:
+        hs.append(IntPolynomial.from_coeffs([1, 0, -1]))
+    for d in range(2, n + 1):
+        if n % d == 0:
+            hs += [cyclotomic(d), inverse_cyclotomic(d).scale(-1)]
+    return [h for h in hs if h[0] == 1 and is_admissible_support(h.support(), n)]
+
+
+@st.composite
+def _weighted_queries(draw):
+    n = draw(st.integers(3, 30))
+    hs = _weight_candidates(n)
+    if draw(st.booleans()):
+        # random coefficients below n/2 keep the support admissible
+        tail = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=(n - 1) // 2))
+        hs = [IntPolynomial.from_coeffs([1] + tail)]
+    h = draw(st.sampled_from(hs))
+    max_N = max(N for N in range(1, 7) if math.comb(N + n - 1, N) <= 300)
+    return h, n, max_N - draw(st.integers(0, max_N - 1))  # shrinks towards the largest N
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_weighted_queries())
+@example((ONE_MINUS_T, 6, 2))  # (1, 5) is the exact tie Re = 1
+@example((IntPolynomial.from_coeffs([1, 0, -1]), 10, 3))
+@example((cyclotomic(5), 15, 2))
+@example((inverse_cyclotomic(15).scale(-1), 15, 2))
+@example((cyclotomic(2) * cyclotomic(3), 12, 3))
+def test_float_tier_agrees_with_ball_tier(query):
+    h, n, N = query
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for combo, two_tier, ball_only in _tier_classes(h, n, N):
+            assert two_tier == ball_only, (str(h), n, combo)
+
+
+def test_float_tier_leaves_exact_tie_to_symbolic_path():
+    roots = spectral._root_residues(ONE_MINUS_T, 6)
+    tier = spectral._float_tier(spectral._ball_values(ONE_MINUS_T, 6, 64), 2, roots)
+    assert spectral._float_decide({1: 1, 5: 1}, tier) is None
+    assert spectral._float_decide({1: 2}, tier) == "below"   # (1 - e(1/6))^2 = e(-1/3)
+    assert spectral._float_decide({2: 1, 3: 1}, tier) == "above"
+    classes = {combo: cls for combo, cls, _ in _tier_classes(ONE_MINUS_T, 6, 2)}
+    assert classes[(1, 5)] == "equal"
+
+
+def test_float_tier_range_guard():
+    # min |1 - e(v/30)| = 2 sin(pi/30) ~ 0.209, so 0.209^N leaves the normal range
+    vals = spectral._ball_values(ONE_MINUS_T, 30, 64)
+    assert spectral._float_tier(vals, 400, {0}) is not None
+    assert spectral._float_tier(vals, 500, {0}) is None
+
+
+def test_count_closed_form_violation_raises(monkeypatch):
+    # the closed-form check is an explicit raise, not an assert that -O strips;
+    # a classifier that puts every tuple above the threshold must trip it
+    monkeypatch.setattr(spectral, "_root_residues", lambda h, n: set())
+    monkeypatch.setattr(spectral, "_classify_multiset", lambda *args: "above")
+    with pytest.raises(RuntimeError, match="nonzero-product total"):
+        count_nonneg_tuples(ONE_MINUS_T, 5, 2)
 
 
 def test_multiset_cap():
