@@ -127,8 +127,45 @@ def slab_members(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> np.ndarray
 
 
 def slab_is_valid(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> bool:
-    """Exhaustive check that no two distinct slab members differ by a {0,1}-vector."""
-    arr = slab_members(n, N, enum_cap=enum_cap)
+    """Exhaustive check that no two distinct slab members differ by a {0,1}-vector.
+
+    Two members a != b fail when b - a lies in {0,1}^N or in {0,-1}^N; the
+    second case is a - b in {0,1}^N, so the check is whether some member
+    plus a nonzero step e in {0,1}^N is again a member. Members have entries
+    <= n-2, so codes in base (largest entry + 2) <= n of a + e need no carry
+    and stay injective, and one sorted-set membership test per step decides it. That costs about
+    2^N * |S| log |S| against |S|^2 * N for the pairwise differences, so the
+    translate check runs when 2^N - 1 < |S| and the pairwise loop otherwise
+    (n = 3 with N = 15 or 16, where 2^N is huge next to |S|).
+    """
+    return _rows_avoid_steps(slab_members(n, N, enum_cap=enum_cap))
+
+
+def _rows_avoid_steps(arr: np.ndarray) -> bool:
+    """True iff no two rows of a nonnegative array differ by a {0,1}- or {0,-1}-vector.
+
+    Equal rows differ by the zero vector, so duplicates fail too.
+    """
+    m, N = arr.shape
+    base = int(arr.max(initial=0)) + 2  # every entry + 1 stays a base digit
+    if 2**N - 1 < m and base**N <= np.iinfo(np.int64).max:
+        return _translate_avoids(arr, base)
+    return _pairwise_avoids(arr)
+
+
+def _translate_avoids(arr: np.ndarray, base: int) -> bool:
+    weights = base ** np.arange(arr.shape[1], dtype=np.int64)
+    codes = np.sort(arr.astype(np.int64) @ weights)
+    if (codes[1:] == codes[:-1]).any():
+        return False
+    for mask in range(1, 2 ** arr.shape[1]):
+        step = sum(int(w) for i, w in enumerate(weights) if mask >> i & 1)
+        if np.isin(codes + step, codes, assume_unique=True).any():
+            return False
+    return True
+
+
+def _pairwise_avoids(arr: np.ndarray) -> bool:
     for i in range(len(arr) - 1):
         d = arr[i + 1:] - arr[i]
         up = ((d == 0) | (d == 1)).all(axis=1)
@@ -274,7 +311,8 @@ def build_construction(M: int, epsilon, *, max_window_slides: int = _WINDOW_SLID
     if epsilon.denominator > EPSILON_DENOMINATOR_CAP:
         raise ValueError(f"epsilon denominator {epsilon.denominator} exceeds {EPSILON_DENOMINATOR_CAP}")
     s = _admissible_s(epsilon)
-    assert s >= 3
+    if s < 3:
+        raise RuntimeError(f"epsilon {epsilon} gave s = {s}; the support blocks need s >= 3")
 
     window = [next_prime(M)]
     while len(window) < M:
@@ -306,7 +344,8 @@ def _assemble(M: int, epsilon: Fraction, primes: tuple[int, ...], s: int) -> Con
     if Q >= 2 * r:  # unreachable below 4*10^18 by verified Bertrand ranges
         return None
     block = r ** (s - 1)
-    assert block > Q, "s >= 3 guarantees r^(s-1) >= r^2 > 2r > Q"
+    if block <= Q:  # s >= 3 guarantees r^(s-1) >= r^2 > 2r > Q
+        raise RuntimeError(f"block r^(s-1) = {block} does not exceed Q = {Q}: support blocks would overlap")
     n = Q * r**s
     degree = Q - 1 + num * block  # num = phi(r) for squarefree r
     phi_support = cyclotomic(r).support()

@@ -3,6 +3,25 @@
 Polynomials are dense tuples of int coefficients, low degree first, with no
 trailing zeros. All division here is exact division over Z; a failed exact
 division raises rather than rounding.
+
+Cyclotomic polynomials come from the Moebius product (Arnold and Monagan,
+"Calculating cyclotomic polynomials", Math. Comp. 80 (2011)): for n >= 2,
+
+    Phi_n(t) = prod_{d | n} (1 - t^d)^mu(n/d),
+
+an identity in Z[[t]], where each 1 - t^d is a unit with inverse
+1 + t^d + t^2d + .... Both sides are the same power series and the left one
+is a polynomial of degree phi(n), so the series truncated at degree phi(n)
+is exactly Phi_n; factors with d > phi(n) leave the truncated series
+unchanged. The cofactor Psi_n = (t^n - 1)/Phi_n = -(1 - t^n) / Phi_n has
+degree n - phi(n) < n, and below degree n both 1 - t^n and the d = n term
+1/(1 - t^n) are 1, so Psi_n is -prod_{d | n} (1 - t^d)^(-mu(n/d)) truncated
+at its degree, with no division by a dense polynomial. Only squarefree n are
+computed this way; Phi_n(t) = Phi_r(t^{n/r}) and Psi_n(t) = Psi_r(t^{n/r})
+for the radical r of n. As a runtime self-check, Phi_n must come out monic
+and palindromic and Psi_n monic and anti-palindromic (t^n - 1 is
+anti-palindromic and Phi_n palindromic for n >= 2); a failure raises. A
+degree past DENSE_DEGREE_LIMIT is refused before any series is allocated.
 """
 
 from __future__ import annotations
@@ -10,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .numtheory import divisors, euler_phi, factorize, radical
+from .numtheory import euler_phi, factorize, radical
 
 __all__ = [
     "IntPolynomial",
@@ -123,10 +142,6 @@ class IntPolynomial:
             out[i * k] = c
         return IntPolynomial(tuple(out))
 
-    def substitute_neg(self) -> "IntPolynomial":
-        """t -> -t."""
-        return IntPolynomial(tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)))
-
     def exact_divide(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient over Z; raises NonExactDivision on any remainder."""
         if divisor.is_zero():
@@ -186,26 +201,45 @@ class IntPolynomial:
         return out
 
 
-def _t_power_minus_one(n: int) -> IntPolynomial:
-    return IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+def _mobius_product(n: int, length: int, sign: int) -> list[int]:
+    """Coefficients of t^0..t^(length-1) of prod_{d|n} (1 - t^d)^(sign*mu(n/d)).
+
+    n must be squarefree. Multiplying by (1 - t^d) is a descending in-place
+    update; dividing by it multiplies by 1 + t^d + t^2d + ..., an ascending
+    one. All multiplies run before the divides.
+    """
+    signed = [(1, 1)]  # (d, mu(d)); for squarefree n, mu(n/d) = mu(n) * mu(d)
+    for p, _ in factorize(n):
+        signed += [(d * p, -m) for d, m in signed]
+    mu_n = signed[-1][1]
+    c = [0] * length
+    c[0] = 1
+    for d, m in signed:
+        if sign * mu_n * m == 1:
+            for k in range(length - 1, d - 1, -1):
+                c[k] -= c[k - d]
+    for d, m in signed:
+        if sign * mu_n * m == -1:
+            for k in range(d, length):
+                c[k] += c[k - d]
+    return c
 
 
 @functools.lru_cache(maxsize=2048)
-def _cyclotomic_squarefree(n: int) -> IntPolynomial:
-    """Phi_n for squarefree n, by division of t^n - 1 by the proper-divisor factors."""
-    if n == 1:
-        return IntPolynomial((-1, 1))
-    if n % 2 == 0 and n > 2:
-        # Phi_2m(t) = Phi_m(-t) for odd m > 1
-        return _cyclotomic_squarefree(n // 2).substitute_neg()
-    facs = factorize(n)
-    if len(facs) == 1:
-        return IntPolynomial((1,) * n)  # prime n
-    poly = _t_power_minus_one(n)
-    for d in divisors(n):
-        if d != n:
-            poly = poly.exact_divide(_cyclotomic_squarefree(d))
-    return poly
+def _squarefree_factor(n: int, inverse: bool) -> IntPolynomial:
+    """Phi_n, or Psi_n = (t^n - 1)/Phi_n when inverse, for squarefree n >= 2."""
+    phi = euler_phi(n)
+    if inverse:
+        c = [-x for x in _mobius_product(n, n - phi + 1, -1)]
+    else:
+        c = _mobius_product(n, phi + 1, 1)
+    # Phi_n (n >= 2) is monic and palindromic, Psi_n monic and anti-palindromic;
+    # a slip anywhere in the truncated series breaks one of the two
+    mirror = -1 if inverse else 1
+    if c[-1] != 1 or any(x != mirror * y for x, y in zip(c, reversed(c))):
+        kind = "inverse cyclotomic" if inverse else "cyclotomic"
+        raise RuntimeError(f"{kind} self-check failed at n = {n}: not monic with the expected symmetry")
+    return IntPolynomial(tuple(c))
 
 
 def cyclotomic(n: int) -> IntPolynomial:
@@ -215,16 +249,27 @@ def cyclotomic(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    r = radical(n)
-    base = _cyclotomic_squarefree(r)
-    return base if r == n else base.substitute_power(n // r)
+    return IntPolynomial((-1, 1)) if n == 1 else _from_radical(n, False)
 
 
 def inverse_cyclotomic(n: int) -> IntPolynomial:
-    """(t^n - 1) / Phi_n, the product of Phi_d over proper divisors d of n."""
+    """Psi_n = (t^n - 1) / Phi_n, the product of Phi_d over proper divisors d of n.
+
+    Psi_n(t) = Psi_rad(n)(t^{n/rad(n)}), since t^n - 1 is (t^{n/rad(n)})^rad(n) - 1.
+    """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    return _t_power_minus_one(n).exact_divide(cyclotomic(n))
+    return IntPolynomial.one() if n == 1 else _from_radical(n, True)
+
+
+def _from_radical(n: int, inverse: bool) -> IntPolynomial:
+    phi = euler_phi(n)
+    degree = n - phi if inverse else phi
+    if degree + 1 > DENSE_DEGREE_LIMIT:  # refused before any series is allocated
+        raise ValueError(f"degree {degree} exceeds dense storage limit {DENSE_DEGREE_LIMIT}")
+    r = radical(n)
+    base = _squarefree_factor(r, inverse)
+    return base if r == n else base.substitute_power(n // r)
 
 
 def lam_leung(p: int, q: int) -> IntPolynomial:

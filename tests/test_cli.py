@@ -51,6 +51,18 @@ def test_cyclotomic_inverse_json(capsys):
     assert obj["inverse"] and obj["degree"] == 35 - 24
 
 
+@pytest.mark.parametrize("argv", [
+    ("223092870",),               # phi = 36495360, past dense storage
+    ("223092870", "--inverse"),   # degree n - phi(n), past dense storage
+    ("0",),
+])
+def test_cyclotomic_refused_index(capsys, argv):
+    rc, out, err = run(capsys, "cyclotomic", *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # bound spectral
 

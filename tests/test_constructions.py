@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intersective import constructions
 from intersective.abelian import GroupSpec
 from intersective.constructions import (ConstructionSearchError, build_construction,
                                         construction_upper_bound, product_lower_bound,
@@ -55,12 +56,30 @@ def test_slab_is_valid_sweep():
 
 
 def test_slab_members_not_valid_when_tampered():
-    # adding a {0,1}-shifted duplicate of an existing member breaks validity;
-    # exercised through the checker's own arithmetic on a hand-built array
-    arr = slab_members(5, 2)
-    bad = np.vstack([arr, arr[0] + np.array([1, 0], dtype=np.int16)])
-    d = bad[-1] - arr[0]
-    assert ((d == 0) | (d == 1)).all()
+    # a slab plus one member shifted by a {0,1}- or {0,-1}-step fails on both paths
+    arr = slab_members(6, 3)
+    assert slab_is_valid(6, 3)
+    assert constructions._translate_avoids(arr, 6) and constructions._pairwise_avoids(arr)
+    assert (arr == 2).all(axis=1).any()
+    for planted in ((1, 0, 1), (0, -1, -1)):
+        shifted = np.array([2, 2, 2], dtype=np.int16) + np.array(planted, dtype=np.int16)
+        bad = np.vstack([arr, shifted])
+        assert 2**3 - 1 < len(bad)  # the cost rule picks the translate path
+        assert not constructions._rows_avoid_steps(bad), planted
+        assert not constructions._translate_avoids(bad, 6), planted
+        assert not constructions._pairwise_avoids(bad), planted
+
+
+def test_translate_and_pairwise_paths_agree():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(300):
+        N = int(rng.integers(1, 5))
+        arr = rng.integers(0, 5, size=(int(rng.integers(2, 7)), N)).astype(np.int16)
+        pairwise = constructions._pairwise_avoids(arr)
+        assert constructions._translate_avoids(arr, int(arr.max()) + 2) == pairwise, arr
+        outcomes.add(pairwise)
+    assert outcomes == {True, False}
 
 
 def test_slab_rejects():
@@ -180,6 +199,19 @@ def test_build_construction_rejects():
         build_construction(2, Fraction(4, 5))  # above 3/4: s would drop below 3
     with pytest.raises(ValueError):
         build_construction(2, Fraction(1, 97))  # denominator cap
+
+
+def test_admissible_s_guard_survives_optimization(monkeypatch):
+    monkeypatch.setattr(constructions, "_admissible_s", lambda epsilon: 2)
+    with pytest.raises(RuntimeError, match="s = 2"):
+        build_construction(2, Fraction(3, 5))
+
+
+def test_block_guard_survives_optimization():
+    # build_construction refuses s < 3 before assembling, so the block guard
+    # is reached by handing _assemble s = 2 directly: r^(s-1) = 35 < Q = 37
+    with pytest.raises(RuntimeError, match="does not exceed Q"):
+        constructions._assemble(2, Fraction(3, 5), (5, 7), 2)
 
 
 def test_window_slide_budget_surfaces_failures():

@@ -1,13 +1,16 @@
 """Exact cyclotomic arithmetic, frozen against independently derived values."""
 
+import importlib
 import math
 
 import pytest
 
-from intersective.cyclotomic import (IntPolynomial, NonExactDivision, cyclotomic,
+from intersective.cyclotomic import (DENSE_DEGREE_LIMIT, IntPolynomial, NonExactDivision, cyclotomic,
                                      cyclotomic_stats, inverse_cyclotomic,
                                      is_admissible_support, lam_leung, support_and_gaps)
 from intersective.numtheory import divisors, euler_phi, is_prime
+
+cyclotomic_module = importlib.import_module("intersective.cyclotomic")
 
 
 # first twelve, from the standard table
@@ -43,7 +46,6 @@ def test_polynomial_ring_ops():
     assert IntPolynomial.from_coeffs([3, 1, 0, 0]).coeffs == (3, 1)
     assert p.evaluate(3) == 7
     assert p.substitute_power(3).coeffs == (1, 0, 0, 2)
-    assert p.substitute_neg().coeffs == (1, -2)
     assert str(IntPolynomial.from_coeffs([1, -1])) == "1 - t"
 
 
@@ -73,9 +75,10 @@ def test_product_identity_sampled():
 
 
 def test_inverse_cyclotomic_identity():
-    for n in (2, 3, 6, 12, 35, 105):
+    # checked by dense multiplication, independent of how either factor is computed
+    for n in range(1, 501):
         circle = IntPolynomial.from_coeffs([-1] + [0] * (n - 1) + [1])
-        assert cyclotomic(n) * inverse_cyclotomic(n) == circle
+        assert cyclotomic(n) * inverse_cyclotomic(n) == circle, n
 
 
 def test_cyclotomic_105_has_height_two():
@@ -130,6 +133,43 @@ def test_cyclotomic_stats():
     assert (st.phi, st.radical, st.nonzero_count, st.max_gap, st.height) == (48, 105, 33, 3, 2)
     st8 = cyclotomic_stats(8)
     assert (st8.phi, st8.nonzero_count, st8.max_gap, st8.height) == (4, 2, 4, 1)
+
+
+def test_cyclotomic_stats_15015():
+    st = cyclotomic_stats(15015)
+    assert (st.phi, st.nonzero_count, st.max_gap, st.height) == (5760, 5371, 4, 23)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_self_check_catches_corrupted_product(monkeypatch, inverse):
+    real = cyclotomic_module._mobius_product
+
+    def corrupted(n, length, sign):
+        c = real(n, length, sign)
+        c[1] += 1
+        return c
+
+    cyclotomic_module._squarefree_factor.cache_clear()
+    monkeypatch.setattr(cyclotomic_module, "_mobius_product", corrupted)
+    try:
+        with pytest.raises(RuntimeError, match="self-check"):
+            (inverse_cyclotomic if inverse else cyclotomic)(105)
+    finally:
+        cyclotomic_module._squarefree_factor.cache_clear()
+
+
+def test_degree_guard_refuses_before_allocating(monkeypatch):
+    primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # phi = 36495360
+    assert euler_phi(primorial) > DENSE_DEGREE_LIMIT
+
+    def unreachable(n, length, sign):
+        raise AssertionError(f"series of length {length} started past the guard")
+
+    monkeypatch.setattr(cyclotomic_module, "_mobius_product", unreachable)
+    with pytest.raises(ValueError, match="dense storage limit"):
+        cyclotomic(primorial)
+    with pytest.raises(ValueError, match="dense storage limit"):
+        inverse_cyclotomic(primorial)
 
 
 def test_radical_reduction_consistency():
