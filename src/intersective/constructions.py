@@ -135,8 +135,11 @@ def slab_is_valid(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> bool:
     <= n-2, so codes in base (largest entry + 2) <= n of a + e need no carry
     and stay injective, and one sorted-set membership test per step decides it. That costs about
     2^N * |S| log |S| against |S|^2 * N for the pairwise differences, so the
-    translate check runs when 2^N - 1 < |S| and the pairwise loop otherwise
-    (n = 3 with N = 15 or 16, where 2^N is huge next to |S|).
+    translate check runs when 2^N - 1 < |S| and the pairwise loop otherwise.
+    For n = 3 the members are 0/1 rows, and b - a lies in {0,1}^N exactly
+    when the bitmask of a is contained in that of b: one vectorised
+    containment test per member replaces the pairwise loop (N = 15 or 16,
+    where 2^N is huge next to |S|).
     """
     return _rows_avoid_steps(slab_members(n, N, enum_cap=enum_cap))
 
@@ -147,7 +150,10 @@ def _rows_avoid_steps(arr: np.ndarray) -> bool:
     Equal rows differ by the zero vector, so duplicates fail too.
     """
     m, N = arr.shape
-    base = int(arr.max(initial=0)) + 2  # every entry + 1 stays a base digit
+    top = int(arr.max(initial=0))
+    if top <= 1 and N < 63:
+        return _subset_avoids(arr)
+    base = top + 2  # every entry + 1 stays a base digit
     if 2**N - 1 < m and base**N <= np.iinfo(np.int64).max:
         return _translate_avoids(arr, base)
     return _pairwise_avoids(arr)
@@ -161,6 +167,19 @@ def _translate_avoids(arr: np.ndarray, base: int) -> bool:
     for mask in range(1, 2 ** arr.shape[1]):
         step = sum(int(w) for i, w in enumerate(weights) if mask >> i & 1)
         if np.isin(codes + step, codes, assume_unique=True).any():
+            return False
+    return True
+
+
+def _subset_avoids(arr: np.ndarray) -> bool:
+    """_rows_avoid_steps for 0/1 rows: b - a is in {0,1}^N exactly when mask(a) is inside mask(b).
+
+    A row whose mask lies inside another row's mask (a duplicate included)
+    fails, which covers both step directions; every pair is compared.
+    """
+    masks = arr.astype(np.int64) @ (1 << np.arange(arr.shape[1], dtype=np.int64))
+    for mask in masks:
+        if np.count_nonzero((masks & mask) == mask) > 1:
             return False
     return True
 
@@ -434,11 +453,16 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
         f"degree {inst.degree} vs (1/8)n^({3*b-a}/{3*b}) and n^({b-a}/{b})*|S|"))
 
     bad = None
+    ok_by_gcd: dict[int, bool] = {}  # the outcome depends on j only through gcd(j, n)
     for j in inst.iter_support():
         if j == 0:
             continue
-        slack = inst.degree - math.gcd(j, inst.n)
-        if slack <= 0 or _power_compare(24 * slack, inst.n, 3 * b - a, 3 * b) < 0:
+        g = math.gcd(j, inst.n)
+        ok = ok_by_gcd.get(g)
+        if ok is None:
+            slack = inst.degree - g
+            ok = ok_by_gcd[g] = slack > 0 and _power_compare(24 * slack, inst.n, 3 * b - a, 3 * b) >= 0
+        if not ok:
             bad = j
             break
     bullets.append(BulletCheck(

@@ -10,6 +10,15 @@ The search is a branch-and-bound maximum clique on the complement with greedy
 coloring bounds, bitsets as plain Python ints, and a monotonic-clock budget.
 Timeouts surface the best set found so far, flagged non-optimal, so callers
 can still use it as a certified lower bound.
+
+Every graph here is a Cayley graph on base^N for a vertex base closed under
+J and -J (the builder raises otherwise), so it is vertex-transitive, and so
+is its complement. Some maximum clique of the complement therefore passes
+through any given vertex, and the search ends once its first top-level
+branch returns: that branch already reached the clique number, and the
+remaining branches could only prove the bound again. This is orbital
+branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011)
+restricted to the root.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .abelian import GroupSpec, SubgroupInfo, subgroup_generated
 
@@ -42,6 +53,7 @@ __all__ = [
 
 VERTEX_CAP = 1 << 20
 DENSE_CAP = 1 << 16  # dense bitset adjacency only below this many vertices
+_ROW_BLOCK_CELLS = 1 << 18  # adjacency cells materialised at once while building rows
 MIS_CAP = 4096  # default search cap for exact independence runs
 
 
@@ -111,30 +123,62 @@ def _validated_J(G: GroupSpec, J: Iterable) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGraph:
+    """Cayley graph on base^N; raises ValueError unless base is closed under +-J.
+
+    Closure makes base^N a group on which the connection set acts by
+    translation, so the graph is vertex-transitive, which the search uses.
+    """
+    base = tuple(base)
     n_vertices = len(base) ** N
     if n_vertices > vertex_cap:
         raise OracleInfeasible(f"{n_vertices} vertices exceed cap {vertex_cap}")
+    index = {e: i for i, e in enumerate(base)}
+    shifts = tuple(dict.fromkeys(J + tuple(G.neg(j) for j in J)))
+    add = np.empty((len(base), len(shifts)), dtype=np.int64)
+    for i, e in enumerate(base):
+        for k, s in enumerate(shifts):
+            w = index.get(G.add(e, s))
+            if w is None:
+                raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
+            add[i, k] = w
     vertices = tuple(itertools.product(base, repeat=N))
     rows = None
     if n_vertices <= DENSE_CAP:
-        index = {v: i for i, v in enumerate(vertices)}
         # connection vectors: coordinates all in J or all in -J, not all zero
+        shift_index = {s: k for k, s in enumerate(shifts)}
         conn = set()
         for c in itertools.product(J, repeat=N):
             if any(x != G.zero() for x in c):
-                conn.add(c)
-                conn.add(tuple(G.neg(x) for x in c))
-        row_list = [0] * n_vertices
-        for c in conn:
-            for i, v in enumerate(vertices):
-                w = tuple(G.add(a, b) for a, b in zip(v, c))
-                j = index.get(w)
-                if j is not None:  # base is a subgroup, so shifts stay inside
-                    row_list[i] |= 1 << j
-        for i in range(n_vertices):
-            row_list[i] &= ~(1 << i)
-        rows = tuple(row_list)
+                conn.add(tuple(shift_index[x] for x in c))
+                conn.add(tuple(shift_index[G.neg(x)] for x in c))
+        rows = _dense_rows(add, sorted(conn), N)
     return CayleyGraph(G, tuple(J), N, vertices, rows)
+
+
+def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
+    """Bitset rows of base^N from the table add[base index, shift index].
+
+    Vertex codes are mixed-radix base indices, last coordinate fastest as in
+    itertools.product, so a connection vector c sends the vertex with digits
+    d to code add[d, c] @ weights. Rows are filled a block at a time, at most
+    _ROW_BLOCK_CELLS booleans, then packed into ints.
+    """
+    m = add.shape[0]
+    n = m**N
+    weights = m ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(n, dtype=np.int64)[:, None] // weights) % m
+    conn_arr = np.array(conn, dtype=np.int64).reshape(len(conn), N)
+    step = max(1, _ROW_BLOCK_CELLS // n)
+    rows: list[int] = []
+    for lo in range(0, n, step):
+        block_digits = digits[lo:lo + step]
+        block = np.zeros((len(block_digits), n), dtype=bool)
+        at = np.arange(len(block_digits))
+        for c in conn_arr:
+            block[at, add[block_digits, c] @ weights] = True
+        packed = np.packbits(block, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return tuple(rows)
 
 
 def build_cayley(G: GroupSpec, J: Iterable, N: int, *, vertex_cap: int = VERTEX_CAP) -> CayleyGraph:
@@ -197,6 +241,12 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     greedy coloring upper bounds. Deterministic: same value and witness for
     the same graph and budget. On timeout the best set found so far comes
     back with optimal=False.
+
+    Precondition: X is vertex-transitive, as every graph from build_cayley
+    and exact_avoidance is. The search then stops after the first top-level
+    branch, on the vertex the coloring order picks, because a maximum
+    independent set through that vertex exists; on a graph that is not
+    vertex-transitive the value could come out too small.
     """
     if X.rows is None:
         raise OracleInfeasible(f"{X.n_vertices} vertices have no dense adjacency (cap {DENSE_CAP})")
@@ -226,6 +276,8 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
             v = order[i]
             b = 1 << v
             expand(r_size + 1, r_bits | b, P & comp[v])
+            if r_size == 0:
+                return  # vertex-transitive: the first branch already reached omega
             P &= ~b
 
     old_limit = sys.getrecursionlimit()

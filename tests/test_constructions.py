@@ -68,18 +68,35 @@ def test_slab_members_not_valid_when_tampered():
         assert not constructions._rows_avoid_steps(bad), planted
         assert not constructions._translate_avoids(bad, 6), planted
         assert not constructions._pairwise_avoids(bad), planted
+    # n = 3: 0/1 rows take the bitmask path; plant a member plus an up-step
+    # and a member minus a down-step, each behind the whole slab
+    binary = slab_members(3, 6)
+    assert constructions._subset_avoids(binary) and constructions._pairwise_avoids(binary)
+    member = binary[-1]
+    assert member.tolist() == [1, 1, 1, 0, 0, 0]
+    for planted in (member + [0, 0, 0, 1, 0, 1], member - [1, 0, 1, 0, 0, 0], member):
+        bad = np.vstack([binary, planted.astype(np.int16)])
+        assert not constructions._rows_avoid_steps(bad), planted
+        assert not constructions._subset_avoids(bad), planted
+        assert not constructions._pairwise_avoids(bad), planted
 
 
 def test_translate_and_pairwise_paths_agree():
     rng = np.random.default_rng(7)
     outcomes = set()
+    binary_outcomes = set()
     for _ in range(300):
         N = int(rng.integers(1, 5))
         arr = rng.integers(0, 5, size=(int(rng.integers(2, 7)), N)).astype(np.int16)
         pairwise = constructions._pairwise_avoids(arr)
         assert constructions._translate_avoids(arr, int(arr.max()) + 2) == pairwise, arr
         outcomes.add(pairwise)
-    assert outcomes == {True, False}
+        binary = rng.integers(0, 2, size=(int(rng.integers(2, 12)), N + 2)).astype(np.int16)
+        pairwise = constructions._pairwise_avoids(binary)
+        assert constructions._subset_avoids(binary) == pairwise, binary
+        assert constructions._rows_avoid_steps(binary) == pairwise, binary
+        binary_outcomes.add(pairwise)
+    assert outcomes == binary_outcomes == {True, False}
 
 
 def test_slab_rejects():
@@ -149,6 +166,32 @@ def test_verify_construction_catches_tampering():
     assert "degree-dominates" in report.first_failure()
     composite_q = dataclasses.replace(inst, Q=35 * 35)
     assert not verify_construction(composite_q).bullets[0].passed
+
+
+def test_subgroup_index_bullet_reports_first_failing_element(monkeypatch):
+    # plant a failure on one gcd value: the bullet must name the first support
+    # element with that gcd, after passing ones, and compare once per gcd
+    inst = build_construction(2, Fraction(3, 4))
+    nonzero = [j for j in inst.iter_support() if j != 0]
+    gcds = list(dict.fromkeys(math.gcd(j, inst.n) for j in nonzero))
+    planted = gcds[2]
+    first = next(j for j in nonzero if math.gcd(j, inst.n) == planted)
+    assert nonzero.index(first) > 2
+    original = constructions._power_compare
+    slack_calls = []
+
+    def planted_compare(lhs, base, num, den):
+        if lhs % 24 == 0 and (inst.degree - lhs // 24) in gcds:
+            slack_calls.append(lhs)
+            if lhs == 24 * (inst.degree - planted):
+                return -1
+        return original(lhs, base, num, den)
+
+    monkeypatch.setattr(constructions, "_power_compare", planted_compare)
+    bullet = verify_construction(inst).bullets[3]
+    assert not bullet.passed
+    assert bullet.detail == f"element {first} has gcd {planted}"
+    assert len(slack_calls) == len(set(slack_calls)) == 3
 
 
 def test_degenerate_epsilon_flagged():

@@ -6,13 +6,19 @@ unreduced graph over all of G^N before being frozen.
 
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intersective.abelian import GroupSpec, subgroup_generated
 from intersective.oracle import (AvoidanceResult, OracleInfeasible, OracleTimeout,
-                                 build_cayley, coset_representatives, exact_avoidance,
+                                 _build_on_base, _subgroup_base, build_cayley,
+                                 coset_representatives, exact_avoidance,
                                  independence_number, lift_block_witness,
                                  max_independent_set, verify_clique)
+
+SMALL_GROUPS = [(m,) for m in range(2, 10)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +59,65 @@ def test_build_cayley_rejects():
         build_cayley(GroupSpec((7,)), [(0,), (1,)], 3, vertex_cap=100)
 
 
+def _reference_rows(G, J, N, base):
+    """The per-pair builder: one tuple sum and dict lookup per (vector, vertex)."""
+    vertices = list(itertools.product(base, repeat=N))
+    index = {v: i for i, v in enumerate(vertices)}
+    conn = set()
+    for c in itertools.product(J, repeat=N):
+        if any(x != G.zero() for x in c):
+            conn.add(c)
+            conn.add(tuple(G.neg(x) for x in c))
+    rows = [0] * len(vertices)
+    for c in conn:
+        for i, v in enumerate(vertices):
+            rows[i] |= 1 << index[tuple(G.add(a, b) for a, b in zip(v, c))]
+    return tuple(rows)
+
+
+def test_builder_matches_reference():
+    """Rows equal the per-pair builder on G^N and on the subgroup bases of exact_avoidance."""
+    checked = 0
+    for orders in SMALL_GROUPS:
+        G = GroupSpec(orders)
+        nonzero = [e for e in G.elements() if any(e)]
+        for k in (1, 2):
+            for S in itertools.combinations(nonzero, k):
+                J = (G.zero(),) + S
+                sub = _subgroup_base(G, subgroup_generated(G, S))
+                for N in (1, 2, 3):
+                    for base in (tuple(G.elements()), sub):
+                        if len(base) ** N > 81 or (N == 3 and k == 2):
+                            continue
+                        X = _build_on_base(G, J, N, base, 4096)
+                        assert X.vertices == tuple(itertools.product(base, repeat=N))
+                        assert X.rows == _reference_rows(G, J, N, base), (orders, J, N, base)
+                        checked += 1
+    assert checked > 900
+
+
+@pytest.mark.parametrize("orders,J,N", [
+    ((6,), [(0,), (2,)], 3),
+    ((2, 4), [(0, 0), (0, 2)], 2),
+    ((9,), [(0,), (3,), (6,)], 3),
+    ((2, 2), [(0, 0), (1, 0), (0, 1)], 4),
+])
+def test_builder_matches_reference_on_larger_graphs(orders, J, N):
+    G = GroupSpec(orders)
+    for base in (tuple(G.elements()), _subgroup_base(G, subgroup_generated(G, J))):
+        assert _build_on_base(G, tuple(J), N, base, 4096).rows == _reference_rows(G, J, N, base)
+
+
+def test_build_rejects_base_not_closed_under_shifts():
+    # {0, 2, 4} is <2> in Z_6, but J = {0, 1} shifts 0 to 1, which lies outside
+    G = GroupSpec((6,))
+    with pytest.raises(ValueError, match="not closed"):
+        _build_on_base(G, ((0,), (1,)), 2, ((0,), (2,), (4,)), 4096)
+    # {0, 1} in Z_3 with J = {0, 1}: both 1 + 1 and 0 - 1 land on 2
+    with pytest.raises(ValueError, match="not closed"):
+        _build_on_base(GroupSpec((3,)), ((0,), (1,)), 1, ((0,), (1,)), 4096)
+
+
 def test_build_cayley_sparse_above_dense_cap():
     # 5^7 = 78125 vertices: buildable, but no dense rows and no search
     X = build_cayley(GroupSpec((5,)), [(0,), (1,)], 7)
@@ -84,6 +149,44 @@ def test_witness_is_independent():
     assert len(r.witness) == r.value
     for u, v in itertools.combinations(r.witness, 2):
         assert not X.adjacent(u, v)
+
+
+@st.composite
+def small_cayley(draw):
+    G = GroupSpec(draw(st.sampled_from(SMALL_GROUPS)))
+    nonzero = [e for e in G.elements() if any(e)]
+    S = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=3, unique=True))
+    N = draw(st.integers(1, max(n for n in (1, 2, 3, 4) if G.order**n <= 81)))
+    return build_cayley(G, [G.zero()] + S, N)
+
+
+def _networkx_alpha(X):
+    """Independence number as a sum over components of maximum cliques of complements."""
+    g = nx.Graph()
+    g.add_nodes_from(range(X.n_vertices))
+    g.add_edges_from((i, j) for i in range(X.n_vertices) for j in range(i) if X.rows[i] >> j & 1)
+    return sum(nx.max_weight_clique(nx.complement(g.subgraph(c)), weight=None)[1]
+               for c in nx.connected_components(g))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_cayley())
+@example(build_cayley(GroupSpec((7,)), [(0,), (1,), (2,)], 2))
+@example(build_cayley(GroupSpec((6,)), [(0,), (1,), (2,)], 2))
+@example(build_cayley(GroupSpec((2, 4)), [(0, 0), (0, 1)], 2))
+def test_independence_number_matches_networkx(X):
+    r = max_independent_set(X)
+    assert r.optimal
+    assert r.value == _networkx_alpha(X) == len(r.witness)
+    assert not any(X.adjacent(u, v) for u, v in itertools.combinations(r.witness, 2))
+
+
+def test_z5_pair_at_n4_closes_in_fewer_nodes():
+    # one top-level branch suffices on a vertex-transitive graph; the full
+    # search took 8,994 nodes
+    r = exact_avoidance(GroupSpec((5,)), [(0,), (1,)], 4)
+    assert r.optimal and r.value == 125
+    assert r.mis.nodes < 8994
 
 
 @pytest.mark.parametrize("orders,J,N,value", [
