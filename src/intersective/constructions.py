@@ -17,7 +17,6 @@ decided exactly by comparing integer powers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,15 +114,31 @@ def slab_sizes_upto(n: int, max_N: int) -> list[int]:
 
 
 def slab_members(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> np.ndarray:
-    """All slab tuples as an array of shape (size, N), lexicographic order."""
+    """All slab tuples as an int16 array of shape (size, N), lexicographic order.
+
+    Rows grow one coordinate at a time: every kept prefix is followed by each
+    digit 0..n-2 in turn, which keeps the order, and a prefix stays only
+    while the remaining coordinates can still reach the target sum, so the
+    (n-1)^N tuples outside the slab are never built.
+    """
     if n < 3 or N < 1:
         raise ValueError(f"need n >= 3 and N >= 1, got n={n}, N={N}")
     total = (n - 1) ** N
     if total > enum_cap:
         raise ValueError(f"{total} tuples exceed enumeration cap {enum_cap}")
     T = _slab_target(n, N)
-    rows = [t for t in itertools.product(range(n - 1), repeat=N) if sum(t) == T]
-    return np.array(rows, dtype=np.int16).reshape(len(rows), N)
+    if min(n - 2, T) > np.iinfo(np.int16).max:
+        raise ValueError(f"slab entries up to {min(n - 2, T)} do not fit in int16")
+    digits = np.arange(n - 1)
+    rows = np.zeros((1, 0), dtype=np.int16)
+    sums = np.zeros(1, dtype=np.int64)
+    for k in range(N):
+        reach = (N - 1 - k) * (n - 2)  # the most the later coordinates can add
+        cand = (sums[:, None] + digits).ravel()  # prefix-major, digit-minor
+        keep = np.flatnonzero((cand <= T) & (cand + reach >= T))
+        rows = np.column_stack((rows[keep // (n - 1)], (keep % (n - 1)).astype(np.int16)))
+        sums = cand[keep]
+    return rows
 
 
 def slab_is_valid(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> bool:

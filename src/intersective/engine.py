@@ -12,7 +12,9 @@ since it can only mean a bug somewhere in the tower.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,8 +23,7 @@ from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, is_admiss
 from .numtheory import divisors, euler_phi
 from .oracle import OracleInfeasible, exact_avoidance
 from .constructions import product_lower_bound, slab_size
-from .spectral import (MultisetCapExceeded, clique_bounds, count_nonneg_tuples,
-                       residue_dp_count)
+from .spectral import clique_bounds, count_nonneg_tuples, residue_dp_count
 
 __all__ = [
     "BoundEntry",
@@ -39,6 +40,7 @@ __all__ = [
 DIVISOR_SUBSET_CAP = 1 << 20
 ORACLE_VERTEX_CAP = 4096
 ENGINE_MULTISET_CAP = 200_000
+PAIR_COUNT_CACHE_SIZE = 256
 
 
 class InconsistencyError(RuntimeError):
@@ -154,6 +156,44 @@ def pair_upper_bound(G: GroupSpec, a, N: int) -> int:
     return index**N * residue_dp_count(n, N)
 
 
+_PAIR_T = IntPolynomial.from_coeffs([1, -1])
+
+
+class _WarnedCount(Exception):
+    """A pair count that issued warnings; raised through the cache so it is not stored."""
+
+    def __init__(self, value: int, caught: list):
+        super().__init__(value)
+        self.value = value
+        self.caught = caught
+
+
+@functools.lru_cache(maxsize=PAIR_COUNT_CACHE_SIZE)
+def _cached_pair_count(n: int, N: int) -> int:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = count_nonneg_tuples(_PAIR_T, n, N, multiset_cap=math.comb(N + n - 1, n - 1))
+    if caught:
+        raise _WarnedCount(value, caught)
+    return value
+
+
+def _pair_count(n: int, N: int) -> int:
+    """count_nonneg_tuples(1 - t, n, N), kept per process for the most recent (n, N).
+
+    The count depends only on (n, N), and a sweep of queries asks for the
+    same few again and again. Callers bound the multiset count first. A
+    count that warned (tuples ambiguous at the precision cap) is not kept,
+    and its warnings are issued again, so no later query loses them.
+    """
+    try:
+        return _cached_pair_count(n, N)
+    except _WarnedCount as w:
+        for m in w.caught:
+            warnings.warn_explicit(m.message, m.category, m.filename, m.lineno)
+        return w.value
+
+
 def _cyclic_residues(G: GroupSpec, a, J) -> tuple[int, int, set[int] | None]:
     """(order, index, residues of J inside <a>); residues None if J elements fall outside."""
     n = element_order(G, a)
@@ -202,8 +242,6 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
     except ValueError as e:
         notes.append(f"clique: {e}")
 
-    pair_t = IntPolynomial.from_coeffs([1, -1])
-    pair_counts: dict[int, int] = {}  # the 1 - t count depends only on the order n_a
     best_dp = best_count = best_div = best_inv = None
     for a in sorted(j for j in Jt if j != G.zero()):
         n_a, index, jres = _cyclic_residues(G, a, Jt)
@@ -213,16 +251,9 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
         if best_dp is None or v < best_dp[0]:
             best_dp = (v, a)
         if math.comb(N + n_a - 1, n_a - 1) <= multiset_cap:
-            try:
-                if n_a not in pair_counts:
-                    pair_counts[n_a] = count_nonneg_tuples(pair_t, n_a, N,
-                                                           multiset_cap=multiset_cap)
-            except MultisetCapExceeded as e:
-                notes.append(f"pair-count at {format_element(a)}: {e}")
-            else:
-                v = index**N * pair_counts[n_a]
-                if best_count is None or v < best_count[0]:
-                    best_count = (v, a)
+            v = index**N * _pair_count(n_a, N)
+            if best_count is None or v < best_count[0]:
+                best_count = (v, a)
         if not is_admissible_support(jres, n_a):
             continue
         try:

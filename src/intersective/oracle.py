@@ -7,9 +7,18 @@ through the subgroup generated by J: restricting to H = <J> and multiplying
 by [G:H]^N gives the full value, since distinct H^N-cosets are unconstrained.
 
 The search is a branch-and-bound maximum clique on the complement with greedy
-coloring bounds, bitsets as plain Python ints, and a monotonic-clock budget.
-Timeouts surface the best set found so far, flagged non-optimal, so callers
-can still use it as a certified lower bound.
+colouring bounds, branching in decreasing colour as in Tomita and Seki's MCQ,
+with bitsets as plain Python ints and a monotonic-clock budget. Colouring
+works a class at a time on bitsets, as in BBMC (San Segundo, Rodriguez-Losada
+and Jimenez, Comput. Oper. Res. 2011): a colour class of the complement is a
+clique of X, so taking a vertex v into the class keeps the candidates in
+X.rows[v], one `&` per vertex. This needs rows without a diagonal bit, which
+every Cayley graph has (a nonzero connection vector never fixes a vertex).
+With R the clique built so far, a class whose colour k satisfies
+|R| + k <= best at colouring time is not recorded: best only grows, so each
+of its vertices would be pruned when its turn came. Timeouts surface the
+best set found so far, flagged non-optimal, so callers can still use it as a
+certified lower bound.
 
 Every graph here is a Cayley graph on base^N for a vertex base closed under
 J and -J (the builder raises otherwise), so it is vertex-transitive, and so
@@ -110,7 +119,7 @@ class CayleyGraph:
             raise ValueError("degrees need dense adjacency")
         hist: dict[int, int] = {}
         for r in self.rows:
-            d = bin(r).count("1")
+            d = r.bit_count()
             hist[d] = hist.get(d, 0) + 1
         return hist
 
@@ -203,7 +212,7 @@ class MISResult:
 
 def _greedy_seed(comp: list[int], n: int) -> tuple[int, int]:
     """Quick clique in the complement (= independent set), largest-degree first."""
-    order = sorted(range(n), key=lambda i: bin(comp[i]).count("1"), reverse=True)
+    order = sorted(range(n), key=lambda i: comp[i].bit_count(), reverse=True)
     chosen = 0
     size = 0
     allowed = (1 << n) - 1
@@ -216,45 +225,60 @@ def _greedy_seed(comp: list[int], n: int) -> tuple[int, int]:
     return size, chosen
 
 
-def _color_order(P: int, comp: list[int]) -> tuple[list[int], list[int]]:
-    order: list[int] = []
-    bounds: list[int] = []
+def _color_classes(P: int, rows: tuple[int, ...], kmin: int) -> list[tuple[int, int]]:
+    """Greedy colour classes of P in the complement, as (colour, class bitset).
+
+    Each class takes the lowest remaining vertex, then the lowest remaining
+    one adjacent in X to all taken so far, and so on. Only classes with
+    colour >= kmin are returned, in increasing colour.
+    """
+    classes: list[tuple[int, int]] = []
     color = 0
     rem = P
     while rem:
         color += 1
+        cls = 0
         Q = rem
         while Q:
             b = Q & -Q
-            v = b.bit_length() - 1
-            Q &= ~comp[v] & ~b
-            rem &= ~b
-            order.append(v)
-            bounds.append(color)
-    return order, bounds
+            cls |= b
+            Q &= rows[b.bit_length() - 1]
+        rem ^= cls
+        if color >= kmin:
+            classes.append((color, cls))
+    return classes
 
 
 def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISResult:
     """Exact maximum independent set of X by branch and bound.
 
     Runs a Tomita-style maximum-clique search on the complement graph with
-    greedy coloring upper bounds. Deterministic: same value and witness for
-    the same graph and budget. On timeout the best set found so far comes
-    back with optimal=False.
+    greedy colouring upper bounds, coloured a class at a time on bitsets
+    (see the module docstring). Each node branches on its classes from the
+    highest colour down, and inside a class from the highest vertex down,
+    and stops at the first vertex v with |R| + colour(v) <= best. Classes
+    that this test would stop at anyway, those with colour below
+    best - |R| + 1 when the node is coloured, are never recorded.
+    Deterministic: same value and witness for the same graph and budget. On
+    timeout the best set found so far comes back with optimal=False. The
+    witness is checked to be independent in X before it is returned, and a
+    failure raises RuntimeError.
 
-    Precondition: X is vertex-transitive, as every graph from build_cayley
-    and exact_avoidance is. The search then stops after the first top-level
-    branch, on the vertex the coloring order picks, because a maximum
-    independent set through that vertex exists; on a graph that is not
-    vertex-transitive the value could come out too small.
+    Preconditions: X.rows has no diagonal bit, and X is vertex-transitive,
+    as every graph from build_cayley and exact_avoidance is. The search then
+    stops after the first top-level branch, on the vertex the colouring
+    order picks, because a maximum independent set through that vertex
+    exists; on a graph that is not vertex-transitive the value could come
+    out too small.
     """
     if X.rows is None:
         raise OracleInfeasible(f"{X.n_vertices} vertices have no dense adjacency (cap {DENSE_CAP})")
     n = X.n_vertices
+    rows = X.rows
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
     full = (1 << n) - 1
-    comp = [full & ~X.rows[i] & ~(1 << i) for i in range(n)]
+    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
     best, best_bits = _greedy_seed(comp, n)
     nodes = 0
     aborted = False
@@ -267,18 +291,19 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
             return
         if r_size > best:
             best, best_bits = r_size, r_bits
-        order, bounds = _color_order(P, comp)
-        for i in range(len(order) - 1, -1, -1):
-            if aborted:
-                return
-            if r_size + bounds[i] <= best:
-                return
-            v = order[i]
-            b = 1 << v
-            expand(r_size + 1, r_bits | b, P & comp[v])
-            if r_size == 0:
-                return  # vertex-transitive: the first branch already reached omega
-            P &= ~b
+        for color, cls in reversed(_color_classes(P, rows, best - r_size + 1)):
+            while cls:
+                if aborted:
+                    return
+                if r_size + color <= best:
+                    return
+                v = cls.bit_length() - 1
+                b = 1 << v
+                cls ^= b
+                expand(r_size + 1, r_bits | b, P & comp[v])
+                if r_size == 0:
+                    return  # vertex-transitive: the first branch already reached omega
+                P ^= b
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 64))
@@ -286,7 +311,11 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
         expand(0, 0, full)
     finally:
         sys.setrecursionlimit(old_limit)
-    witness = tuple(X.vertices[i] for i in range(n) if best_bits >> i & 1)
+    members = [i for i in range(n) if best_bits >> i & 1]
+    if len(members) != best or any(rows[i] & best_bits for i in members):
+        raise RuntimeError(f"search returned {len(members)} vertices as an independent set "
+                           f"of size {best}, but they are not one")
+    witness = tuple(X.vertices[i] for i in members)
     return MISResult(best, witness, not aborted, nodes, time.monotonic() - start)
 
 

@@ -1,6 +1,7 @@
 """Slab counts, product powering, and the prime-window construction family."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -47,6 +48,25 @@ def test_slab_members_structure():
     # lexicographic order
     rows = [tuple(r) for r in arr.tolist()]
     assert rows == sorted(rows)
+
+
+def test_slab_members_match_itertools_filter():
+    """Rows equal the sum filter over all (n-1)^N tuples wherever that has <= 10^4 tuples."""
+    checked = 0
+    for N in range(1, 14):
+        n = 3
+        while (n - 1) ** N <= 10**4:
+            T = (n - 2) * N // 2
+            if N == 1:
+                ref = [(T,)]  # the filter keeps exactly the one tuple (T,)
+            else:
+                ref = [t for t in itertools.product(range(n - 1), repeat=N) if sum(t) == T]
+            arr = slab_members(n, N)
+            assert arr.dtype == np.int16 and arr.shape == (len(ref), N), (n, N)
+            assert arr.tolist() == [list(t) for t in ref], (n, N)
+            checked += 1
+            n += 1
+    assert checked == 10144
 
 
 def test_slab_is_valid_sweep():
@@ -106,6 +126,10 @@ def test_slab_rejects():
         slab_size(5, 0)
     with pytest.raises(ValueError):
         slab_members(9, 9, enum_cap=100)
+    # entries are int16: the N = 1 member (n-2)//2 must fit
+    assert slab_members(40_000, 1).tolist() == [[19_999]]
+    with pytest.raises(ValueError, match="int16"):
+        slab_members(70_000, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Bound orchestration: candidate methods, consistency policing, serialization."""
 
+import warnings
+
 import pytest
 
 from intersective import engine
@@ -124,6 +126,41 @@ def test_pair_count_once_per_distinct_order(monkeypatch, z105_report):
                    for n in (element_order(G, a) for a in r.J if a != G.zero())]
     assert r.method_value("pair-count") == min(per_element) == 4350
     assert [e.params_dict() for e in r.upper if e.method == "pair-count"] == [{"a": "5"}]
+
+
+def test_second_query_reuses_pair_counts(monkeypatch):
+    calls = []
+
+    def counted(h, n, N, **kwargs):
+        calls.append((n, N))
+        return count_nonneg_tuples(h, n, N, **kwargs)
+
+    monkeypatch.setattr(engine, "count_nonneg_tuples", counted)
+    G = parse_group("105")
+    J = [(k,) for k in cyclotomic(105).support()]
+    first = best_bounds(G, J, 2, oracle_timeout=2.0)
+    assert len(calls) == 7
+    second = best_bounds(G, J, 2, oracle_timeout=2.0)
+    assert len(calls) == 7  # every (order, N) came from the cache
+    assert report_to_json(second) == report_to_json(first)
+
+
+def test_warned_pair_count_is_not_cached(monkeypatch):
+    calls = []
+
+    def ambiguous(h, n, N, **kwargs):
+        calls.append((n, N))
+        warnings.warn("3 tuples ambiguous at precision cap 512; counted")
+        return count_nonneg_tuples(h, n, N, **kwargs)
+
+    monkeypatch.setattr(engine, "count_nonneg_tuples", ambiguous)
+    expected = count_nonneg_tuples(IntPolynomial.from_coeffs([1, -1]), 5, 2)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="ambiguous at precision cap"):
+            r = best_bounds(GroupSpec((5,)), [(0,), (1,)], 2)
+        assert r.method_value("pair-count") == expected
+    assert calls == [(5, 2), (5, 2)]
+    assert engine._cached_pair_count.cache_info().currsize == 0
 
 
 def test_f4_exact_through_reduction():

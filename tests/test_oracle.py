@@ -5,12 +5,14 @@ unreduced graph over all of G^N before being frozen.
 """
 
 import itertools
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intersective import oracle
 from intersective.abelian import GroupSpec, subgroup_generated
 from intersective.oracle import (AvoidanceResult, OracleInfeasible, OracleTimeout,
                                  _build_on_base, _subgroup_base, build_cayley,
@@ -75,9 +77,12 @@ def _reference_rows(G, J, N, base):
     return tuple(rows)
 
 
-def test_builder_matches_reference():
-    """Rows equal the per-pair builder on G^N and on the subgroup bases of exact_avoidance."""
-    checked = 0
+def _builder_grid():
+    """(G, J, N, base) for G^N and the subgroup bases of exact_avoidance, <= 81 vertices.
+
+    N = 3 only with one nonzero element of J, since the reference builder
+    costs minutes on the rest.
+    """
     for orders in SMALL_GROUPS:
         G = GroupSpec(orders)
         nonzero = [e for e in G.elements() if any(e)]
@@ -87,12 +92,18 @@ def test_builder_matches_reference():
                 sub = _subgroup_base(G, subgroup_generated(G, S))
                 for N in (1, 2, 3):
                     for base in (tuple(G.elements()), sub):
-                        if len(base) ** N > 81 or (N == 3 and k == 2):
-                            continue
-                        X = _build_on_base(G, J, N, base, 4096)
-                        assert X.vertices == tuple(itertools.product(base, repeat=N))
-                        assert X.rows == _reference_rows(G, J, N, base), (orders, J, N, base)
-                        checked += 1
+                        if len(base) ** N <= 81 and not (N == 3 and k == 2):
+                            yield G, J, N, base
+
+
+def test_builder_matches_reference():
+    """Rows equal the per-pair builder on G^N and on the subgroup bases of exact_avoidance."""
+    checked = 0
+    for G, J, N, base in _builder_grid():
+        X = _build_on_base(G, J, N, base, 4096)
+        assert X.vertices == tuple(itertools.product(base, repeat=N))
+        assert X.rows == _reference_rows(G, J, N, base), (G.orders, J, N, base)
+        checked += 1
     assert checked > 900
 
 
@@ -128,6 +139,94 @@ def test_build_cayley_sparse_above_dense_cap():
 
 # ---------------------------------------------------------------------------
 # exact search
+
+
+def _reference_mis(X):
+    """The per-vertex colouring search: one colour appended per vertex, then a
+    branch per vertex from the back of that order. No budget, so it returns
+    (value, witness, nodes, True)."""
+    n = X.n_vertices
+    full = (1 << n) - 1
+    comp = [full & ~X.rows[i] & ~(1 << i) for i in range(n)]
+    best, best_bits = 0, 0
+    allowed = full
+    for v in sorted(range(n), key=lambda i: bin(comp[i]).count("1"), reverse=True):
+        if allowed >> v & 1:
+            best, best_bits = best + 1, best_bits | 1 << v
+            allowed &= comp[v]
+    nodes = 0
+
+    def color_order(P):
+        order, bounds, color, rem = [], [], 0, P
+        while rem:
+            color += 1
+            Q = rem
+            while Q:
+                b = Q & -Q
+                v = b.bit_length() - 1
+                Q &= ~comp[v] & ~b
+                rem &= ~b
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(r_size, r_bits, P):
+        nonlocal best, best_bits, nodes
+        nodes += 1
+        if r_size > best:
+            best, best_bits = r_size, r_bits
+        order, bounds = color_order(P)
+        for i in range(len(order) - 1, -1, -1):
+            if r_size + bounds[i] <= best:
+                return
+            b = 1 << order[i]
+            expand(r_size + 1, r_bits | b, P & comp[order[i]])
+            if r_size == 0:
+                return
+            P &= ~b
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 64))
+    try:
+        expand(0, 0, full)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return best, tuple(X.vertices[i] for i in range(n) if best_bits >> i & 1), nodes, True
+
+
+def test_search_matches_reference_kernel():
+    """Colour classes as bitsets walk the same tree as the per-vertex colouring."""
+    seen = set()
+    for G, J, N, base in _builder_grid():
+        key = (str(G), J, N, tuple(base))
+        if key in seen:
+            continue  # a subgroup base equal to G gives the same graph twice
+        seen.add(key)
+        X = _build_on_base(G, J, N, base, 4096)
+        r = max_independent_set(X)
+        assert (r.value, r.witness, r.nodes, r.optimal) == _reference_mis(X), (G.orders, J, N)
+    assert len(seen) > 600
+
+
+@pytest.mark.parametrize("orders,J,N,value,nodes", [
+    ((5,), [(0,), (1,)], 4, 125, 1414),
+    ((6,), [(0,), (1,), (2,)], 3, 19, 7271),
+    ((8,), [(0,), (1,)], 3, 128, 2660),
+])
+def test_search_node_counts_pinned(orders, J, N, value, nodes):
+    r = exact_avoidance(GroupSpec(orders), J, N)
+    assert r.optimal and r.value == value
+    assert r.mis.nodes == nodes
+
+
+@pytest.mark.parametrize("size,bits", [(3, 0b00111), (3, 0b00101)])
+def test_witness_self_check_raises(monkeypatch, size, bits):
+    # a planted incumbent above alpha = 2 prunes the whole search and comes
+    # back as the answer: {0, 1, 2} has edges, {0, 2} has the wrong size
+    monkeypatch.setattr(oracle, "_greedy_seed", lambda comp, n: (size, bits))
+    X = build_cayley(GroupSpec((5,)), [(0,), (1,)], 1)
+    with pytest.raises(RuntimeError, match="not one"):
+        max_independent_set(X)
 
 
 def test_independence_number_pentagon():
