@@ -76,6 +76,25 @@ def test_bound_spectral_auto_divisor(capsys):
     assert "order 105, index 1" in out
 
 
+@pytest.mark.parametrize("group,J,h,generator,bound", [
+    ("15", "0;1;2;5", "1 + t + t^2 (degree 2)", "1, order 15, index 1", 169),  # divisor
+    ("9", "0;1;3", "1 - t^3 (degree 3)", "1, order 9, index 1", 36),  # negated cofactor
+    ("21", "0;1;3;4;7", "1 - t (degree 1)", "1, order 21, index 1", 400),  # only 1 - t fits
+    ("2x4", "0,0;1,1", "1 + t (degree 1)", "1,1, order 4, index 2", 36),
+])
+def test_bound_spectral_auto_branches(capsys, group, J, h, generator, bound):
+    rc, out, _ = run(capsys, "bound", "spectral", "--group", group, "--J", J, "--N", "2")
+    assert rc == 0
+    assert out == f"h: {h}\nsubgroup: generator {generator}\nbound: {bound}\n"
+
+
+def test_bound_spectral_auto_inadmissible(capsys):
+    rc, out, err = run(capsys, "bound", "spectral", "--group", "6", "--J", "0;2;3", "--N", "2")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: support [0, 2, 3] collides with its negation mod 6\n"
+
+
 def test_bound_spectral_explicit_pair(capsys):
     rc, out, _ = run(capsys, "bound", "spectral", "--group", "7", "--J", "0;1",
                      "--h", "1,-1", "--N", "3")
