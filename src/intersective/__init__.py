@@ -10,52 +10,28 @@ branch-and-bound independent-set search where feasible, and a family of
 large-support instances with verified structural properties.
 """
 
-from .abelian import (GroupSpec, RootOfUnity, SubgroupInfo, character_value,
-                      count_character_extensions, element_order, format_element,
-                      parse_element, parse_element_set, parse_group, subgroup_generated)
-from .cyclotomic import (CyclotomicStats, IntPolynomial, NonExactDivision, cyclotomic,
-                         cyclotomic_stats, inverse_cyclotomic, is_admissible_support,
-                         lam_leung, support_and_gaps)
-from .numtheory import (divisors, euler_phi, factorize, is_prime, next_prime, radical)
-from .spectral import (CliqueBound, ComplexBall, MultisetCapExceeded, ResidueDPState,
-                       SignCount, WeightFunction, cayley_eigenvalue, clique_bounds,
-                       count_nonneg_tuples, inertia_bound, product_eigenvalue,
-                       residue_dp_count, residue_dp_profile, sign_count_tuples,
+from .abelian import GroupSpec, parse_element_set, parse_group
+from .cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic, lam_leung,
+                         support_and_gaps)
+from .numtheory import divisors, is_prime
+from .spectral import (cayley_eigenvalue, count_nonneg_tuples, residue_dp_count,
                        spectral_upper_bound, weight_from_polynomial)
-from .oracle import (AvoidanceResult, CayleyGraph, MISResult, OracleInfeasible,
-                     OracleTimeout, build_cayley, coset_representatives, exact_avoidance,
-                     independence_number, lift_block_witness, max_independent_set,
-                     verify_clique)
-from .constructions import (BulletCheck, ConstructionInstance, ConstructionReport,
-                            ConstructionSearchError, ProductBound, build_construction,
-                            construction_upper_bound, product_lower_bound, slab_is_valid,
-                            slab_members, slab_size, slab_sizes_upto, verify_construction)
-from .engine import (BoundEntry, BoundReport, InconsistencyError, best_bounds,
-                     best_divisor_polynomial, generic_upper_bound, pair_upper_bound,
-                     report_from_json, report_to_json)
+from .oracle import exact_avoidance
+from .constructions import (build_construction, slab_is_valid, slab_members, slab_size,
+                            slab_sizes_upto, verify_construction)
+from .engine import BoundReport, best_bounds, report_from_json, report_to_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupSpec", "RootOfUnity", "SubgroupInfo", "character_value",
-    "count_character_extensions", "element_order", "format_element", "parse_element",
-    "parse_element_set", "parse_group", "subgroup_generated",
-    "CyclotomicStats", "IntPolynomial", "NonExactDivision", "cyclotomic",
-    "cyclotomic_stats", "inverse_cyclotomic", "is_admissible_support", "lam_leung",
-    "support_and_gaps",
-    "divisors", "euler_phi", "factorize", "is_prime", "next_prime", "radical",
-    "CliqueBound", "ComplexBall", "MultisetCapExceeded", "ResidueDPState", "SignCount",
-    "WeightFunction", "cayley_eigenvalue", "clique_bounds", "count_nonneg_tuples",
-    "inertia_bound", "product_eigenvalue", "residue_dp_count", "residue_dp_profile",
-    "sign_count_tuples", "spectral_upper_bound", "weight_from_polynomial",
-    "AvoidanceResult", "CayleyGraph", "MISResult", "OracleInfeasible", "OracleTimeout",
-    "build_cayley", "coset_representatives", "exact_avoidance", "independence_number",
-    "lift_block_witness", "max_independent_set", "verify_clique",
-    "BulletCheck", "ConstructionInstance", "ConstructionReport", "ConstructionSearchError",
-    "ProductBound", "build_construction", "construction_upper_bound", "product_lower_bound",
-    "slab_is_valid", "slab_members", "slab_size", "slab_sizes_upto", "verify_construction",
-    "BoundEntry", "BoundReport", "InconsistencyError", "best_bounds",
-    "best_divisor_polynomial", "generic_upper_bound", "pair_upper_bound",
-    "report_from_json", "report_to_json",
+    "GroupSpec", "parse_element_set", "parse_group",
+    "IntPolynomial", "cyclotomic", "inverse_cyclotomic", "lam_leung", "support_and_gaps",
+    "divisors", "is_prime",
+    "cayley_eigenvalue", "count_nonneg_tuples", "residue_dp_count", "spectral_upper_bound",
+    "weight_from_polynomial",
+    "exact_avoidance",
+    "build_construction", "slab_is_valid", "slab_members", "slab_size", "slab_sizes_upto",
+    "verify_construction",
+    "BoundReport", "best_bounds", "report_from_json", "report_to_json",
     "__version__",
 ]

@@ -17,6 +17,7 @@ __all__ = [
     "RootOfUnity",
     "SubgroupInfo",
     "element_order",
+    "cyclic_residues",
     "subgroup_generated",
     "character_value",
     "count_character_extensions",
@@ -123,6 +124,22 @@ def element_order(G: GroupSpec, g: tuple[int, ...]) -> int:
     """Order of g: lcm over coordinates of n_i / gcd(g_i, n_i)."""
     g = G.element(g)
     return math.lcm(*[n // math.gcd(c, n) for c, n in zip(g, G.orders)])
+
+
+def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
+    """The residue k with j = k * a, 0 <= k < order(a), of each element j of J inside <a>.
+
+    Elements of J outside <a> are left out; callers decide whether that is an error.
+    """
+    a = G.element(a)
+    wanted = {G.element(j) for j in J}
+    out = {}
+    x = G.zero()
+    for k in range(element_order(G, a)):
+        if x in wanted:
+            out[x] = k
+        x = G.add(x, a)
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .abelian import (GroupSpec, element_order, format_element, parse_element_set,
-                      parse_group, subgroup_generated)
+from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
+                      parse_element_set, parse_group, subgroup_generated)
 from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, support_and_gaps
-from .engine import InconsistencyError, best_bounds, best_divisor_polynomial, report_to_json
+from .engine import (InconsistencyError, best_bounds, report_to_json, require_admissible,
+                     weight_candidates)
 from .oracle import OracleInfeasible, exact_avoidance, lift_block_witness
 from .constructions import build_construction, slab_is_valid, slab_size, verify_construction
 from .spectral import residue_dp_profile, spectral_upper_bound
@@ -51,16 +52,6 @@ def _spectral_generator(G: GroupSpec, J) -> tuple[int, ...]:
     raise ValueError("J is not contained in the span of any single element of J")
 
 
-def _residues(G: GroupSpec, a, J) -> set[int]:
-    n = element_order(G, a)
-    dlog = {}
-    x = G.zero()
-    for k in range(n):
-        dlog[x] = k
-        x = G.add(x, a)
-    return {dlog[j] for j in J if j in dlog}
-
-
 def cmd_cyclotomic(args) -> int:
     h = inverse_cyclotomic(args.n) if args.inverse else cyclotomic(args.n)
     supp, gap = support_and_gaps(h)
@@ -90,21 +81,16 @@ def cmd_bound_spectral(args) -> int:
     a = _spectral_generator(G, J)
     n = element_order(G, a)
     if args.h == "auto":
-        res = _residues(G, a, J)
-        cands = []
-        h = best_divisor_polynomial(n, res)
-        if h is not None:
-            cands.append(h)
-        hinv = inverse_cyclotomic(n).scale(-1)
-        if n > 2 and hinv[0] == 1 and set(hinv.support()) <= res:
-            cands.append(hinv)
-        if {0, 1} <= res:
-            cands.append(IntPolynomial.from_coeffs([1, -1]))
+        res = set(cyclic_residues(G, a, J).values())
+        require_admissible(res, n)
+        cands, failure = weight_candidates(n, res)
+        if failure is not None:
+            raise failure
         if not cands:
             raise ValueError(f"no weight candidate fits residues {sorted(res)} mod {n}")
         value, idx = min((spectral_upper_bound(G, a, J, hc, args.N), i)
-                         for i, hc in enumerate(cands))
-        h = cands[idx]
+                         for i, (_, hc) in enumerate(cands))
+        h = cands[idx][1]
     else:
         h = _parse_weight(args.h, n)
         value = spectral_upper_bound(G, a, J, h, args.N)

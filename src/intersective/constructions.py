@@ -72,13 +72,14 @@ def slab_size(n: int, N: int) -> int:
         raise ValueError(f"need n >= 3, got {n}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    return _slab_dp(n, N)[_slab_target(n, N)]
+    return slab_sizes_upto(n, N)[-1]
 
 
-def _slab_dp(n: int, N: int) -> list[int]:
+def _slab_dp(n: int) -> Iterator[list[int]]:
+    """counts[s] = #{v in {0..n-2}^N : sum(v) = s}, for N = 1, 2, ..."""
     width = n - 1  # values 0..n-2
     counts = [1]
-    for _ in range(N):
+    while True:
         prev = counts
         counts = [0] * (len(prev) + width - 1)
         # sliding-window sum: counts[s] = sum(prev[s-width+1 .. s])
@@ -89,28 +90,14 @@ def _slab_dp(n: int, N: int) -> list[int]:
             if s - width >= 0:
                 acc -= prev[s - width]
             counts[s] = acc
-    return counts
+        yield counts
 
 
 def slab_sizes_upto(n: int, max_N: int) -> list[int]:
     """slab_size(n, N) for N = 1..max_N from one incremental DP run."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    width = n - 1
-    counts = [1]
-    out = []
-    for N in range(1, max_N + 1):
-        prev = counts
-        counts = [0] * (len(prev) + width - 1)
-        acc = 0
-        for s in range(len(counts)):
-            if s < len(prev):
-                acc += prev[s]
-            if s - width >= 0:
-                acc -= prev[s - width]
-            counts[s] = acc
-        out.append(counts[_slab_target(n, N)])
-    return out
+    return [counts[_slab_target(n, N)] for N, counts in zip(range(1, max_N + 1), _slab_dp(n))]
 
 
 def slab_members(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> np.ndarray:
@@ -374,9 +361,7 @@ def _assemble(M: int, epsilon: Fraction, primes: tuple[int, ...], s: int) -> Con
     if 2 * num <= den:
         return None
     r = den
-    Q = next_prime(r)
-    if Q >= 2 * r:  # unreachable below 4*10^18 by verified Bertrand ranges
-        return None
+    Q = next_prime(r)  # Q < 2r by Bertrand's postulate
     block = r ** (s - 1)
     if block <= Q:  # s >= 3 guarantees r^(s-1) >= r^2 > 2r > Q
         raise RuntimeError(f"block r^(s-1) = {block} does not exceed Q = {Q}: support blocks would overlap")

@@ -18,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .abelian import GroupSpec, element_order, format_element, parse_element, parse_group
+from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
+                      parse_element, parse_group)
 from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, is_admissible_support
 from .numtheory import divisors, euler_phi
 from .oracle import OracleInfeasible, exact_avoidance
@@ -30,7 +31,9 @@ __all__ = [
     "BoundReport",
     "InconsistencyError",
     "generic_upper_bound",
+    "require_admissible",
     "best_divisor_polynomial",
+    "weight_candidates",
     "pair_upper_bound",
     "best_bounds",
     "report_to_json",
@@ -101,6 +104,14 @@ def generic_upper_bound(G: GroupSpec, J: Iterable, N: int) -> int:
     return (G.order - len(Jset) + 1) ** N
 
 
+def require_admissible(residues: set[int], n: int) -> None:
+    """Raise ValueError unless residues contain 0 and meet their negation mod n only at 0."""
+    if 0 not in residues:
+        raise ValueError("J must contain 0")
+    if not is_admissible_support(residues, n):
+        raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
+
+
 def best_divisor_polynomial(n: int, J: Iterable[int], *,
                             subset_cap: int = DIVISOR_SUBSET_CAP) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
@@ -112,10 +123,7 @@ def best_divisor_polynomial(n: int, J: Iterable[int], *,
     nonempty subset fits.
     """
     Jset = {j % n for j in J}
-    if 0 not in Jset:
-        raise ValueError("J must contain 0")
-    if not is_admissible_support(Jset, n):
-        raise ValueError(f"support {sorted(Jset)} collides with its negation mod {n}")
+    require_admissible(Jset, n)
     max_j = max(Jset)
     if max_j == 0:
         return None
@@ -194,19 +202,30 @@ def _pair_count(n: int, N: int) -> int:
         return w.value
 
 
-def _cyclic_residues(G: GroupSpec, a, J) -> tuple[int, int, set[int] | None]:
-    """(order, index, residues of J inside <a>); residues None if J elements fall outside."""
-    n = element_order(G, a)
-    dlog = {}
-    x = G.zero()
-    for k in range(n):
-        dlog[x] = k
-        x = G.add(x, a)
-    res = set()
-    for j in J:
-        if j in dlog:
-            res.add(dlog[j])
-    return n, G.order // n, res
+def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | None]:
+    """(method, weight) pairs on Z_n with support inside residues, and a failed search's error.
+
+    Admissible residues get the best cyclotomic divisor of t^n - 1
+    ("spectral-divisor") and the negated cofactor -Psi_n if it fits
+    ("spectral-invcyclo"). Any residues holding {0, 1} get 1 - t
+    ("pair-count"), admissible by itself for n >= 3. A divisor search that
+    fails leaves its error as the second value; the others still come back.
+    """
+    cands: list[tuple[str, IntPolynomial]] = []
+    failure = None
+    if is_admissible_support(residues, n):
+        try:
+            h = best_divisor_polynomial(n, residues)
+        except ValueError as e:
+            h, failure = None, e
+        if h is not None:
+            cands.append(("spectral-divisor", h))
+        hinv = inverse_cyclotomic(n).scale(-1)
+        if hinv[0] == 1 and set(hinv.support()) <= residues:
+            cands.append(("spectral-invcyclo", hinv))
+    if {0, 1} <= residues:
+        cands.append(("pair-count", _PAIR_T))
+    return cands, failure
 
 
 def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | None = 10.0,
@@ -242,44 +261,35 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
     except ValueError as e:
         notes.append(f"clique: {e}")
 
-    best_dp = best_count = best_div = best_inv = None
+    best: dict[str, tuple] = {}  # method -> (value, a, h), the first a on ties
     for a in sorted(j for j in Jt if j != G.zero()):
-        n_a, index, jres = _cyclic_residues(G, a, Jt)
+        n_a = element_order(G, a)
         if n_a < 3:
             continue  # self-inverse elements are covered by the symmetric clique
-        v = pair_upper_bound(G, a, N)
-        if best_dp is None or v < best_dp[0]:
-            best_dp = (v, a)
-        if math.comb(N + n_a - 1, n_a - 1) <= multiset_cap:
-            v = index**N * _pair_count(n_a, N)
-            if best_count is None or v < best_count[0]:
-                best_count = (v, a)
-        if not is_admissible_support(jres, n_a):
-            continue
-        try:
-            h = best_divisor_polynomial(n_a, jres)
-        except ValueError as e:
-            notes.append(f"divisor search at {format_element(a)}: {e}")
-            h = None
-        if h is not None:
-            v = (index * (n_a - h.degree)) ** N
-            if best_div is None or v < best_div[0]:
-                best_div = (v, a, h)
-        hinv = inverse_cyclotomic(n_a).scale(-1)
-        if hinv[0] == 1 and set(hinv.support()) <= jres:
-            v = (index * (n_a - hinv.degree)) ** N
-            if best_inv is None or v < best_inv[0]:
-                best_inv = (v, a, hinv)
-    if best_dp is not None:
-        upper.append(_entry(best_dp[0], "pair-dp", a=format_element(best_dp[1])))
-    if best_count is not None:
-        upper.append(_entry(best_count[0], "pair-count", a=format_element(best_count[1])))
-    if best_div is not None:
-        upper.append(_entry(best_div[0], "spectral-divisor", a=format_element(best_div[1]),
-                            h=str(best_div[2]), degree=best_div[2].degree))
-    if best_inv is not None:
-        upper.append(_entry(best_inv[0], "spectral-invcyclo", a=format_element(best_inv[1]),
-                            degree=best_inv[2].degree))
+        index = G.order // n_a
+        cands, failure = weight_candidates(n_a, set(cyclic_residues(G, a, Jt).values()))
+        if failure is not None:
+            notes.append(f"divisor search at {format_element(a)}: {failure}")
+        for method, h in [("pair-dp", None)] + cands:
+            if method == "pair-dp":
+                v = pair_upper_bound(G, a, N)
+            elif method != "pair-count":
+                v = (index * (n_a - h.degree)) ** N
+            elif math.comb(N + n_a - 1, n_a - 1) <= multiset_cap:
+                v = index**N * _pair_count(n_a, N)
+            else:
+                continue
+            if method not in best or v < best[method][0]:
+                best[method] = (v, a, h)
+    for method in ("pair-dp", "pair-count", "spectral-divisor", "spectral-invcyclo"):
+        if method in best:
+            v, a, h = best[method]
+            params = {"a": format_element(a)}
+            if method.startswith("spectral-"):
+                params["degree"] = h.degree
+            if method == "spectral-divisor":
+                params["h"] = str(h)
+            upper.append(_entry(v, method, **params))
 
     if len(Jt) == 2:
         a = next(j for j in Jt if j != G.zero())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 
 __all__ = [
     "factorize",
@@ -12,7 +11,6 @@ __all__ = [
     "radical",
     "is_prime",
     "next_prime",
-    "primes_above",
 ]
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
@@ -113,24 +111,3 @@ def next_prime(n: int) -> int:
     while not is_prime(m):
         m += 2
     return m
-
-
-def primes_above(bound: int):
-    """Yield primes p > bound, ascending."""
-    p = bound
-    while True:
-        p = next_prime(p)
-        yield p
-
-
-def phi_from_factors(factors: tuple[tuple[int, int], ...]) -> int:
-    """Totient from a known factorization; avoids re-factoring huge n."""
-    phi = 1
-    for p, e in factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
-def isqrt_ceil(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1

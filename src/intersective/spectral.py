@@ -40,11 +40,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from mpmath import mp
 
-from .abelian import GroupSpec, SubgroupInfo, character_value, element_order, subgroup_generated
+from .abelian import (GroupSpec, character_value, cyclic_residues, element_order,
+                      subgroup_generated)
 from .cyclotomic import IntPolynomial, cyclotomic, is_admissible_support
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "sign_count_tuples",
     "SignCount",
     "inertia_bound",
-    "ResidueDPState",
     "residue_dp_count",
     "residue_dp_profile",
     "spectral_upper_bound",
@@ -465,30 +465,6 @@ def inertia_bound(sc: SignCount) -> int:
     return min(sc.n_nonneg + sc.n_ambiguous, sc.n_nonpos + sc.n_ambiguous)
 
 
-def _iter_multiplicities(h: IntPolynomial, n: int, N: int, multiset_cap: int,
-                        start_prec: int, cap_prec: int):
-    """Yield (mults, weight, cls) over value multisets of Z_n^N tuples."""
-    weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
-    n_multisets = math.comb(N + n - 1, n - 1)
-    if n_multisets > multiset_cap:
-        raise MultisetCapExceeded(
-            f"{n_multisets} multisets exceed cap {multiset_cap} for n={n}, N={N}")
-    roots = _root_residues(h, n)
-    shifted = {v: _poly_mod_circle(h, n, v) for v in range(n)}
-    ball_cache = {start_prec: _ball_values(h, n, start_prec)}
-    tier = _float_tier(ball_cache[start_prec], N, roots)
-    for combo in itertools.combinations_with_replacement(range(n), N):
-        mults: dict[int, int] = {}
-        for v in combo:
-            mults[v] = mults.get(v, 0) + 1
-        weight = _multinomial(N, mults)
-        if any(v in roots for v in mults):
-            yield mults, weight, "zero-product"
-            continue
-        yield mults, weight, _classify_multiset(mults, ball_cache, h, n, shifted,
-                                                start_prec, cap_prec, tier)
-
-
 def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = MULTISET_CAP,
                         start_prec: int = PRECISION_START, cap_prec: int = PRECISION_CAP) -> int:
     """Number of tuples v in Z_n^N with Re(prod_j h(e_n(v_j))) >= 1.
@@ -500,22 +476,17 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int =
     (n - deg h)^N is checked against the result, raising RuntimeError on
     violation.
     """
-    total = 0
-    ambiguous = 0
-    for mults, weight, cls in _iter_multiplicities(h, n, N, multiset_cap, start_prec, cap_prec):
-        if cls in ("above", "equal"):
-            total += weight
-        elif cls == "ambiguous":
-            ambiguous += weight
-            total += weight
+    sc = sign_count_tuples(h, n, N, multiset_cap=multiset_cap, start_prec=start_prec,
+                           cap_prec=cap_prec)
+    total = sc.n_nonneg + sc.n_ambiguous
     if _divides_circle(h, n):
         # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
         # exactly deg(h) roots among the n-th roots of unity.
         if total > (n - h.degree) ** N:
             raise RuntimeError(f"count {total} exceeds the nonzero-product total "
                                f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
-    if ambiguous:
-        warnings.warn(f"{ambiguous} tuples ambiguous at precision cap {cap_prec}; counted")
+    if sc.n_ambiguous:
+        warnings.warn(f"{sc.n_ambiguous} tuples ambiguous at precision cap {cap_prec}; counted")
     return total
 
 
@@ -525,15 +496,32 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = M
 
     Eigenvalue -2 + 2*Re(P) is nonnegative iff Re(P) >= 1, zero iff Re(P) = 1.
     """
+    weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
+    n_multisets = math.comb(N + n - 1, n - 1)
+    if n_multisets > multiset_cap:
+        raise MultisetCapExceeded(
+            f"{n_multisets} multisets exceed cap {multiset_cap} for n={n}, N={N}")
+    roots = _root_residues(h, n)
+    shifted = {v: _poly_mod_circle(h, n, v) for v in range(n)}
+    ball_cache = {start_prec: _ball_values(h, n, start_prec)}
+    tier = _float_tier(ball_cache[start_prec], N, roots)
     nonneg = nonpos = zero = ambiguous = 0
-    for mults, weight, cls in _iter_multiplicities(h, n, N, multiset_cap, start_prec, cap_prec):
+    for combo in itertools.combinations_with_replacement(range(n), N):
+        mults: dict[int, int] = {}
+        for v in combo:
+            mults[v] = mults.get(v, 0) + 1
+        weight = _multinomial(N, mults)
+        if any(v in roots for v in mults):
+            nonpos += weight
+            continue
+        cls = _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec, tier)
         if cls == "above":
             nonneg += weight
         elif cls == "equal":
             nonneg += weight
             nonpos += weight
             zero += weight
-        elif cls in ("below", "zero-product"):
+        elif cls == "below":
             nonpos += weight
         else:
             ambiguous += weight
@@ -561,31 +549,26 @@ def _band_residues(n: int, N: int) -> set[int]:
     return {s % (2 * n) for s in range(s_min, s_max + 1)}
 
 
-@dataclass(frozen=True)
-class ResidueDPState:
-    """Distribution of coordinate sums S mod 2n over v in {1..n-1}^N."""
+def _residue_dp_states(n: int) -> Iterator[list[int]]:
+    """Counts of the coordinate sums S mod 2n over v in {1..n-1}^N, for N = 1, 2, ...
 
-    n: int
-    N: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 2 * self.n:
-            raise ValueError(f"need 2n = {2 * self.n} residue counts, got {len(self.counts)}")
-        total = sum(self.counts)
-        if total != (self.n - 1) ** self.N:
-            raise ValueError(f"residue counts sum to {total}, not (n-1)^N")
-
-    @classmethod
-    def compute(cls, n: int, N: int) -> "ResidueDPState":
-        if n < 3:
-            raise ValueError(f"need n >= 3, got {n}")
-        if N < 1:
-            raise ValueError(f"need N >= 1, got {N}")
-        return cls(n, N, tuple(_dp_vector(n, N)))
-
-    def band_total(self) -> int:
-        return sum(self.counts[r] for r in _band_residues(self.n, self.N))
+    A step is a cyclic sliding window: the new count at rho is the sum of the
+    old counts at rho - n + 1 .. rho - 1, so moving rho by one adds one old
+    count and drops another, O(2n) per N. Each state must sum to (n - 1)^N.
+    """
+    m = 2 * n
+    counts = [1] + [0] * (m - 1)
+    total = 1
+    while True:
+        prev, counts = counts, [0] * m
+        acc = sum(prev[n + 1:])  # old counts at -(n - 1) .. -1, i.e. rho = 0
+        for rho in range(m):
+            counts[rho] = acc
+            acc += prev[rho] - prev[rho - n + 1]  # negative index wraps, same as mod m
+        total *= n - 1
+        if sum(counts) != total:
+            raise RuntimeError(f"residue counts sum to {sum(counts)}, not (n-1)^N = {total}")
+        yield counts
 
 
 def residue_dp_count(n: int, N: int) -> int:
@@ -597,84 +580,49 @@ def residue_dp_count(n: int, N: int) -> int:
     polar form strictly positive. The band has n residues when N is even and
     n odd, n - 1 otherwise.
     """
-    return ResidueDPState.compute(n, N).band_total()
-
-
-def _dp_vector(n: int, N: int) -> list[int]:
-    m = 2 * n
-    counts = [0] * m
-    counts[0] = 1
-    for _ in range(N):
-        prev = counts
-        counts = [0] * m
-        for rho in range(m):
-            s = 0
-            for v in range(1, n):
-                s += prev[rho - v]  # negative index wraps, same as mod m
-            counts[rho] = s
-    return counts
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    return residue_dp_profile(n, N)[-1]
 
 
 def residue_dp_profile(n: int, max_N: int) -> list[int]:
     """residue_dp_count(n, N) for N = 1..max_N from one incremental DP run."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    m = 2 * n
-    counts = [0] * m
-    counts[0] = 1
-    out = []
-    for N in range(1, max_N + 1):
-        prev = counts
-        counts = [0] * m
-        for rho in range(m):
-            s = 0
-            for v in range(1, n):
-                s += prev[rho - v]
-            counts[rho] = s
-        out.append(sum(counts[r] for r in _band_residues(n, N)))
-    return out
+    return [sum(counts[r] for r in _band_residues(n, N))
+            for N, counts in zip(range(1, max_N + 1), _residue_dp_states(n))]
 
 
 # ---------------------------------------------------------------------------
 # the counting upper bound
 
 
-def _generator_of(G: GroupSpec, a_or_H) -> tuple[int, ...]:
-    if isinstance(a_or_H, SubgroupInfo):
-        if len(a_or_H.generators) != 1:
-            raise ValueError("need a cyclic subgroup given by a single generator")
-        return a_or_H.generators[0]
-    return G.element(a_or_H)
-
-
-def spectral_upper_bound(G: GroupSpec, a_or_H, J: Iterable[tuple[int, ...]], h: IntPolynomial,
+def spectral_upper_bound(G: GroupSpec, a, J: Iterable[tuple[int, ...]], h: IntPolynomial,
                          N: int, *, multiset_cap: int = MULTISET_CAP) -> int:
     """Upper bound [G:H]^N * #{v : Re(prod h(e_n(v_j))) >= 1} for J inside H = <a>.
 
-    When h divides t^n - 1 (n = |H|), the count is bounded by (n - deg h)^N
-    without enumeration, giving (|G| - deg(h) * [G:H])^N. Support residues that
-    are all self-inverse (2k = 0 mod n) are accepted through the divisor route
-    only: the eigenvalue form is then -1 + prod, real, and the same root-count
-    argument applies.
+    a is an element of G; every element of J must lie in the cyclic subgroup
+    it generates. When h divides t^n - 1 (n = |H|), the count is bounded by
+    (n - deg h)^N without enumeration, giving (|G| - deg(h) * [G:H])^N.
+    Support residues that are all self-inverse (2k = 0 mod n) are accepted
+    through the divisor route only: the eigenvalue form is then -1 + prod,
+    real, and the same root-count argument applies.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    a = _generator_of(G, a_or_H)
+    a = G.element(a)
     H = subgroup_generated(G, [a])
     n, index = H.order, H.index
     if n < 2:
         raise ValueError("generator must be nonzero")
-    dlog = {}
-    x = G.zero()
-    for k in range(n):
-        dlog[x] = k
-        x = G.add(x, a)
-    J_res = set()
+    J = [G.element(j) for j in J]
+    residues = cyclic_residues(G, a, J)
     for j in J:
-        j = G.element(j)
-        if j not in dlog:
+        if j not in residues:
             raise ValueError(f"element {j} outside the cyclic subgroup of order {n}")
-        J_res.add(dlog[j])
+    J_res = set(residues.values())
     if 0 not in J_res:
         raise ValueError("J must contain 0")
     supp = set(h.support())
@@ -682,15 +630,14 @@ def spectral_upper_bound(G: GroupSpec, a_or_H, J: Iterable[tuple[int, ...]], h: 
         raise ValueError(f"constant term of h must be 1, got {h[0]}")
     if not supp <= J_res:
         raise ValueError(f"support {sorted(supp)} not inside J residues {sorted(J_res)}")
-    if is_admissible_support(J_res, n):
-        if _divides_circle(h, n):
-            return (index * (n - h.degree)) ** N
-        return index**N * count_nonneg_tuples(h, n, N, multiset_cap=multiset_cap)
-    if all((2 * k) % n == 0 for k in J_res):
-        if _divides_circle(h, n):
-            return (index * (n - h.degree)) ** N
+    admissible = is_admissible_support(J_res, n)
+    if not admissible and not all((2 * k) % n == 0 for k in J_res):
+        raise ValueError(f"J residues {sorted(J_res)} collide with their negation mod {n}")
+    if _divides_circle(h, n):
+        return (index * (n - h.degree)) ** N
+    if not admissible:
         raise ValueError("self-inverse support needs h dividing t^n - 1")
-    raise ValueError(f"J residues {sorted(J_res)} collide with their negation mod {n}")
+    return index**N * count_nonneg_tuples(h, n, N, multiset_cap=multiset_cap)
 
 
 # ---------------------------------------------------------------------------

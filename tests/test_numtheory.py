@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from intersective.numtheory import (divisors, euler_phi, factorize, is_prime, isqrt_ceil,
-                                    next_prime, phi_from_factors, primes_above, radical)
+from intersective.numtheory import divisors, euler_phi, factorize, is_prime, next_prime, radical
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -52,11 +51,6 @@ def test_euler_phi():
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
-def test_phi_from_factors_agrees():
-    for n in range(1, 300):
-        assert phi_from_factors(factorize(n)) == euler_phi(n)
-
-
 def test_radical():
     assert radical(1) == 1
     assert radical(12) == 6
@@ -64,18 +58,9 @@ def test_radical():
     assert radical(97) == 97
 
 
-def test_next_prime_and_primes_above():
+def test_next_prime():
     assert next_prime(1) == 2
     assert next_prime(2) == 3
     assert next_prime(35) == 37
     assert next_prime(36) == 37
-    gen = primes_above(2)
-    assert [next(gen) for _ in range(6)] == [3, 5, 7, 11, 13, 17]
 
-
-def test_isqrt_ceil():
-    assert isqrt_ceil(0) == 0
-    for n in range(1, 500):
-        r = isqrt_ceil(n)
-        assert r * r >= n
-        assert (r - 1) * (r - 1) < n

@@ -5,6 +5,7 @@ at these sizes a 1e-6 margin separates every value from the threshold except
 the exact ties, which are asserted through the symbolic path instead.
 """
 
+import builtins
 import cmath
 import itertools
 import math
@@ -20,8 +21,8 @@ from intersective.abelian import GroupSpec
 from intersective.cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic,
                                      is_admissible_support)
 from intersective.oracle import build_cayley, verify_clique
-from intersective.spectral import (ComplexBall, MultisetCapExceeded, ResidueDPState,
-                                   SignCount, WeightFunction, ball_add, ball_exact_int,
+from intersective.spectral import (ComplexBall, MultisetCapExceeded, SignCount,
+                                   WeightFunction, ball_add, ball_exact_int,
                                    ball_mul, ball_pow, ball_root_of_unity, cayley_eigenvalue,
                                    clique_bounds, count_nonneg_tuples, inertia_bound,
                                    product_eigenvalue, residue_dp_count, residue_dp_profile,
@@ -329,12 +330,43 @@ def test_residue_dp_dominates_tuple_count():
 
 
 def test_residue_dp_state_invariants():
-    st = ResidueDPState.compute(7, 5)
-    assert sum(st.counts) == 6**5
-    # reflection symmetry of the sum distribution around nN
-    assert all(st.counts[r] == st.counts[(7 * 5 - r) % 14] for r in range(14))
-    with pytest.raises(ValueError):
-        ResidueDPState(3, 2, (1,) * 6)
+    states = spectral._residue_dp_states(7)
+    for N in range(1, 6):
+        counts = next(states)
+        assert len(counts) == 14
+        assert sum(counts) == 6**N
+        # reflection symmetry of the sum distribution around nN
+        assert all(counts[r] == counts[(7 * N - r) % 14] for r in range(14))
+
+
+def test_residue_dp_state_sum_check_raises(monkeypatch):
+    # the sum check is an explicit raise, not an assert that -O strips;
+    # a miscounted window must trip it
+    monkeypatch.setattr(spectral, "sum", lambda xs: builtins.sum(xs) + 1, raising=False)
+    with pytest.raises(RuntimeError, match="residue counts sum"):
+        residue_dp_count(5, 3)
+
+
+def _reference_residue_dp(n, max_N):
+    """States N = 1..max_N of the sum distribution mod 2n, by direct O(2n * n) convolution."""
+    m = 2 * n
+    counts = [1] + [0] * (m - 1)
+    states = []
+    for _ in range(max_N):
+        prev = counts
+        counts = [0] * m
+        for rho in range(m):
+            for v in range(1, n):
+                counts[rho] += prev[(rho - v) % m]
+        states.append(counts)
+    return states
+
+
+def test_residue_dp_states_match_reference():
+    for n, max_N in [(n, 12) for n in range(3, 41)] + [(105, 60)]:
+        states = spectral._residue_dp_states(n)
+        for N, expected in enumerate(_reference_residue_dp(n, max_N), start=1):
+            assert next(states) == expected, (n, N)
 
 
 def test_residue_dp_profile_matches_pointwise():
