@@ -54,10 +54,6 @@ class GroupSpec:
     def is_cyclic(self) -> bool:
         return math.lcm(*self.orders) == self.order
 
-    def canonical(self) -> "GroupSpec":
-        """Same group with factors sorted ascending (isomorphism-stable form)."""
-        return GroupSpec(tuple(sorted(self.orders)))
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
 
@@ -76,9 +72,6 @@ class GroupSpec:
 
     def sub(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a - b) % n for a, b, n in zip(u, v, self.orders))
-
-    def scale(self, k: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((k * a) % n for a, n in zip(u, self.orders))
 
     def elements(self):
         """All elements in mixed-radix order (last coordinate fastest)."""
@@ -106,14 +99,8 @@ class RootOfUnity:
     def angle(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity.from_fraction(-self.angle)
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity.from_fraction(self.angle + other.angle)
-
-    def is_one(self) -> bool:
-        return self.num == 0
 
     def to_complex(self) -> complex:
         return complex(math.cos(2 * math.pi * self.num / self.den),

@@ -40,15 +40,16 @@ def _parse_weight(text: str, n: int) -> IntPolynomial:
 
 
 def _spectral_generator(G: GroupSpec, J) -> tuple[int, ...]:
-    """An element whose cyclic span contains J, largest span first."""
+    """An element whose cyclic span contains J, largest span first, else the
+    all-ones element: it generates a cyclic G and spans J = {0} in any G."""
     cands = sorted((j for j in J if j != G.zero()),
                    key=lambda j: (-element_order(G, j), j))
     for a in cands:
         H = subgroup_generated(G, [a])
         if all(H.contains(j) for j in J):
             return a
-    if G.is_cyclic():
-        return G.element((1,) * G.rank)  # coprime factor orders, so all-ones generates
+    if G.is_cyclic() or not cands:
+        return G.element((1,) * G.rank)
     raise ValueError("J is not contained in the span of any single element of J")
 
 
@@ -86,6 +87,8 @@ def cmd_bound_spectral(args) -> int:
         cands, failure = weight_candidates(n, res)
         if failure is not None:
             raise failure
+        if res == {0}:
+            cands = [("trivial", IntPolynomial.one())]  # J = {0} constrains nothing
         if not cands:
             raise ValueError(f"no weight candidate fits residues {sorted(res)} mod {n}")
         value, idx = min((spectral_upper_bound(G, a, J, hc, args.N), i)

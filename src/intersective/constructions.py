@@ -44,12 +44,10 @@ __all__ = [
     "verify_construction",
     "construction_upper_bound",
     "SLAB_ENUM_CAP",
-    "SUPPORT_MATERIALIZE_CAP",
     "EPSILON_DENOMINATOR_CAP",
 ]
 
 SLAB_ENUM_CAP = 10**6
-SUPPORT_MATERIALIZE_CAP = 10**7
 EPSILON_DENOMINATOR_CAP = 64
 _WINDOW_SLIDE_CAP = 32
 
@@ -68,10 +66,6 @@ def slab_size(n: int, N: int) -> int:
     Big-integer convolution DP, O(N^2 * n). The slab is a valid lower bound
     witness family for the pair support {0, 1} in Z_n.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
     return slab_sizes_upto(n, N)[-1]
 
 
@@ -97,22 +91,25 @@ def slab_sizes_upto(n: int, max_N: int) -> list[int]:
     """slab_size(n, N) for N = 1..max_N from one incremental DP run."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if max_N < 1:
+        raise ValueError(f"need N >= 1, got {max_N}")
     return [counts[_slab_target(n, N)] for N, counts in zip(range(1, max_N + 1), _slab_dp(n))]
 
 
-def slab_members(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> np.ndarray:
+def slab_members(n: int, N: int) -> np.ndarray:
     """All slab tuples as an int16 array of shape (size, N), lexicographic order.
 
     Rows grow one coordinate at a time: every kept prefix is followed by each
     digit 0..n-2 in turn, which keeps the order, and a prefix stays only
     while the remaining coordinates can still reach the target sum, so the
-    (n-1)^N tuples outside the slab are never built.
+    (n-1)^N tuples outside the slab are never built. Refuses more than
+    SLAB_ENUM_CAP tuples in {0..n-2}^N.
     """
     if n < 3 or N < 1:
         raise ValueError(f"need n >= 3 and N >= 1, got n={n}, N={N}")
     total = (n - 1) ** N
-    if total > enum_cap:
-        raise ValueError(f"{total} tuples exceed enumeration cap {enum_cap}")
+    if total > SLAB_ENUM_CAP:
+        raise ValueError(f"{total} tuples exceed enumeration cap {SLAB_ENUM_CAP}")
     T = _slab_target(n, N)
     if min(n - 2, T) > np.iinfo(np.int16).max:
         raise ValueError(f"slab entries up to {min(n - 2, T)} do not fit in int16")
@@ -128,7 +125,7 @@ def slab_members(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> np.ndarray
     return rows
 
 
-def slab_is_valid(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> bool:
+def slab_is_valid(n: int, N: int) -> bool:
     """Exhaustive check that no two distinct slab members differ by a {0,1}-vector.
 
     Two members a != b fail when b - a lies in {0,1}^N or in {0,-1}^N; the
@@ -143,7 +140,7 @@ def slab_is_valid(n: int, N: int, *, enum_cap: int = SLAB_ENUM_CAP) -> bool:
     containment test per member replaces the pairwise loop (N = 15 or 16,
     where 2^N is huge next to |S|).
     """
-    return _rows_avoid_steps(slab_members(n, N, enum_cap=enum_cap))
+    return _rows_avoid_steps(slab_members(n, N))
 
 
 def _rows_avoid_steps(arr: np.ndarray) -> bool:
@@ -285,11 +282,6 @@ class ConstructionInstance:
             for x in range(self.Q):
                 yield base + x
 
-    def support_elements(self) -> tuple[int, ...]:
-        if self.support_size > SUPPORT_MATERIALIZE_CAP:
-            raise ValueError(f"support of size {self.support_size} exceeds materialization cap")
-        return tuple(self.iter_support())
-
     def weight_polynomial(self) -> IntPolynomial:
         return cyclotomic(self.Q) * cyclotomic(self.r**self.s)
 
@@ -315,14 +307,15 @@ def _admissible_s(epsilon: Fraction) -> int:
     return (3 * b - a) // a
 
 
-def build_construction(M: int, epsilon, *, max_window_slides: int = _WINDOW_SLIDE_CAP) -> ConstructionInstance:
+def build_construction(M: int, epsilon) -> ConstructionInstance:
     """Deterministic smallest verifying instance for the given M and epsilon.
 
     Starts from the M consecutive primes just above M and slides the window
-    upward until the prime-product condition holds and every verification
-    bullet passes in exact arithmetic. epsilon must be a rational in (0, 3/4]
-    with denominator at most 64; s is the largest value with
-    epsilon <= 3/(s+1), which keeps s >= 3 and the support blocks disjoint.
+    upward, at most _WINDOW_SLIDE_CAP times, until the prime-product
+    condition holds and every verification bullet passes in exact
+    arithmetic. epsilon must be a rational in (0, 3/4] with denominator at
+    most 64; s is the largest value with epsilon <= 3/(s+1), which keeps
+    s >= 3 and the support blocks disjoint.
     """
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
@@ -340,7 +333,7 @@ def build_construction(M: int, epsilon, *, max_window_slides: int = _WINDOW_SLID
         window.append(next_prime(window[-1]))
 
     failures = []
-    for _ in range(max_window_slides):
+    for _ in range(_WINDOW_SLIDE_CAP):
         inst = _assemble(M, epsilon, tuple(window), s)
         if inst is None:
             failures.append(f"window {tuple(window)}: prime-product condition failed")
@@ -473,8 +466,7 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
     return ConstructionReport(tuple(bullets), degenerate_epsilon=(a == 0))
 
 
-def construction_upper_bound(inst: ConstructionInstance, N: int, *,
-                             report: ConstructionReport | None = None) -> int:
+def construction_upper_bound(inst: ConstructionInstance, N: int) -> int:
     """(n - degree)^N for a verified instance.
 
     Valid because the weight polynomial divides t^n - 1 (Q and r^s are
@@ -483,8 +475,7 @@ def construction_upper_bound(inst: ConstructionInstance, N: int, *,
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if report is None:
-        report = verify_construction(inst)
+    report = verify_construction(inst)
     if not report.passed:
         raise ValueError(f"unverified instance: {report.first_failure()}")
     return (inst.n - inst.degree) ** N

@@ -39,8 +39,6 @@ __all__ = [
     "lam_leung",
     "support_and_gaps",
     "is_admissible_support",
-    "CyclotomicStats",
-    "cyclotomic_stats",
 ]
 
 # Dense storage only; degrees beyond this are refused rather than silently slow.
@@ -313,25 +311,3 @@ def is_admissible_support(J, n: int) -> bool:
         return False
     return all((-j) % n not in Jset for j in Jset if j != 0)
 
-
-@dataclass(frozen=True)
-class CyclotomicStats:
-    n: int
-    phi: int
-    radical: int
-    nonzero_count: int
-    max_gap: int
-    height: int
-
-
-def cyclotomic_stats(n: int) -> CyclotomicStats:
-    h = cyclotomic(n)
-    supp, gap = support_and_gaps(h)
-    return CyclotomicStats(
-        n=n,
-        phi=euler_phi(n),
-        radical=radical(n),
-        nonzero_count=len(supp),
-        max_gap=gap,
-        height=max(abs(c) for c in h.coeffs),
-    )

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 DIVISOR_SUBSET_CAP = 1 << 20
-ORACLE_VERTEX_CAP = 4096
 ENGINE_MULTISET_CAP = 200_000
 PAIR_COUNT_CACHE_SIZE = 256
 
@@ -112,15 +111,14 @@ def require_admissible(residues: set[int], n: int) -> None:
         raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
 
 
-def best_divisor_polynomial(n: int, J: Iterable[int], *,
-                            subset_cap: int = DIVISOR_SUBSET_CAP) -> IntPolynomial | None:
+def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
 
     Enumerates subsets of divisors d > 1 of n (so the constant term stays 1),
     prunes by total degree <= max(J), and checks the support containment on
     each complete product; intermediate supports may shrink through
     cancellation, so only degree prunes the recursion. Returns None when no
-    nonempty subset fits.
+    nonempty subset fits; raises ValueError past DIVISOR_SUBSET_CAP visited subsets.
     """
     Jset = {j % n for j in J}
     require_admissible(Jset, n)
@@ -134,8 +132,8 @@ def best_divisor_polynomial(n: int, J: Iterable[int], *,
     def rec(i: int, poly: IntPolynomial, deg: int) -> None:
         nonlocal best, visited
         visited += 1
-        if visited > subset_cap:
-            raise ValueError(f"divisor-subset search exceeded cap {subset_cap}")
+        if visited > DIVISOR_SUBSET_CAP:
+            raise ValueError(f"divisor-subset search exceeded cap {DIVISOR_SUBSET_CAP}")
         if deg > 0 and (best is None or deg > best[0]) and set(poly.support()) <= Jset:
             best = (deg, poly)
         for k in range(i, len(divs)):
@@ -180,7 +178,7 @@ class _WarnedCount(Exception):
 def _cached_pair_count(n: int, N: int) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = count_nonneg_tuples(_PAIR_T, n, N, multiset_cap=math.comb(N + n - 1, n - 1))
+        value = count_nonneg_tuples(_PAIR_T, n, N)
     if caught:
         raise _WarnedCount(value, caught)
     return value
@@ -190,7 +188,8 @@ def _pair_count(n: int, N: int) -> int:
     """count_nonneg_tuples(1 - t, n, N), kept per process for the most recent (n, N).
 
     The count depends only on (n, N), and a sweep of queries asks for the
-    same few again and again. Callers bound the multiset count first. A
+    same few again and again. Callers keep the multiset count within
+    ENGINE_MULTISET_CAP, below the count's own MULTISET_CAP. A
     count that warned (tuples ambiguous at the precision cap) is not kept,
     and its warnings are issued again, so no later query loses them.
     """
@@ -228,9 +227,8 @@ def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | No
     return cands, failure
 
 
-def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | None = 10.0,
-                oracle_vertex_cap: int = ORACLE_VERTEX_CAP,
-                multiset_cap: int = ENGINE_MULTISET_CAP) -> BoundReport:
+def best_bounds(G: GroupSpec, J: Iterable, N: int, *,
+                oracle_timeout: float | None = 10.0) -> BoundReport:
     """Collect all applicable upper and lower bounds for the query (G, J, N).
 
     Methods are tried independently; failures become notes. The report is
@@ -275,7 +273,7 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
                 v = pair_upper_bound(G, a, N)
             elif method != "pair-count":
                 v = (index * (n_a - h.degree)) ** N
-            elif math.comb(N + n_a - 1, n_a - 1) <= multiset_cap:
+            elif math.comb(N + n_a - 1, n_a - 1) <= ENGINE_MULTISET_CAP:
                 v = index**N * _pair_count(n_a, N)
             else:
                 continue
@@ -307,7 +305,7 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *, oracle_timeout: float | No
         notes.append(f"product: {e}")
 
     try:
-        res = exact_avoidance(G, Jt, N, timeout=oracle_timeout, mis_cap=oracle_vertex_cap)
+        res = exact_avoidance(G, Jt, N, timeout=oracle_timeout)
         if res.optimal:
             exact = res.value
             if res.index == 1 and res.mis is not None:

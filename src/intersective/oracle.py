@@ -47,35 +47,23 @@ __all__ = [
     "build_cayley",
     "MISResult",
     "max_independent_set",
-    "independence_number",
-    "OracleTimeout",
     "OracleInfeasible",
     "AvoidanceResult",
     "exact_avoidance",
     "coset_representatives",
     "lift_block_witness",
     "verify_clique",
-    "VERTEX_CAP",
     "DENSE_CAP",
     "MIS_CAP",
 ]
 
-VERTEX_CAP = 1 << 20
-DENSE_CAP = 1 << 16  # dense bitset adjacency only below this many vertices
+DENSE_CAP = 1 << 16  # the most vertices build_cayley builds rows for
 _ROW_BLOCK_CELLS = 1 << 18  # adjacency cells materialised at once while building rows
-MIS_CAP = 4096  # default search cap for exact independence runs
+MIS_CAP = 4096  # most vertices exact_avoidance searches, and largest lifted witness
 
 
 class OracleInfeasible(ValueError):
-    """Instance exceeds a configured vertex cap."""
-
-
-class OracleTimeout(RuntimeError):
-    """Search hit its time budget; .result holds the best known lower bound."""
-
-    def __init__(self, result: "MISResult"):
-        super().__init__(f"independent-set search timed out at size {result.value}")
-        self.result = result
+    """Instance exceeds a vertex cap."""
 
 
 @dataclass(frozen=True)
@@ -83,26 +71,18 @@ class CayleyGraph:
     """Difference-avoidance graph on base^N for a vertex base closed under J-shifts.
 
     Adjacency: u ~ v iff u - v lies coordinatewise all in J or all in -J, and
-    u != v. rows holds dense bitset adjacency when the graph is small enough.
+    u != v. rows holds dense bitset adjacency.
     """
 
     group: GroupSpec
     J: tuple[tuple[int, ...], ...]
     N: int
     vertices: tuple[tuple[tuple[int, ...], ...], ...]
-    rows: tuple[int, ...] | None
+    rows: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    def index_of(self, v) -> int:
-        return self._index()[tuple(self.group.element(x) for x in v)]
-
-    def _index(self) -> dict:
-        if not hasattr(self, "_index_cache"):
-            object.__setattr__(self, "_index_cache", {v: i for i, v in enumerate(self.vertices)})
-        return self._index_cache
 
     def adjacent(self, u, v) -> bool:
         G = self.group
@@ -115,8 +95,6 @@ class CayleyGraph:
         return all(x in Jset for x in d) or all(G.neg(x) in Jset for x in d)
 
     def degree_histogram(self) -> dict[int, int]:
-        if self.rows is None:
-            raise ValueError("degrees need dense adjacency")
         hist: dict[int, int] = {}
         for r in self.rows:
             d = r.bit_count()
@@ -150,18 +128,15 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
             if w is None:
                 raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
             add[i, k] = w
+    # connection vectors: coordinates all in J or all in -J, not all zero
+    shift_index = {s: k for k, s in enumerate(shifts)}
+    conn = set()
+    for c in itertools.product(J, repeat=N):
+        if any(x != G.zero() for x in c):
+            conn.add(tuple(shift_index[x] for x in c))
+            conn.add(tuple(shift_index[G.neg(x)] for x in c))
     vertices = tuple(itertools.product(base, repeat=N))
-    rows = None
-    if n_vertices <= DENSE_CAP:
-        # connection vectors: coordinates all in J or all in -J, not all zero
-        shift_index = {s: k for k, s in enumerate(shifts)}
-        conn = set()
-        for c in itertools.product(J, repeat=N):
-            if any(x != G.zero() for x in c):
-                conn.add(tuple(shift_index[x] for x in c))
-                conn.add(tuple(shift_index[G.neg(x)] for x in c))
-        rows = _dense_rows(add, sorted(conn), N)
-    return CayleyGraph(G, tuple(J), N, vertices, rows)
+    return CayleyGraph(G, tuple(J), N, vertices, _dense_rows(add, sorted(conn), N))
 
 
 def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
@@ -190,13 +165,16 @@ def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[i
     return tuple(rows)
 
 
-def build_cayley(G: GroupSpec, J: Iterable, N: int, *, vertex_cap: int = VERTEX_CAP) -> CayleyGraph:
-    """Cayley graph on all of G^N with connection set (J^N u (-J)^N) \\ {0}."""
+def build_cayley(G: GroupSpec, J: Iterable, N: int) -> CayleyGraph:
+    """Cayley graph on all of G^N with connection set (J^N u (-J)^N) \\ {0}.
+
+    Raises OracleInfeasible above DENSE_CAP vertices.
+    """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     Jt = _validated_J(G, J)
     base = tuple(G.elements())
-    return _build_on_base(G, Jt, N, base, vertex_cap)
+    return _build_on_base(G, Jt, N, base, DENSE_CAP)
 
 
 @dataclass(frozen=True)
@@ -271,8 +249,6 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     exists; on a graph that is not vertex-transitive the value could come
     out too small.
     """
-    if X.rows is None:
-        raise OracleInfeasible(f"{X.n_vertices} vertices have no dense adjacency (cap {DENSE_CAP})")
     n = X.n_vertices
     rows = X.rows
     start = time.monotonic()
@@ -319,14 +295,6 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     return MISResult(best, witness, not aborted, nodes, time.monotonic() - start)
 
 
-def independence_number(X: CayleyGraph, *, timeout: float | None = None) -> int:
-    """Exact independence number alpha(X); raises OracleTimeout on budget exhaustion."""
-    result = max_independent_set(X, timeout=timeout)
-    if not result.optimal:
-        raise OracleTimeout(result)
-    return result.value
-
-
 @dataclass(frozen=True)
 class AvoidanceResult:
     """Exact extremal value via the subgroup reduction value = block_alpha * index^N."""
@@ -348,13 +316,14 @@ def _subgroup_base(G: GroupSpec, H: SubgroupInfo) -> tuple:
     raise OracleInfeasible(f"cannot enumerate subgroup of order {H.order} in {G}")
 
 
-def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *, timeout: float | None = None,
-                    mis_cap: int = MIS_CAP) -> AvoidanceResult:
+def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
+                    timeout: float | None = None) -> AvoidanceResult:
     """Largest |A|, A in G^N, with (A - A) meeting J^N only at 0 -- exactly.
 
     Reduces to the subgroup H generated by J (cosets of H^N are unconstrained),
     runs the exact search on H^N, and multiplies by [G:H]^N. When the search
     times out the returned value is still a valid lower bound, optimal=False.
+    Raises OracleInfeasible when H^N has more than MIS_CAP vertices.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -365,9 +334,7 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *, timeout: float | None 
         return AvoidanceResult(G.order**N, 1, G.order, 1, True, None)
     H = subgroup_generated(G, gens)
     base = _subgroup_base(G, H)
-    X = _build_on_base(G, Jt, N, base, mis_cap)
-    if X.rows is None:
-        raise OracleInfeasible(f"{X.n_vertices} vertices exceed dense cap {DENSE_CAP}")
+    X = _build_on_base(G, Jt, N, base, MIS_CAP)
     mis = max_independent_set(X, timeout=timeout)
     return AvoidanceResult(mis.value * H.index**N, H.order, H.index, mis.value, mis.optimal, mis)
 
@@ -383,15 +350,14 @@ def coset_representatives(G: GroupSpec, H: SubgroupInfo) -> tuple:
     return tuple(reps)
 
 
-def lift_block_witness(G: GroupSpec, J: Iterable, N: int, res: AvoidanceResult, *,
-                       cap: int = MIS_CAP) -> tuple | None:
+def lift_block_witness(G: GroupSpec, J: Iterable, N: int, res: AvoidanceResult) -> tuple | None:
     """Expand a block avoider on <J>^N to one of full size res.value.
 
     The union of coset translates stays avoiding because J generates the
     subgroup: any cross-coset difference leaves <J>^N and cannot land in J^N.
-    Returns None when there is no block witness or the lift exceeds cap.
+    Returns None when there is no block witness or the lift exceeds MIS_CAP.
     """
-    if res.value > cap:
+    if res.value > MIS_CAP:
         return None
     if res.mis is None:
         if res.optimal and res.subgroup_order == 1:

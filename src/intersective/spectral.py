@@ -76,7 +76,7 @@ MULTISET_CAP = 10**8
 
 
 class MultisetCapExceeded(ValueError):
-    """Tuple enumeration would exceed the configured multiset cap."""
+    """Tuple enumeration would exceed MULTISET_CAP multisets."""
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,14 @@ def weight_from_polynomial(h: IntPolynomial, n: int) -> WeightFunction:
     return WeightFunction.from_dict(n, mapping)
 
 
-def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...], prec: int = PRECISION_START) -> ComplexBall:
+def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...]) -> ComplexBall:
     """Eigenvalue of the f-weighted Cayley graph of G at character chi.
 
     The value is sum over nonzero support x of f(x) * chi(-x); for symmetric f
     it is real, so the imaginary part of the returned ball contains 0.
     f is either a WeightFunction (G must be the matching Z_n) or a mapping
-    from element tuples to integer weights with symmetric support.
+    from element tuples to integer weights with symmetric support. The ball
+    is computed at PRECISION_START bits.
     """
     if isinstance(f, WeightFunction):
         if G.orders != (f.n,):
@@ -219,11 +220,12 @@ def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...], prec: int = PRECISI
     for x, v in weights.items():
         if weights.get(G.neg(x)) != v:
             raise ValueError(f"weight not symmetric at {x}: f(x)={v}, f(-x)={weights.get(G.neg(x))}")
-    with mp.workprec(prec):
+    with mp.workprec(PRECISION_START):
         acc = ball_exact_int(0)
         for x, v in sorted(weights.items()):
             root = character_value(G, chi, G.neg(x))
-            acc = ball_add(acc, ball_scale_int(ball_root_of_unity(root.num, root.den, prec), v))
+            root_ball = ball_root_of_unity(root.num, root.den, PRECISION_START)
+            acc = ball_add(acc, ball_scale_int(root_ball, v))
         return acc
 
 
@@ -301,18 +303,18 @@ def _root_residues(h: IntPolynomial, n: int) -> set[int]:
     return roots
 
 
-def product_eigenvalue(h: IntPolynomial, n: int, v: tuple[int, ...], prec: int = PRECISION_START) -> ComplexBall:
+def product_eigenvalue(h: IntPolynomial, n: int, v: tuple[int, ...]) -> ComplexBall:
     """Eigenvalue -2 + 2*Re(prod_j h(e_n(v_j))) of the N-fold product weighting.
 
     Exact when some factor is a cyclotomic root of h (the product is then 0 and
-    the eigenvalue exactly -2); otherwise a ball at the requested precision.
+    the eigenvalue exactly -2); otherwise a ball at PRECISION_START bits.
     """
     weight_from_polynomial(h, n)  # validate support constraints
     roots = _root_residues(h, n)
     if any(x % n in roots for x in v):
         return ball_exact_int(-2)
-    with mp.workprec(prec):
-        vals = _ball_values(h, n, prec)
+    with mp.workprec(PRECISION_START):
+        vals = _ball_values(h, n, PRECISION_START)
         prod = ball_exact_int(1)
         for x in v:
             prod = ball_mul(prod, vals[x % n])
@@ -408,7 +410,7 @@ def _float_decide(mults: dict[int, int], tier: _FloatTier) -> str | None:
     return None
 
 
-def _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec, tier):
+def _classify_multiset(mults, ball_cache, h, n, shifted, tier):
     """Trichotomy of Re(product) against 1: above / below / equal / ambiguous.
 
     The float tier decides what its margin allows; the rest goes to the balls.
@@ -417,14 +419,14 @@ def _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec, t
         cls = _float_decide(mults, tier)
         if cls is not None:
             return cls
-    return _classify_multiset_ball(mults, ball_cache, h, n, shifted, start_prec, cap_prec)
+    return _classify_multiset_ball(mults, ball_cache, h, n, shifted)
 
 
-def _classify_multiset_ball(mults, ball_cache, h, n, shifted, start_prec, cap_prec):
+def _classify_multiset_ball(mults, ball_cache, h, n, shifted):
     """Ball tier: escalate precision, settling exact ties symbolically."""
-    prec = start_prec
+    prec = PRECISION_START
     exact_checked = False
-    while prec <= cap_prec:
+    while prec <= PRECISION_CAP:
         if prec not in ball_cache:
             ball_cache[prec] = _ball_values(h, n, prec)
         vals = ball_cache[prec]
@@ -465,8 +467,7 @@ def inertia_bound(sc: SignCount) -> int:
     return min(sc.n_nonneg + sc.n_ambiguous, sc.n_nonpos + sc.n_ambiguous)
 
 
-def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = MULTISET_CAP,
-                        start_prec: int = PRECISION_START, cap_prec: int = PRECISION_CAP) -> int:
+def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
     """Number of tuples v in Z_n^N with Re(prod_j h(e_n(v_j))) >= 1.
 
     Enumerates value multisets with multinomial weights instead of all n^N
@@ -476,8 +477,7 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int =
     (n - deg h)^N is checked against the result, raising RuntimeError on
     violation.
     """
-    sc = sign_count_tuples(h, n, N, multiset_cap=multiset_cap, start_prec=start_prec,
-                           cap_prec=cap_prec)
+    sc = sign_count_tuples(h, n, N)
     total = sc.n_nonneg + sc.n_ambiguous
     if _divides_circle(h, n):
         # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
@@ -486,25 +486,25 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int =
             raise RuntimeError(f"count {total} exceeds the nonzero-product total "
                                f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
     if sc.n_ambiguous:
-        warnings.warn(f"{sc.n_ambiguous} tuples ambiguous at precision cap {cap_prec}; counted")
+        warnings.warn(f"{sc.n_ambiguous} tuples ambiguous at precision cap {PRECISION_CAP}; counted")
     return total
 
 
-def sign_count_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = MULTISET_CAP,
-                      start_prec: int = PRECISION_START, cap_prec: int = PRECISION_CAP) -> SignCount:
+def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
     """SignCount of the product-weighted Cayley spectrum over all n^N characters.
 
     Eigenvalue -2 + 2*Re(P) is nonnegative iff Re(P) >= 1, zero iff Re(P) = 1.
+    Raises MultisetCapExceeded past MULTISET_CAP value multisets.
     """
     weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
     n_multisets = math.comb(N + n - 1, n - 1)
-    if n_multisets > multiset_cap:
+    if n_multisets > MULTISET_CAP:
         raise MultisetCapExceeded(
-            f"{n_multisets} multisets exceed cap {multiset_cap} for n={n}, N={N}")
+            f"{n_multisets} multisets exceed cap {MULTISET_CAP} for n={n}, N={N}")
     roots = _root_residues(h, n)
     shifted = {v: _poly_mod_circle(h, n, v) for v in range(n)}
-    ball_cache = {start_prec: _ball_values(h, n, start_prec)}
-    tier = _float_tier(ball_cache[start_prec], N, roots)
+    ball_cache = {PRECISION_START: _ball_values(h, n, PRECISION_START)}
+    tier = _float_tier(ball_cache[PRECISION_START], N, roots)
     nonneg = nonpos = zero = ambiguous = 0
     for combo in itertools.combinations_with_replacement(range(n), N):
         mults: dict[int, int] = {}
@@ -514,7 +514,7 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int, *, multiset_cap: int = M
         if any(v in roots for v in mults):
             nonpos += weight
             continue
-        cls = _classify_multiset(mults, ball_cache, h, n, shifted, start_prec, cap_prec, tier)
+        cls = _classify_multiset(mults, ball_cache, h, n, shifted, tier)
         if cls == "above":
             nonneg += weight
         elif cls == "equal":
@@ -580,10 +580,6 @@ def residue_dp_count(n: int, N: int) -> int:
     polar form strictly positive. The band has n residues when N is even and
     n odd, n - 1 otherwise.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
     return residue_dp_profile(n, N)[-1]
 
 
@@ -591,6 +587,8 @@ def residue_dp_profile(n: int, max_N: int) -> list[int]:
     """residue_dp_count(n, N) for N = 1..max_N from one incremental DP run."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if max_N < 1:
+        raise ValueError(f"need N >= 1, got {max_N}")
     return [sum(counts[r] for r in _band_residues(n, N))
             for N, counts in zip(range(1, max_N + 1), _residue_dp_states(n))]
 
@@ -600,7 +598,7 @@ def residue_dp_profile(n: int, max_N: int) -> list[int]:
 
 
 def spectral_upper_bound(G: GroupSpec, a, J: Iterable[tuple[int, ...]], h: IntPolynomial,
-                         N: int, *, multiset_cap: int = MULTISET_CAP) -> int:
+                         N: int) -> int:
     """Upper bound [G:H]^N * #{v : Re(prod h(e_n(v_j))) >= 1} for J inside H = <a>.
 
     a is an element of G; every element of J must lie in the cyclic subgroup
@@ -637,7 +635,7 @@ def spectral_upper_bound(G: GroupSpec, a, J: Iterable[tuple[int, ...]], h: IntPo
         return (index * (n - h.degree)) ** N
     if not admissible:
         raise ValueError("self-inverse support needs h dividing t^n - 1")
-    return index**N * count_nonneg_tuples(h, n, N, multiset_cap=multiset_cap)
+    return index**N * count_nonneg_tuples(h, n, N)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ def test_group_spec_basics():
     assert G.add((1, 3), (1, 2)) == (0, 1)
     assert G.neg((1, 3)) == (1, 1)
     assert G.sub((0, 1), (1, 3)) == (1, 2)
-    assert G.scale(3, (1, 1)) == (1, 3)
     assert str(G) == "2x4"
     assert len(list(G.elements())) == 8
 
@@ -39,10 +38,6 @@ def test_element_coercion():
     assert G.element((-1,)) == (4,)
     with pytest.raises(ValueError):
         GroupSpec((2, 2)).element((1,))
-
-
-def test_canonical_sorts_factors():
-    assert GroupSpec((4, 2)).canonical() == GroupSpec((2, 4))
 
 
 @pytest.mark.parametrize("orders,g,order", [
@@ -84,8 +79,7 @@ def test_root_of_unity_exact_arithmetic():
     w = RootOfUnity.from_fraction(Fraction(1, 3))
     assert w.angle == Fraction(1, 3)
     assert (w * w).angle == Fraction(2, 3)
-    assert (w * w * w).is_one()
-    assert w.conjugate().angle == Fraction(2, 3)
+    assert (w * w * w).angle == 0
     z = w.to_complex()
     assert abs(z - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
 

@@ -26,11 +26,12 @@ def test_cyclotomic_text(capsys):
 
 
 def test_cyclotomic_stats(capsys):
-    rc, out, _ = run(capsys, "cyclotomic", "105", "--stats")
-    assert rc == 0
-    assert "degree: 48" in out
-    assert "nonzero count: 33" in out
-    assert "height: 2" in out
+    for n, (degree, nonzero, gap, height) in [(105, (48, 33, 3, 2)), (8, (4, 2, 4, 1)),
+                                              (15015, (5760, 5371, 4, 23))]:
+        rc, out, _ = run(capsys, "cyclotomic", str(n), "--stats")
+        assert rc == 0
+        assert out.splitlines()[1:] == [f"degree: {degree}", f"nonzero count: {nonzero}",
+                                        f"max gap: {gap}", f"height: {height}"]
 
 
 def test_cyclotomic_json(capsys):
@@ -81,6 +82,8 @@ def test_bound_spectral_auto_divisor(capsys):
     ("9", "0;1;3", "1 - t^3 (degree 3)", "1, order 9, index 1", 36),  # negated cofactor
     ("21", "0;1;3;4;7", "1 - t (degree 1)", "1, order 21, index 1", 400),  # only 1 - t fits
     ("2x4", "0,0;1,1", "1 + t (degree 1)", "1,1, order 4, index 2", 36),
+    ("7", "0", "1 (degree 0)", "1, order 7, index 1", 49),  # J = {0}: |G|^N
+    ("2x4", "0,0", "1 (degree 0)", "1,1, order 4, index 2", 64),
 ])
 def test_bound_spectral_auto_branches(capsys, group, J, h, generator, bound):
     rc, out, _ = run(capsys, "bound", "spectral", "--group", group, "--J", J, "--N", "2")
@@ -137,6 +140,13 @@ def test_limit_c_json(capsys):
     assert rc == 0
     assert obj["n"] == 5
     assert obj["pairs"] == [[1, 1.0], [2, 0.875]]
+
+
+@pytest.mark.parametrize("argv", [("limit-c", "--n", "5", "--max-N", "0"),
+                                  ("slab", "--n", "5", "--N", "0")])
+def test_N_below_one_rejected(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", "error: need N >= 1, got 0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,15 @@ def test_translate_and_pairwise_paths_agree():
     assert outcomes == binary_outcomes == {True, False}
 
 
-def test_slab_rejects():
+def test_slab_rejects(monkeypatch):
     with pytest.raises(ValueError):
         slab_size(2, 3)
     with pytest.raises(ValueError):
         slab_size(5, 0)
-    with pytest.raises(ValueError):
-        slab_members(9, 9, enum_cap=100)
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "SLAB_ENUM_CAP", 100)
+        with pytest.raises(ValueError, match="exceed enumeration cap 100"):
+            slab_members(9, 9)
     # entries are int16: the N = 1 member (n-2)//2 must fit
     assert slab_members(40_000, 1).tolist() == [[19_999]]
     with pytest.raises(ValueError, match="int16"):
@@ -242,7 +244,7 @@ def test_support_matches_weight_polynomial():
     inst = build_construction(2, Fraction(3, 5))
     h = inst.weight_polynomial()
     assert h.degree == inst.degree
-    assert h.support() == inst.support_elements()
+    assert h.support() == tuple(inst.iter_support())
     assert h[0] == 1
 
 
@@ -281,6 +283,7 @@ def test_block_guard_survives_optimization():
         constructions._assemble(2, Fraction(3, 5), (5, 7), 2)
 
 
-def test_window_slide_budget_surfaces_failures():
+def test_window_slide_budget_surfaces_failures(monkeypatch):
+    monkeypatch.setattr(constructions, "_WINDOW_SLIDE_CAP", 1)
     with pytest.raises(ConstructionSearchError):
-        build_construction(2, Fraction(3, 5), max_window_slides=1)
+        build_construction(2, Fraction(3, 5))

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from intersective.cyclotomic import (DENSE_DEGREE_LIMIT, IntPolynomial, NonExactDivision, cyclotomic,
-                                     cyclotomic_stats, inverse_cyclotomic,
-                                     is_admissible_support, lam_leung, support_and_gaps)
+                                     inverse_cyclotomic, is_admissible_support, lam_leung,
+                                     support_and_gaps)
 from intersective.numtheory import divisors, euler_phi, is_prime
 
 cyclotomic_module = importlib.import_module("intersective.cyclotomic")
@@ -126,18 +126,6 @@ def test_inverse_cyclotomic_35_support():
     assert h.degree == 35 - euler_phi(35) == 11
     assert h.support() == (0, 1, 2, 3, 4, 7, 8, 9, 10, 11)
     assert h[0] == 1
-
-
-def test_cyclotomic_stats():
-    st = cyclotomic_stats(105)
-    assert (st.phi, st.radical, st.nonzero_count, st.max_gap, st.height) == (48, 105, 33, 3, 2)
-    st8 = cyclotomic_stats(8)
-    assert (st8.phi, st8.nonzero_count, st8.max_gap, st8.height) == (4, 2, 4, 1)
-
-
-def test_cyclotomic_stats_15015():
-    st = cyclotomic_stats(15015)
-    assert (st.phi, st.nonzero_count, st.max_gap, st.height) == (5760, 5371, 4, 23)
 
 
 @pytest.mark.parametrize("inverse", [False, True])

@@ -54,13 +54,14 @@ def test_divisor_search_none_when_nothing_fits():
     assert best_divisor_polynomial(7, {0}) is None
 
 
-def test_divisor_search_rejects():
+def test_divisor_search_rejects(monkeypatch):
     with pytest.raises(ValueError):
         best_divisor_polynomial(9, {1, 2})  # missing 0
     with pytest.raises(ValueError):
         best_divisor_polynomial(9, {0, 1, 8})  # 1 and -1 collide
-    with pytest.raises(ValueError):
-        best_divisor_polynomial(105, set(cyclotomic(105).support()), subset_cap=5)
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 5)
+    with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
+        best_divisor_polynomial(105, set(cyclotomic(105).support()))
 
 
 def test_pair_upper_bound():
@@ -200,7 +201,7 @@ def test_report_rejects_bad_query():
 
 
 def test_inconsistency_raises_with_report(monkeypatch):
-    def inflated(G, J, N, *, timeout=None, mis_cap=None):
+    def inflated(G, J, N, *, timeout=None):
         return AvoidanceResult(999, 5, 1, 999, True, None)
 
     monkeypatch.setattr("intersective.engine.exact_avoidance", inflated)

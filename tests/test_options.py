@@ -1,0 +1,38 @@
+"""Inventory of the settable options: parameters with defaults on public functions.
+
+Caps, precisions and search limits are module constants, not parameters.
+The only values a caller can pass to change a budget are the four oracle
+timeouts; ``cli.main`` takes its argument vector.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import intersective
+
+EXPECTED = {
+    "engine.best_bounds.oracle_timeout",
+    "oracle.exact_avoidance.timeout",
+    "oracle.max_independent_set.timeout",
+    "constructions.product_lower_bound.timeout",
+    "cli.main.argv",
+}
+
+
+def _defaulted_parameters() -> set[str]:
+    found = set()
+    for info in pkgutil.iter_modules(intersective.__path__):
+        module = importlib.import_module(f"intersective.{info.name}")
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) \
+                    or fn.__module__ != module.__name__:
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                if p.default is not inspect.Parameter.empty:
+                    found.add(f"{info.name}.{name}.{p.name}")
+    return found
+
+
+def test_only_timeouts_are_settable():
+    assert _defaulted_parameters() == EXPECTED

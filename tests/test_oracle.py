@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from intersective import oracle
 from intersective.abelian import GroupSpec, subgroup_generated
-from intersective.oracle import (AvoidanceResult, OracleInfeasible, OracleTimeout,
-                                 _build_on_base, _subgroup_base, build_cayley,
-                                 coset_representatives, exact_avoidance,
-                                 independence_number, lift_block_witness,
-                                 max_independent_set, verify_clique)
+from intersective.oracle import (AvoidanceResult, OracleInfeasible, _build_on_base,
+                                 _subgroup_base, build_cayley, coset_representatives,
+                                 exact_avoidance, lift_block_witness, max_independent_set,
+                                 verify_clique)
 
 SMALL_GROUPS = [(m,) for m in range(2, 10)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)]
 
@@ -45,20 +44,15 @@ def test_build_cayley_product_degrees():
     assert X.degree_histogram() == {6: 25}
 
 
-def test_build_cayley_index_roundtrip():
-    X = build_cayley(GroupSpec((6,)), [(0,), (1,)], 2)
-    for i in (0, 7, 35):
-        assert X.index_of(X.vertices[i]) == i
-
-
-def test_build_cayley_rejects():
+def test_build_cayley_rejects(monkeypatch):
     G = GroupSpec((5,))
     with pytest.raises(ValueError):
         build_cayley(G, [(0,), (1,)], 0)
     with pytest.raises(ValueError):
         build_cayley(G, [(1,)], 1)  # 0 must be in J
-    with pytest.raises(OracleInfeasible):
-        build_cayley(GroupSpec((7,)), [(0,), (1,)], 3, vertex_cap=100)
+    monkeypatch.setattr(oracle, "DENSE_CAP", 100)
+    with pytest.raises(OracleInfeasible, match="343 vertices exceed cap 100"):
+        build_cayley(GroupSpec((7,)), [(0,), (1,)], 3)
 
 
 def _reference_rows(G, J, N, base):
@@ -130,11 +124,9 @@ def test_build_rejects_base_not_closed_under_shifts():
 
 
 def test_build_cayley_sparse_above_dense_cap():
-    # 5^7 = 78125 vertices: buildable, but no dense rows and no search
-    X = build_cayley(GroupSpec((5,)), [(0,), (1,)], 7)
-    assert X.rows is None
-    with pytest.raises(OracleInfeasible):
-        max_independent_set(X)
+    # 5^7 = 78125 vertices: every graph has dense rows, so the builder refuses
+    with pytest.raises(OracleInfeasible, match="78125 vertices exceed cap 65536"):
+        build_cayley(GroupSpec((5,)), [(0,), (1,)], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,8 @@ def test_witness_self_check_raises(monkeypatch, size, bits):
 
 
 def test_independence_number_pentagon():
-    assert independence_number(build_cayley(GroupSpec((5,)), [(0,), (1,)], 1)) == 2
+    r = max_independent_set(build_cayley(GroupSpec((5,)), [(0,), (1,)], 1))
+    assert r.optimal and r.value == 2
 
 
 def test_search_is_deterministic():
@@ -327,8 +320,8 @@ def test_reduction_matches_unreduced_graph():
         G = GroupSpec(orders)
         for N in (1, 2):
             reduced = exact_avoidance(G, J, N).value
-            direct = independence_number(build_cayley(G, J, N))
-            assert reduced == direct, (orders, J, N)
+            direct = max_independent_set(build_cayley(G, J, N))
+            assert direct.optimal and reduced == direct.value, (orders, J, N)
 
 
 def test_monotone_in_J():
@@ -346,12 +339,13 @@ def test_monotone_in_J():
                 assert v <= values[(n, (y,), N)], (n, x, y, N)
 
 
-def test_exact_avoidance_rejects():
+def test_exact_avoidance_rejects(monkeypatch):
     G = GroupSpec((5,))
     with pytest.raises(ValueError):
         exact_avoidance(G, [(0,), (1,)], 0)
-    with pytest.raises(OracleInfeasible):
-        exact_avoidance(GroupSpec((11,)), [(0,), (1,)], 3, mis_cap=1000)
+    monkeypatch.setattr(oracle, "MIS_CAP", 1000)
+    with pytest.raises(OracleInfeasible, match="1331 vertices exceed cap 1000"):
+        exact_avoidance(GroupSpec((11,)), [(0,), (1,)], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +359,6 @@ def test_timeout_returns_lower_bound():
     assert r.value >= 1
     for u, v in itertools.combinations(r.witness, 2):
         assert not X.adjacent(u, v)
-
-
-def test_independence_number_timeout_carries_result():
-    X = build_cayley(GroupSpec((7,)), [(0,), (1,)], 2)
-    with pytest.raises(OracleTimeout) as exc:
-        independence_number(X, timeout=0.0)
-    assert exc.value.result.value >= 1
-    assert not exc.value.result.optimal
 
 
 def test_exact_avoidance_timeout_is_lower_bound():
@@ -427,7 +413,8 @@ def test_lift_block_witness_trivial_J():
     assert lifted is not None and len(lifted) == 3
 
 
-def test_lift_block_witness_respects_cap():
+def test_lift_block_witness_respects_cap(monkeypatch):
     G = GroupSpec((6,))
     r = exact_avoidance(G, [(0,), (2,)], 2)
-    assert lift_block_witness(G, [(0,), (2,)], 2, r, cap=3) is None
+    monkeypatch.setattr(oracle, "MIS_CAP", 3)
+    assert lift_block_witness(G, [(0,), (2,)], 2, r) is None

@@ -198,7 +198,7 @@ def test_count_strictly_below_closed_form_exists():
 
 def _tier_classes(h, n, N):
     """(multiset, two-tier class, ball-only class) for every nonzero-product multiset."""
-    start, cap = spectral.PRECISION_START, spectral.PRECISION_CAP
+    start = spectral.PRECISION_START
     roots = spectral._root_residues(h, n)
     shifted = {v: spectral._poly_mod_circle(h, n, v) for v in range(n)}
     cache = {start: spectral._ball_values(h, n, start)}
@@ -209,8 +209,8 @@ def _tier_classes(h, n, N):
             continue
         mults = {v: combo.count(v) for v in set(combo)}
         yield (combo,
-               spectral._classify_multiset(mults, cache, h, n, shifted, start, cap, tier),
-               spectral._classify_multiset_ball(mults, cache, h, n, shifted, start, cap))
+               spectral._classify_multiset(mults, cache, h, n, shifted, tier),
+               spectral._classify_multiset_ball(mults, cache, h, n, shifted))
 
 
 def _weight_candidates(n):
@@ -278,9 +278,10 @@ def test_count_closed_form_violation_raises(monkeypatch):
         count_nonneg_tuples(ONE_MINUS_T, 5, 2)
 
 
-def test_multiset_cap():
-    with pytest.raises(MultisetCapExceeded):
-        count_nonneg_tuples(ONE_MINUS_T, 7, 50, multiset_cap=10)
+def test_multiset_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "MULTISET_CAP", 10)
+    with pytest.raises(MultisetCapExceeded, match="multisets exceed cap 10 "):
+        count_nonneg_tuples(ONE_MINUS_T, 7, 50)
 
 
 def test_sign_count_and_inertia():
