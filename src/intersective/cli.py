@@ -191,12 +191,10 @@ def cmd_bounds(args) -> int:
         return 0
     jtext = ";".join(format_element(j) for j in report.J)
     print(f"query: group {G}, J {{{jtext}}}, N {report.N}")
-    for e in report.upper:
-        params = "".join(f" {k}={v}" for k, v in e.params)
-        print(f"upper {e.method} {e.value}{params}")
-    for e in report.lower:
-        params = "".join(f" {k}={v}" for k, v in e.params)
-        print(f"lower {e.method} {e.value}{params}")
+    for side, entries in (("upper", report.upper), ("lower", report.lower)):
+        for e in entries:
+            params = "".join(f" {k}={v}" for k, v in e.params)
+            print(f"{side} {e.method} {e.value}{params}")
     print(f"best upper: {report.best_upper}")
     print(f"best lower: {report.best_lower}")
     if report.exact is not None:

@@ -438,8 +438,9 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
         else f"|S| = {inst.support_size} vs n^({a}/{3*b})"))
 
     deg_abs = _power_compare(8 * inst.degree, inst.n, 3 * b - a, 3 * b) >= 0
-    deg_rel = inst.degree**b >= inst.n ** (b - a) * inst.support_size**b if a <= b else True
-    if a > b:  # epsilon > 1 cannot arise from generation; keep the check total
+    if a <= b:
+        deg_rel = inst.degree**b >= inst.n ** (b - a) * inst.support_size**b
+    else:  # epsilon > 1 cannot arise from generation; keep the check total
         deg_rel = inst.degree**b * inst.n ** (a - b) >= inst.support_size**b
     bullets.append(BulletCheck(
         "degree-dominates", deg_abs and deg_rel,

@@ -1,20 +1,17 @@
 """Bound orchestration: gather every applicable method for a query (G, J, N).
 
-Upper bounds come from the generic cyclic-group count, clique covers,
-spectral counts over cyclic subgroups (with a searched cyclotomic-divisor
-weight, the negated inverse cyclotomic, and the pair weight 1 - t), and the
-exact oracle when feasible. Lower bounds come from the slab, the power of the
-N = 1 oracle value, and oracle runs (including timed-out ones, which are
-still witnessed sets). Every method failure is recorded as a note, never
-fatal; a lower bound exceeding an upper bound aborts with a diagnostic dump
-since it can only mean a bug somewhere in the tower.
+best_bounds runs the six bound families of METHODS in order: generic, the
+(|G| - |J| + 1)^N count; clique covers; spectral, the pair DP and the counts
+over each cyclic <a>, a in J, weighted by a cyclotomic divisor, the negated
+inverse cyclotomic or 1 - t; slab; product, the N = 1 oracle value to the
+N-th power; and oracle, exact or a timed-out witnessed lower bound. A family's
+ValueError becomes the note "<family>: <message>"; a lower bound exceeding an
+upper bound aborts with a dump, since it can only mean a bug in the tower.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,7 +19,7 @@ from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
                       parse_element, parse_group)
 from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, is_admissible_support
 from .numtheory import divisors, euler_phi
-from .oracle import OracleInfeasible, exact_avoidance
+from .oracle import exact_avoidance
 from .constructions import product_lower_bound, slab_size
 from .spectral import clique_bounds, count_nonneg_tuples, residue_dp_count
 
@@ -42,7 +39,6 @@ __all__ = [
 
 DIVISOR_SUBSET_CAP = 1 << 20
 ENGINE_MULTISET_CAP = 200_000
-PAIR_COUNT_CACHE_SIZE = 256
 
 
 class InconsistencyError(RuntimeError):
@@ -165,42 +161,6 @@ def pair_upper_bound(G: GroupSpec, a, N: int) -> int:
 _PAIR_T = IntPolynomial.from_coeffs([1, -1])
 
 
-class _WarnedCount(Exception):
-    """A pair count that issued warnings; raised through the cache so it is not stored."""
-
-    def __init__(self, value: int, caught: list):
-        super().__init__(value)
-        self.value = value
-        self.caught = caught
-
-
-@functools.lru_cache(maxsize=PAIR_COUNT_CACHE_SIZE)
-def _cached_pair_count(n: int, N: int) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = count_nonneg_tuples(_PAIR_T, n, N)
-    if caught:
-        raise _WarnedCount(value, caught)
-    return value
-
-
-def _pair_count(n: int, N: int) -> int:
-    """count_nonneg_tuples(1 - t, n, N), kept per process for the most recent (n, N).
-
-    The count depends only on (n, N), and a sweep of queries asks for the
-    same few again and again. Callers keep the multiset count within
-    ENGINE_MULTISET_CAP, below the count's own MULTISET_CAP. A
-    count that warned (tuples ambiguous at the precision cap) is not kept,
-    and its warnings are issued again, so no later query loses them.
-    """
-    try:
-        return _cached_pair_count(n, N)
-    except _WarnedCount as w:
-        for m in w.caught:
-            warnings.warn_explicit(m.message, m.category, m.filename, m.lineno)
-        return w.value
-
-
 def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | None]:
     """(method, weight) pairs on Z_n with support inside residues, and a failed search's error.
 
@@ -227,39 +187,19 @@ def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | No
     return cands, failure
 
 
-def best_bounds(G: GroupSpec, J: Iterable, N: int, *,
-                oracle_timeout: float | None = 10.0) -> BoundReport:
-    """Collect all applicable upper and lower bounds for the query (G, J, N).
+def _generic(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
+    yield "upper", _entry(generic_upper_bound(G, Jt, N), "generic")
 
-    Methods are tried independently; failures become notes. The report is
-    deterministic for fixed inputs and budgets (modulo oracle timeout
-    nondeterminism, which can only widen the interval, flagged in notes).
-    Raises InconsistencyError when any lower bound exceeds any upper bound.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    Jt = tuple(dict.fromkeys(G.element(j) for j in J))
-    if G.zero() not in Jt:
-        raise ValueError("J must contain 0")
-    upper: list[BoundEntry] = []
-    lower: list[BoundEntry] = [_entry(1, "trivial")]
-    notes: list[str] = []
-    exact: int | None = None
-    certificate: tuple | None = None
 
-    try:
-        upper.append(_entry(generic_upper_bound(G, Jt, N), "generic"))
-    except ValueError as e:
-        notes.append(f"generic: {e}")
+def _clique(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
+    for cb in clique_bounds(G, Jt, N):
+        yield "upper", _entry(cb.value, f"clique-{cb.kind}", g=format_element(cb.g), m=cb.m)
 
-    try:
-        for cb in clique_bounds(G, Jt, N):
-            upper.append(_entry(cb.value, f"clique-{cb.kind}",
-                                g=format_element(cb.g), m=cb.m))
-    except ValueError as e:
-        notes.append(f"clique: {e}")
 
+def _spectral(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
+    """The best pair-dp, pair-count, spectral-divisor and spectral-invcyclo over every a in J."""
     best: dict[str, tuple] = {}  # method -> (value, a, h), the first a on ties
+    skipped: set[int] = set()  # orders whose pair count is over ENGINE_MULTISET_CAP
     for a in sorted(j for j in Jt if j != G.zero()):
         n_a = element_order(G, a)
         if n_a < 3:
@@ -267,15 +207,19 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *,
         index = G.order // n_a
         cands, failure = weight_candidates(n_a, set(cyclic_residues(G, a, Jt).values()))
         if failure is not None:
-            notes.append(f"divisor search at {format_element(a)}: {failure}")
+            yield "note", f"divisor search at {format_element(a)}: {failure}"
         for method, h in [("pair-dp", None)] + cands:
             if method == "pair-dp":
                 v = pair_upper_bound(G, a, N)
             elif method != "pair-count":
                 v = (index * (n_a - h.degree)) ** N
-            elif math.comb(N + n_a - 1, n_a - 1) <= ENGINE_MULTISET_CAP:
-                v = index**N * _pair_count(n_a, N)
+            elif (multisets := math.comb(N + n_a - 1, n_a - 1)) <= ENGINE_MULTISET_CAP:
+                v = index**N * count_nonneg_tuples(_PAIR_T, n_a, N)
             else:
+                if n_a not in skipped:
+                    skipped.add(n_a)
+                    yield "note", (f"pair-count at order {n_a}: {multisets} multisets "
+                                   f"exceed cap {ENGINE_MULTISET_CAP}")
                 continue
             if method not in best or v < best[method][0]:
                 best[method] = (v, a, h)
@@ -287,38 +231,69 @@ def best_bounds(G: GroupSpec, J: Iterable, N: int, *,
                 params["degree"] = h.degree
             if method == "spectral-divisor":
                 params["h"] = str(h)
-            upper.append(_entry(v, method, **params))
+            yield "upper", _entry(v, method, **params)
 
+
+def _slab(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
     if len(Jt) == 2:
         a = next(j for j in Jt if j != G.zero())
         n_a = element_order(G, a)
         if n_a >= 3:
             index = G.order // n_a
-            lower.append(_entry(index**N * slab_size(n_a, N), "slab", a=format_element(a)))
+            yield "lower", _entry(index**N * slab_size(n_a, N), "slab", a=format_element(a))
 
-    try:
-        pb = product_lower_bound(G, Jt, N, timeout=oracle_timeout)
-        lower.append(_entry(pb.value, "product", base=pb.base_value))
-        if not pb.base_optimal:
-            notes.append("product: base value at N=1 is a timed-out lower bound")
-    except OracleInfeasible as e:
-        notes.append(f"product: {e}")
 
-    try:
-        res = exact_avoidance(G, Jt, N, timeout=oracle_timeout)
-        if res.optimal:
-            exact = res.value
-            if res.index == 1 and res.mis is not None:
-                certificate = res.mis.witness
-            upper.append(_entry(res.value, "oracle"))
-            lower.append(_entry(res.value, "oracle"))
-        else:
-            lower.append(_entry(res.value, "oracle-partial"))
-            notes.append(f"oracle: timed out at {res.value}, lower bound only")
-    except OracleInfeasible as e:
-        notes.append(f"oracle: {e}")
+def _product(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
+    pb = product_lower_bound(G, Jt, N, timeout=timeout)
+    yield "lower", _entry(pb.value, "product", base=pb.base_value)
+    if not pb.base_optimal:
+        yield "note", "product: base value at N=1 is a timed-out lower bound"
 
-    report = BoundReport(G, Jt, N, tuple(upper), tuple(lower), exact, certificate, tuple(notes))
+
+def _oracle(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
+    """Oracle entries; a closed search also yields ("exact", (value, certificate))."""
+    res = exact_avoidance(G, Jt, N, timeout=timeout)
+    if not res.optimal:
+        yield "lower", _entry(res.value, "oracle-partial")
+        yield "note", f"oracle: timed out at {res.value}, lower bound only"
+        return
+    witness = res.mis.witness if res.index == 1 and res.mis is not None else None
+    yield "exact", (res.value, witness)
+    yield "upper", _entry(res.value, "oracle")
+    yield "lower", _entry(res.value, "oracle")
+
+
+METHODS = (("generic", _generic), ("clique", _clique), ("spectral", _spectral),
+           ("slab", _slab), ("product", _product), ("oracle", _oracle))
+
+
+def best_bounds(G: GroupSpec, J: Iterable, N: int, *,
+                oracle_timeout: float | None = 10.0) -> BoundReport:
+    """Collect all applicable upper and lower bounds for the query (G, J, N).
+
+    Runs every family in METHODS; a family's ValueError becomes a note and a
+    RuntimeError (a failed self-check) propagates. The report is
+    deterministic for fixed inputs and budgets (modulo oracle timeout
+    nondeterminism, which can only widen the interval, flagged in notes).
+    Raises InconsistencyError when any lower bound exceeds any upper bound.
+    """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    if not (oracle_timeout is None or oracle_timeout >= 0):
+        raise ValueError(f"oracle timeout must be None or >= 0, got {oracle_timeout}")
+    Jt = tuple(dict.fromkeys(G.element(j) for j in J))
+    if G.zero() not in Jt:
+        raise ValueError("J must contain 0")
+    found: dict[str, list] = {"upper": [], "lower": [_entry(1, "trivial")], "note": [], "exact": []}
+    for name, family in METHODS:
+        try:
+            for kind, item in family(G, Jt, N, oracle_timeout):
+                found[kind].append(item)
+        except ValueError as e:
+            found["note"].append(f"{name}: {e}")
+    exact, certificate = found["exact"][0] if found["exact"] else (None, None)
+    report = BoundReport(G, Jt, N, tuple(found["upper"]), tuple(found["lower"]), exact,
+                         certificate, tuple(found["note"]))
     bl, bu = report.best_lower, report.best_upper
     if bl is not None and bu is not None and bl > bu:
         raise InconsistencyError(

@@ -247,8 +247,10 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     stops after the first top-level branch, on the vertex the colouring
     order picks, because a maximum independent set through that vertex
     exists; on a graph that is not vertex-transitive the value could come
-    out too small.
+    out too small. Raises ValueError unless timeout is None or >= 0.
     """
+    if not (timeout is None or timeout >= 0):  # NaN compares false, so it is refused too
+        raise ValueError(f"timeout must be None or >= 0, got {timeout}")
     n = X.n_vertices
     rows = X.rows
     start = time.monotonic()
@@ -323,10 +325,12 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
     Reduces to the subgroup H generated by J (cosets of H^N are unconstrained),
     runs the exact search on H^N, and multiplies by [G:H]^N. When the search
     times out the returned value is still a valid lower bound, optimal=False.
-    Raises OracleInfeasible when H^N has more than MIS_CAP vertices.
+    Raises OracleInfeasible past MIS_CAP vertices in H^N, ValueError on a timeout < 0 or NaN.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    if not (timeout is None or timeout >= 0):
+        raise ValueError(f"timeout must be None or >= 0, got {timeout}")
     Jt = _validated_J(G, J)
     gens = [j for j in Jt if j != G.zero()]
     if not gens:

@@ -36,6 +36,7 @@ keeps the linearised rounding bounds valid).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -475,7 +476,8 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
     still ambiguous at the precision cap count too, keeping the result a valid
     upper-bound ingredient. When h divides t^n - 1 the closed bound
     (n - deg h)^N is checked against the result, raising RuntimeError on
-    violation.
+    violation. The check and the ambiguity warning run on every call, also
+    when sign_count_tuples answers from its cache.
     """
     sc = sign_count_tuples(h, n, N)
     total = sc.n_nonneg + sc.n_ambiguous
@@ -490,11 +492,13 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=256)
 def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
     """SignCount of the product-weighted Cayley spectrum over all n^N characters.
 
     Eigenvalue -2 + 2*Re(P) is nonnegative iff Re(P) >= 1, zero iff Re(P) = 1.
-    Raises MultisetCapExceeded past MULTISET_CAP value multisets.
+    Raises MultisetCapExceeded past MULTISET_CAP value multisets. Cached per
+    process, since a sweep of queries asks for the same few pair counts.
     """
     weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
     n_multisets = math.comb(N + n - 1, n - 1)

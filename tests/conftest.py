@@ -2,10 +2,10 @@
 
 import pytest
 
-from intersective import engine
+from intersective import spectral
 
 
 @pytest.fixture(autouse=True)
-def _fresh_pair_count_cache():
-    """Start every test with an empty pair-count cache, so test order cannot change call counts."""
-    engine._cached_pair_count.cache_clear()
+def _fresh_sign_count_cache():
+    """Start every test with an empty sign-count cache, so test order cannot change cache counts."""
+    spectral.sign_count_tuples.cache_clear()

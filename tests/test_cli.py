@@ -260,3 +260,26 @@ def test_bounds_inconsistency_exit_code(capsys, monkeypatch):
     rc, _, err = run(capsys, "bounds", "--group", "5", "--J", "0;1", "--N", "1")
     assert rc == 2
     assert "lower exceeds upper" in err
+
+
+_BOUNDS = ("bounds", "--group", "5", "--J", "0;1", "--N", "2", "--oracle-timeout")
+_ORACLE = ("oracle", "--group", "5", "--J", "0;1", "--N", "2", "--timeout")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (_BOUNDS + ("-1",), "oracle timeout must be None or >= 0, got -1.0"),
+    (_BOUNDS + ("nan",), "oracle timeout must be None or >= 0, got nan"),
+    (_ORACLE + ("-1",), "timeout must be None or >= 0, got -1.0"),
+    (_ORACLE + ("nan",), "timeout must be None or >= 0, got nan"),
+    # J = {0} needs no search, and the timeout is still checked
+    (("oracle", "--group", "5", "--J", "0", "--N", "2", "--timeout", "-1"),
+     "timeout must be None or >= 0, got -1.0"),
+    (_BOUNDS + ("0",), None), (_BOUNDS + ("inf",), None),
+    (_ORACLE + ("0",), None), (_ORACLE + ("inf",), None),
+])
+def test_timeout_must_be_nonnegative(capsys, argv, error):
+    rc, out, err = run(capsys, *argv)
+    if error is None:
+        assert (rc, err) == (0, "") and out
+    else:
+        assert (rc, out, err) == (1, "", f"error: {error}\n")

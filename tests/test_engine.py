@@ -1,17 +1,15 @@
 """Bound orchestration: candidate methods, consistency policing, serialization."""
 
-import warnings
-
 import pytest
 
-from intersective import engine
+from intersective import engine, spectral
 from intersective.abelian import GroupSpec, element_order, parse_group
 from intersective.cyclotomic import IntPolynomial, cyclotomic
 from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
                                  best_divisor_polynomial, generic_upper_bound,
                                  pair_upper_bound, report_from_json, report_to_json)
 from intersective.oracle import AvoidanceResult
-from intersective.spectral import count_nonneg_tuples, residue_dp_count
+from intersective.spectral import count_nonneg_tuples, residue_dp_count, sign_count_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +104,14 @@ def test_z105_lower_and_notes(z105_report):
     assert any("oracle" in note and "cap" in note for note in r.notes)
 
 
-def test_pair_count_once_per_distinct_order(monkeypatch, z105_report):
-    calls = []
-
-    def counted(h, n, N, **kwargs):
-        calls.append(n)
-        return count_nonneg_tuples(h, n, N, **kwargs)
-
-    monkeypatch.setattr(engine, "count_nonneg_tuples", counted)
+def test_pair_count_once_per_distinct_order(z105_report):
     G = parse_group("105")
     J = [(k,) for k in cyclotomic(105).support()]
     r = best_bounds(G, J, 2, oracle_timeout=2.0)
     orders = {element_order(G, j) for j in r.J if j != G.zero()}
     assert len(orders) == 7
-    assert sorted(calls) == sorted(orders)  # 32 elements, one call per order
+    # 32 elements, one count per order
+    assert sign_count_tuples.cache_info().misses == len(orders)
     assert report_to_json(r) == report_to_json(z105_report)
     # one count per element, without sharing, gives the same best value
     h = IntPolynomial.from_coeffs([1, -1])
@@ -129,39 +121,66 @@ def test_pair_count_once_per_distinct_order(monkeypatch, z105_report):
     assert [e.params_dict() for e in r.upper if e.method == "pair-count"] == [{"a": "5"}]
 
 
-def test_second_query_reuses_pair_counts(monkeypatch):
-    calls = []
-
-    def counted(h, n, N, **kwargs):
-        calls.append((n, N))
-        return count_nonneg_tuples(h, n, N, **kwargs)
-
-    monkeypatch.setattr(engine, "count_nonneg_tuples", counted)
+def test_second_query_reuses_pair_counts():
     G = parse_group("105")
     J = [(k,) for k in cyclotomic(105).support()]
     first = best_bounds(G, J, 2, oracle_timeout=2.0)
-    assert len(calls) == 7
+    assert sign_count_tuples.cache_info().misses == 7
     second = best_bounds(G, J, 2, oracle_timeout=2.0)
-    assert len(calls) == 7  # every (order, N) came from the cache
+    assert sign_count_tuples.cache_info().misses == 7  # every (order, N) came from the cache
     assert report_to_json(second) == report_to_json(first)
 
 
-def test_warned_pair_count_is_not_cached(monkeypatch):
-    calls = []
+def test_cached_ambiguous_count_warns_on_every_query(monkeypatch):
+    classify = spectral._classify_multiset
 
-    def ambiguous(h, n, N, **kwargs):
-        calls.append((n, N))
-        warnings.warn("3 tuples ambiguous at precision cap 512; counted")
-        return count_nonneg_tuples(h, n, N, **kwargs)
+    def ambiguous(*args):
+        # every multiset the tiers would count as above the threshold is left
+        # undecided instead, so the count is unchanged but warns
+        cls = classify(*args)
+        return "ambiguous" if cls == "above" else cls
 
-    monkeypatch.setattr(engine, "count_nonneg_tuples", ambiguous)
     expected = count_nonneg_tuples(IntPolynomial.from_coeffs([1, -1]), 5, 2)
+    sign_count_tuples.cache_clear()
+    monkeypatch.setattr(spectral, "_classify_multiset", ambiguous)
     for _ in range(2):
         with pytest.warns(UserWarning, match="ambiguous at precision cap"):
             r = best_bounds(GroupSpec((5,)), [(0,), (1,)], 2)
         assert r.method_value("pair-count") == expected
-    assert calls == [(5, 2), (5, 2)]
-    assert engine._cached_pair_count.cache_info().currsize == 0
+    info = sign_count_tuples.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # counted once, warned twice
+
+
+def test_family_value_error_becomes_note(monkeypatch):
+    def boom(n, residues):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(engine, "weight_candidates", boom)
+    r = best_bounds(GroupSpec((7,)), [(0,), (1,)], 2)
+    assert "spectral: boom" in r.notes
+    assert r.method_value("pair-dp") is None
+    for method in ("generic", "clique-progression", "oracle"):
+        assert r.method_value(method) is not None, method
+    assert r.exact == r.method_value("oracle")
+
+
+def test_family_runtime_error_propagates(monkeypatch):
+    def boom(n, residues):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine, "weight_candidates", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        best_bounds(GroupSpec((7,)), [(0,), (1,)], 2)
+
+
+def test_pair_count_over_cap_leaves_one_note_per_order(monkeypatch):
+    monkeypatch.setattr(engine, "ENGINE_MULTISET_CAP", 20)
+    # 1 and 2 both have order 7, and both see the residues {0, 1} of 1 - t
+    r = best_bounds(GroupSpec((7,)), [(0,), (1,), (2,)], 2)
+    assert r.method_value("pair-count") is None
+    assert [n for n in r.notes if n.startswith("pair-count")] == [
+        "pair-count at order 7: 28 multisets exceed cap 20"]
+    assert sign_count_tuples.cache_info().misses == 0
 
 
 def test_f4_exact_through_reduction():

@@ -2,12 +2,15 @@
 
 Caps, precisions and search limits are module constants, not parameters.
 The only values a caller can pass to change a budget are the four oracle
-timeouts; ``cli.main`` takes its argument vector.
+timeouts; ``cli.main`` takes its argument vector. The package's runtime
+checks are explicit raises, never ``assert``, which ``python -O`` strips.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import intersective
 
@@ -36,3 +39,12 @@ def _defaulted_parameters() -> set[str]:
 
 def test_only_timeouts_are_settable():
     assert _defaulted_parameters() == EXPECTED
+
+
+def test_no_assert_in_src():
+    found = []
+    for path in sorted(Path(intersective.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
