@@ -117,9 +117,16 @@ def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
     """The residue k with j = k * a, 0 <= k < order(a), of each element j of J inside <a>.
 
     Elements of J outside <a> are left out; callers decide whether that is an error.
+    On cyclic G = Z_n, j lies in <a> iff g = gcd(a, n) divides j, and then
+    k = (j / g) * (a / g)^-1 mod n / g; other groups walk <a>.
     """
     a = G.element(a)
     wanted = {G.element(j) for j in J}
+    if G.rank == 1:
+        n = G.orders[0]
+        g = math.gcd(a[0], n)
+        inv = pow(a[0] // g, -1, n // g)
+        return {j: j[0] // g * inv % (n // g) for j in wanted if j[0] % g == 0}
     out = {}
     x = G.zero()
     for k in range(element_order(G, a)):

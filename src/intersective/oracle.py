@@ -27,7 +27,20 @@ through any given vertex, and the search ends once its first top-level
 branch returns: that branch already reached the clique number, and the
 remaining branches could only prove the bound again. This is orbital
 branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011)
-restricted to the root.
+at the root. It goes on one level down: the maps x -> v0 + g(x - v0), with
+v0 the root's branch vertex and g generated by coordinate permutations and
+negation, fix v0 and preserve the connection set S, so they are
+automorphisms. When a child of the depth-1 node returns, its whole orbit
+leaves the candidate set, since every clique through another member of that
+orbit maps onto one already searched.
+
+The incumbent starts from a greedy clique and, on a cyclic vertex base
+H = Z_m, from the largest character kernel {x : sum c_i x_i = 0 mod m} of
+H^N that misses S. Such a subgroup is independent, and on Z_8 {0,1} N=3 and
+Z_5 {0,1} N=4 it is already maximum, so the search only has to prove it.
+Both the kernels and the orbits are computed only when the search gets to
+use them: the kernels when the root would branch past the greedy set, the
+orbits when the depth-1 node moves on to a second child.
 """
 
 from __future__ import annotations
@@ -109,6 +122,11 @@ def _validated_J(G: GroupSpec, J: Iterable) -> tuple[tuple[int, ...], ...]:
     return Jt
 
 
+def _check_cap(n_vertices: int, cap: int) -> None:
+    if n_vertices > cap:
+        raise OracleInfeasible(f"{n_vertices} vertices exceed cap {cap}")
+
+
 def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGraph:
     """Cayley graph on base^N; raises ValueError unless base is closed under +-J.
 
@@ -116,9 +134,7 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
     translation, so the graph is vertex-transitive, which the search uses.
     """
     base = tuple(base)
-    n_vertices = len(base) ** N
-    if n_vertices > vertex_cap:
-        raise OracleInfeasible(f"{n_vertices} vertices exceed cap {vertex_cap}")
+    _check_cap(len(base) ** N, vertex_cap)
     index = {e: i for i, e in enumerate(base)}
     shifts = tuple(dict.fromkeys(J + tuple(G.neg(j) for j in J)))
     add = np.empty((len(base), len(shifts)), dtype=np.int64)
@@ -139,18 +155,32 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
     return CayleyGraph(G, tuple(J), N, vertices, _dense_rows(add, sorted(conn), N))
 
 
+def _mixed_radix(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Place weights and digit rows of the vertex codes 0..m^N - 1.
+
+    Codes are mixed-radix base indices, last coordinate fastest as in
+    itertools.product, so the vertex with digits d has code d @ weights.
+    """
+    weights = m ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    return weights, (np.arange(m**N, dtype=np.int64)[:, None] // weights) % m
+
+
+def _pack_rows(block: np.ndarray) -> list[int]:
+    """Rows of a boolean matrix as bitset ints, column j at bit j."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
     """Bitset rows of base^N from the table add[base index, shift index].
 
-    Vertex codes are mixed-radix base indices, last coordinate fastest as in
-    itertools.product, so a connection vector c sends the vertex with digits
-    d to code add[d, c] @ weights. Rows are filled a block at a time, at most
+    A connection vector c sends the vertex with digits d to code
+    add[d, c] @ weights. Rows are filled a block at a time, at most
     _ROW_BLOCK_CELLS booleans, then packed into ints.
     """
     m = add.shape[0]
     n = m**N
-    weights = m ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(n, dtype=np.int64)[:, None] // weights) % m
+    weights, digits = _mixed_radix(m, N)
     conn_arr = np.array(conn, dtype=np.int64).reshape(len(conn), N)
     step = max(1, _ROW_BLOCK_CELLS // n)
     rows: list[int] = []
@@ -160,8 +190,7 @@ def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[i
         at = np.arange(len(block_digits))
         for c in conn_arr:
             block[at, add[block_digits, c] @ weights] = True
-        packed = np.packbits(block, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+        rows.extend(_pack_rows(block))
     return tuple(rows)
 
 
@@ -227,6 +256,66 @@ def _color_classes(P: int, rows: tuple[int, ...], kmin: int) -> list[tuple[int, 
     return classes
 
 
+def _base_size(X: CayleyGraph) -> int:
+    """m with X on base^N and |base| = m."""
+    return round(X.n_vertices ** (1 / X.N))
+
+
+def _kernel_incumbent(X: CayleyGraph) -> tuple[int, int]:
+    """Largest character kernel of base^N that misses S, as (size, bitset).
+
+    On a cyclic base, where base index k is the element k * step of H = Z_m,
+    each c in Z_m^N (every vertex's digit vector) gives the subgroup
+    {x : sum c_i x_i = 0 mod m} of n * gcd(c, m) / m vertices. One that
+    contains no connection vector is independent, since two of its members
+    differ by a member. The largest such kernel wins, the first c in vertex
+    order on ties. Returns (0, 0) on other bases or when every kernel meets S.
+    """
+    G, N, n = X.group, X.N, X.n_vertices
+    m = _base_size(X)
+    step = G.order // m
+    if G.rank != 1 or any(X.vertices[k][-1] != (k * step,) for k in range(m)):
+        return 0, 0
+    _, digits = _mixed_radix(m, N)
+    # vertex 0 is the zero vector, so its neighbours are exactly S
+    row0 = np.frombuffer(X.rows[0].to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    conn = digits[np.flatnonzero(np.unpackbits(row0, bitorder="little")[:n])]
+    sizes = n // m * np.gcd(np.gcd.reduce(digits, axis=1), m)
+    misses = np.empty(n, dtype=bool)
+    block = max(1, _ROW_BLOCK_CELLS // max(1, len(conn)))
+    for lo in range(0, n, block):
+        misses[lo:lo + block] = (digits[lo:lo + block] @ conn.T % m != 0).all(axis=1)
+    if not misses.any():
+        return 0, 0
+    c = int(np.argmax(np.where(misses, sizes, 0)))
+    members = digits @ digits[c] % m == 0
+    return int(sizes[c]), _pack_rows(members[None, :])[0]
+
+
+def _orbit_masks(X: CayleyGraph, v0: int) -> list[int]:
+    """Bitset of each vertex's orbit under the maps x -> v0 + g(x - v0).
+
+    g runs over the group generated by coordinate permutations and x -> -x.
+    When S is invariant under both, as on every graph _build_on_base makes,
+    each map is an automorphism of X fixing v0. x and y share an orbit iff
+    x - v0 and y - v0 agree up to order and sign, so the orbit label is the
+    smaller code of the sorted digits of d = x - v0 and of -d.
+    """
+    G, N = X.group, X.N
+    m = _base_size(X)
+    base = [X.vertices[k][-1] for k in range(m)]
+    index = {e: k for k, e in enumerate(base)}
+    neg = np.array([index[G.neg(e)] for e in base], dtype=np.int64)
+    sub = np.array([[index[G.sub(e, a)] for a in X.vertices[v0]] for e in base], dtype=np.int64)
+    weights, digits = _mixed_radix(m, N)
+    d = sub[digits, np.arange(N)]
+    codes = np.minimum(np.sort(d, axis=1) @ weights, np.sort(neg[d], axis=1) @ weights).tolist()
+    masks: dict[int, int] = {}
+    for v, code in enumerate(codes):
+        masks[code] = masks.get(code, 0) | 1 << v
+    return [masks[code] for code in codes]
+
+
 def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISResult:
     """Exact maximum independent set of X by branch and bound.
 
@@ -237,17 +326,25 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     and stops at the first vertex v with |R| + colour(v) <= best. Classes
     that this test would stop at anyway, those with colour below
     best - |R| + 1 when the node is coloured, are never recorded.
+    The incumbent is the larger of a greedy set and, on a cyclic vertex
+    base, the largest character kernel that misses S (greedy on a tie). At
+    the depth-1 node each returned child takes its whole orbit under
+    coordinate permutations and negation about the root vertex out of the
+    candidates (see the module docstring).
     Deterministic: same value and witness for the same graph and budget. On
     timeout the best set found so far comes back with optimal=False. The
-    witness is checked to be independent in X before it is returned, and a
-    failure raises RuntimeError.
+    witness, greedy, kernel or searched, is checked to be independent in X
+    and of size value before it is returned, and a failure raises
+    RuntimeError.
 
-    Preconditions: X.rows has no diagonal bit, and X is vertex-transitive,
-    as every graph from build_cayley and exact_avoidance is. The search then
-    stops after the first top-level branch, on the vertex the colouring
-    order picks, because a maximum independent set through that vertex
-    exists; on a graph that is not vertex-transitive the value could come
-    out too small. Raises ValueError unless timeout is None or >= 0.
+    Preconditions, all met by every graph from build_cayley and
+    exact_avoidance: X.rows has no diagonal bit; X is vertex-transitive,
+    so the search stops after the first top-level branch, on the vertex the
+    colouring order picks, because a maximum independent set through that
+    vertex exists; and the vertex base is a group and S is invariant under
+    coordinate permutations and negation, so the orbit maps are
+    automorphisms. On a graph that breaks them the value could come out too
+    small. Raises ValueError unless timeout is None or >= 0.
     """
     if not (timeout is None or timeout >= 0):  # NaN compares false, so it is refused too
         raise ValueError(f"timeout must be None or >= 0, got {timeout}")
@@ -260,21 +357,32 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     best, best_bits = _greedy_seed(comp, n)
     nodes = 0
     aborted = False
+    orbits = None
 
     def expand(r_size: int, r_bits: int, P: int) -> None:
-        nonlocal best, best_bits, nodes, aborted
+        nonlocal best, best_bits, nodes, aborted, orbits
         nodes += 1
         if aborted or (deadline is not None and time.monotonic() > deadline):
             aborted = True
             return
         if r_size > best:
             best, best_bits = r_size, r_bits
-        for color, cls in reversed(_color_classes(P, rows, best - r_size + 1)):
-            while cls:
-                if aborted:
+        classes = _color_classes(P, rows, best - r_size + 1)
+        if r_size == 0 and classes:  # the root would branch past the greedy incumbent
+            size, bits = _kernel_incumbent(X)
+            if size > best:
+                best, best_bits = size, bits
+        searched = None  # at depth 1, the last child whose orbit is still in P
+        for color, cls in reversed(classes):
+            while cls := cls & P:
+                if aborted or r_size + color <= best:
                     return
-                if r_size + color <= best:
-                    return
+                if searched is not None:
+                    if orbits is None:
+                        orbits = _orbit_masks(X, r_bits.bit_length() - 1)
+                    P &= ~orbits[searched]
+                    searched = None
+                    continue
                 v = cls.bit_length() - 1
                 b = 1 << v
                 cls ^= b
@@ -282,6 +390,8 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
                 if r_size == 0:
                     return  # vertex-transitive: the first branch already reached omega
                 P ^= b
+                if r_size == 1:
+                    searched = v
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 64))
@@ -337,8 +447,8 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
         # J = {0}: every difference condition is vacuous
         return AvoidanceResult(G.order**N, 1, G.order, 1, True, None)
     H = subgroup_generated(G, gens)
-    base = _subgroup_base(G, H)
-    X = _build_on_base(G, Jt, N, base, MIS_CAP)
+    _check_cap(H.order**N, MIS_CAP)  # before H's elements are built
+    X = _build_on_base(G, Jt, N, _subgroup_base(G, H), MIS_CAP)
     mis = max_independent_set(X, timeout=timeout)
     return AvoidanceResult(mis.value * H.index**N, H.order, H.index, mis.value, mis.optimal, mis)
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from intersective.abelian import (GroupSpec, RootOfUnity, character_value,
-                                  count_character_extensions, element_order, format_element,
+                                  count_character_extensions, cyclic_residues, element_order,
+                                  format_element,
                                   parse_element, parse_element_set, parse_group,
                                   subgroup_generated)
 
@@ -51,6 +52,28 @@ def test_element_coercion():
 ])
 def test_element_order(orders, g, order):
     assert element_order(GroupSpec(orders), g) == order
+
+
+def _walked_residues(G, a, J):
+    """Residues by walking <a>: k = 0, 1, ... until k * a returns to 0."""
+    wanted = {G.element(j) for j in J}
+    out, x = {}, G.zero()
+    for k in range(element_order(G, a)):
+        if x in wanted:
+            out[x] = k
+        x = G.add(x, a)
+    return out
+
+
+def test_cyclic_residues_match_walk():
+    """The gcd and inverse form equals the walk for every a, elements outside <a> left out."""
+    for n in range(2, 61):
+        G = GroupSpec((n,))
+        Js = [range(n), [0, 1], [0, n // 2, n - 1], [k for k in range(n) if k % 3 == 0]]
+        for a in range(n):
+            for J in Js:
+                J = [(j,) for j in J]
+                assert cyclic_residues(G, (a,), J) == _walked_residues(G, (a,), J), (n, a, J)
 
 
 def test_subgroup_generated():

@@ -4,6 +4,7 @@ Anchor values here were cross-checked against independent runs on the
 unreduced graph over all of G^N before being frozen.
 """
 
+import functools
 import itertools
 import sys
 
@@ -186,24 +187,123 @@ def _reference_mis(X):
     return best, tuple(X.vertices[i] for i in range(n) if best_bits >> i & 1), nodes, True
 
 
-def test_search_matches_reference_kernel():
-    """Colour classes as bitsets walk the same tree as the per-vertex colouring."""
-    seen = set()
+@functools.cache
+def _reference_grid():
+    """Each distinct graph of _builder_grid as (G, J, N, X, _reference_mis(X))."""
+    out = {}
     for G, J, N, base in _builder_grid():
         key = (str(G), J, N, tuple(base))
-        if key in seen:
-            continue  # a subgroup base equal to G gives the same graph twice
-        seen.add(key)
-        X = _build_on_base(G, J, N, base, 4096)
+        if key not in out:  # a subgroup base equal to G gives the same graph twice
+            X = _build_on_base(G, J, N, base, 4096)
+            out[key] = (G, J, N, X, _reference_mis(X))
+    return tuple(out.values())
+
+
+def test_search_matches_reference_kernel(monkeypatch):
+    """Colour classes as bitsets walk the same tree as the per-vertex colouring,
+    once the kernel incumbent and the depth-1 orbits are made trivial."""
+    monkeypatch.setattr(oracle, "_kernel_incumbent", lambda X: (0, 0))
+    monkeypatch.setattr(oracle, "_orbit_masks", lambda X, v0: [1 << v for v in range(X.n_vertices)])
+    for G, J, N, X, reference in _reference_grid():
         r = max_independent_set(X)
-        assert (r.value, r.witness, r.nodes, r.optimal) == _reference_mis(X), (G.orders, J, N)
-    assert len(seen) > 600
+        assert (r.value, r.witness, r.nodes, r.optimal) == reference, (G.orders, J, N)
+    assert len(_reference_grid()) > 600
+
+
+def test_search_with_incumbent_and_orbits_matches_reference():
+    """With the kernel incumbent and orbit pruning the value stays exact and
+    the witness independent; the tree is smaller, so nodes are not compared."""
+    for G, J, N, X, (value, _, _, optimal) in _reference_grid():
+        r = max_independent_set(X)
+        assert (r.value, r.optimal) == (value, optimal), (G.orders, J, N)
+        members = [X.vertices.index(v) for v in r.witness]
+        assert len(set(members)) == r.value
+        assert not any(X.rows[i] >> j & 1 for i in members for j in members), (G.orders, J, N)
+
+
+def _members(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def test_kernel_incumbent_is_subgroup_missing_S():
+    """Each kernel incumbent is a subgroup of base^N with no connection vector in it."""
+    found = 0
+    for G, J, N, X, _ in _reference_grid():
+        size, bits = oracle._kernel_incumbent(X)
+        if G.rank > 1:
+            assert (size, bits) == (0, 0)
+        if size == 0:
+            continue
+        found += 1
+        K = {X.vertices[i] for i in _members(bits)}
+        assert len(K) == size and X.vertices[0] in K  # vertex 0 is the zero vector
+        for u in K:
+            for v in K:
+                assert tuple(G.sub(a, b) for a, b in zip(u, v)) in K
+        assert not any(X.adjacent(X.vertices[0], u) for u in K)
+    assert found > 200
+
+
+def test_kernel_incumbent_reaches_alpha_on_ladder_instances():
+    # {sum x = 0 mod 4} in Z_8^3 and {sum x = 0 mod 5} in Z_5^4 are maximum
+    for orders, N, alpha in (((8,), 3, 128), ((5,), 4, 125)):
+        X = build_cayley(GroupSpec(orders), [(0,), (1,)], N)
+        assert oracle._kernel_incumbent(X)[0] == alpha
+
+
+def _orbit_generators(X, v0):
+    """x -> v0 + g(x - v0) for g a swap of adjacent coordinates or negation, as index maps."""
+    G = X.group
+    at = X.vertices[v0]
+    index = {v: i for i, v in enumerate(X.vertices)}
+
+    def conj(g):
+        def f(x):
+            d = g(tuple(G.sub(a, b) for a, b in zip(x, at)))
+            return index[tuple(G.add(a, b) for a, b in zip(at, d))]
+        return [f(x) for x in X.vertices]
+
+    gens = [conj(lambda d: tuple(G.neg(e) for e in d))]
+    for i in range(X.N - 1):
+        gens.append(conj(lambda d, i=i: d[:i] + (d[i + 1], d[i]) + d[i + 2:]))
+    return gens
+
+
+def test_orbit_masks_partition_and_are_invariant():
+    """Orbits partition the vertices; each generator map fixes v0, sends every
+    orbit onto itself and preserves adjacency; and each mask is one orbit,
+    never a union of several, which would prune cliques not yet searched."""
+    checked = 0
+    for G, J, N, X, _ in _reference_grid():
+        n = X.n_vertices
+        for v0 in sorted({0, n // 3, n - 1}):
+            orbits = oracle._orbit_masks(X, v0)
+            distinct = set(orbits)
+            assert sum(o.bit_count() for o in distinct) == n
+            assert functools.reduce(int.__or__, distinct) == (1 << n) - 1
+            gens = _orbit_generators(X, v0)
+            for f in gens:
+                assert f[v0] == v0
+                for v in range(n):
+                    assert orbits[f[v]] == orbits[v]
+                    assert sum(1 << f[u] for u in _members(X.rows[v])) == X.rows[f[v]]
+            for v in range(n):
+                orbit, frontier = {v}, [v]
+                while frontier:
+                    u = frontier.pop()
+                    for w in (f[u] for f in gens):
+                        if w not in orbit:
+                            orbit.add(w)
+                            frontier.append(w)
+                assert orbits[v] == sum(1 << u for u in orbit)
+            checked += 1
+    assert checked > 1500
 
 
 @pytest.mark.parametrize("orders,J,N,value,nodes", [
-    ((5,), [(0,), (1,)], 4, 125, 1414),
-    ((6,), [(0,), (1,), (2,)], 3, 19, 7271),
-    ((8,), [(0,), (1,)], 3, 128, 2660),
+    ((5,), [(0,), (1,)], 4, 125, 121),  # 1,414 nodes before the kernel incumbent and orbits
+    ((6,), [(0,), (1,), (2,)], 3, 19, 2369),  # 7,271 before
+    ((8,), [(0,), (1,)], 3, 128, 130),  # 2,660 before
 ])
 def test_search_node_counts_pinned(orders, J, N, value, nodes):
     r = exact_avoidance(GroupSpec(orders), J, N)
@@ -346,6 +446,15 @@ def test_exact_avoidance_rejects(monkeypatch):
     monkeypatch.setattr(oracle, "MIS_CAP", 1000)
     with pytest.raises(OracleInfeasible, match="1331 vertices exceed cap 1000"):
         exact_avoidance(GroupSpec((11,)), [(0,), (1,)], 3)
+
+
+def test_exact_avoidance_checks_cap_before_building_subgroup(monkeypatch):
+    def refuse(G, H):
+        raise AssertionError("subgroup elements built before the cap check")
+
+    monkeypatch.setattr(oracle, "_subgroup_base", refuse)
+    with pytest.raises(OracleInfeasible, match="4194304 vertices exceed cap 4096"):
+        exact_avoidance(GroupSpec((1 << 22,)), [(0,), (1,)], 1)
 
 
 # ---------------------------------------------------------------------------
