@@ -140,8 +140,9 @@ def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
 class SubgroupInfo:
     """Subgroup of G with order, index, generators, and a membership oracle.
 
-    members is None on the gcd fallback path (single-factor cyclic G too large
-    to enumerate); contains() works either way.
+    members is None on rank-1 G, where the subgroup is <n / order> and
+    membership is a divisibility test; contains() and sorted_members() work
+    either way.
     """
 
     group: GroupSpec
@@ -154,40 +155,37 @@ class SubgroupInfo:
         g = self.group.element(g)
         if self.members is not None:
             return g in self.members
-        # gcd path: G = Z_n, subgroup = <d> with d = n / order
-        n = self.group.orders[0]
-        return g[0] % (n // self.order) == 0
+        return g[0] % self.index == 0
 
     def sorted_members(self) -> list[tuple[int, ...]]:
         if self.members is None:
-            raise ValueError("subgroup too large to enumerate")
+            return [(self.index * k,) for k in range(self.order)]
         return sorted(self.members)
 
 
 def subgroup_generated(G: GroupSpec, gens) -> SubgroupInfo:
     """Closure of a generator set under addition.
 
-    Uses BFS closure when |G| fits the enumeration cap; for larger single-factor
-    cyclic G it falls back to <gcd(gens, n)> without materializing members.
+    On rank-1 G = Z_n it is <gcd(gens, n)>, found without listing members;
+    other groups are closed by BFS, which needs |G| within the enumeration cap.
     """
     gen_tuple = tuple(G.element(g) for g in gens)
-    if G.order <= ENUMERATION_CAP:
-        seen = {G.zero()}
-        frontier = [G.zero()]
-        while frontier:
-            u = frontier.pop()
-            for g in gen_tuple:
-                v = G.add(u, g)
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        order = len(seen)
-        return SubgroupInfo(G, order, G.order // order, gen_tuple, frozenset(seen))
-    if G.rank != 1:
+    if G.rank == 1:
+        d = math.gcd(G.orders[0], *[g[0] for g in gen_tuple])
+        return SubgroupInfo(G, G.order // d, d, gen_tuple, None)
+    if G.order > ENUMERATION_CAP:
         raise ValueError(f"cannot enumerate subgroup of {G} (order {G.order} over cap)")
-    n = G.orders[0]
-    d = math.gcd(n, *[g[0] for g in gen_tuple]) if gen_tuple else n
-    return SubgroupInfo(G, n // d, d, gen_tuple, None)
+    seen = {G.zero()}
+    frontier = [G.zero()]
+    while frontier:
+        u = frontier.pop()
+        for g in gen_tuple:
+            v = G.add(u, g)
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    order = len(seen)
+    return SubgroupInfo(G, order, G.order // order, gen_tuple, frozenset(seen))
 
 
 def character_value(G: GroupSpec, chi: tuple[int, ...], g: tuple[int, ...]) -> RootOfUnity:

@@ -61,39 +61,27 @@ def _slab_target(n: int, N: int) -> int:
 
 
 def slab_size(n: int, N: int) -> int:
-    """Exact number of tuples in {0..n-2}^N with coordinate sum (n-2)N//2.
+    """Exact number of tuples in {0..n-2}^N with coordinate sum T = (n-2)N//2.
 
-    Big-integer convolution DP, O(N^2 * n). The slab is a valid lower bound
-    witness family for the pair support {0, 1} in Z_n.
+    Inclusion-exclusion over the set of coordinates pushed to n - 1 or more:
+    sum over k of (-1)^k C(N, k) C(T - k(n-1) + N - 1, N - 1), k(n-1) <= T,
+    so at most N/2 + 1 binomials whatever n is. The slab is a valid lower
+    bound witness family for the pair support {0, 1} in Z_n.
     """
-    return slab_sizes_upto(n, N)[-1]
-
-
-def _slab_dp(n: int) -> Iterator[list[int]]:
-    """counts[s] = #{v in {0..n-2}^N : sum(v) = s}, for N = 1, 2, ..."""
-    width = n - 1  # values 0..n-2
-    counts = [1]
-    while True:
-        prev = counts
-        counts = [0] * (len(prev) + width - 1)
-        # sliding-window sum: counts[s] = sum(prev[s-width+1 .. s])
-        acc = 0
-        for s in range(len(counts)):
-            if s < len(prev):
-                acc += prev[s]
-            if s - width >= 0:
-                acc -= prev[s - width]
-            counts[s] = acc
-        yield counts
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    T = _slab_target(n, N)
+    return sum((-1) ** k * math.comb(N, k) * math.comb(T - k * (n - 1) + N - 1, N - 1)
+               for k in range(T // (n - 1) + 1))
 
 
 def slab_sizes_upto(n: int, max_N: int) -> list[int]:
-    """slab_size(n, N) for N = 1..max_N from one incremental DP run."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    """slab_size(n, N) for N = 1..max_N."""
     if max_N < 1:
         raise ValueError(f"need N >= 1, got {max_N}")
-    return [counts[_slab_target(n, N)] for N, counts in zip(range(1, max_N + 1), _slab_dp(n))]
+    return [slab_size(n, N) for N in range(1, max_N + 1)]
 
 
 def slab_members(n: int, N: int) -> np.ndarray:

@@ -11,6 +11,7 @@ upper bound aborts with a dump, since it can only mean a bug in the tower.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -107,6 +108,17 @@ def require_admissible(residues: set[int], n: int) -> None:
         raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _divisor_product(subset: tuple[int, ...]) -> IntPolynomial:
+    """prod of Phi_d over d in subset, built on the cached product of subset[:-1].
+
+    Kept per process, since every a of the same order walks the same subsets.
+    """
+    if not subset:
+        return IntPolynomial.one()
+    return _divisor_product(subset[:-1]) * cyclotomic(subset[-1])
+
+
 def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
 
@@ -125,20 +137,22 @@ def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     best: tuple[int, IntPolynomial] | None = None
     visited = 0
 
-    def rec(i: int, poly: IntPolynomial, deg: int) -> None:
+    def rec(i: int, subset: tuple[int, ...], deg: int) -> None:
         nonlocal best, visited
         visited += 1
         if visited > DIVISOR_SUBSET_CAP:
             raise ValueError(f"divisor-subset search exceeded cap {DIVISOR_SUBSET_CAP}")
-        if deg > 0 and (best is None or deg > best[0]) and set(poly.support()) <= Jset:
-            best = (deg, poly)
+        if deg > 0 and (best is None or deg > best[0]):
+            poly = _divisor_product(subset)
+            if set(poly.support()) <= Jset:
+                best = (deg, poly)
         for k in range(i, len(divs)):
             d = divs[k]
             nd = deg + euler_phi(d)
             if nd <= max_j:
-                rec(k + 1, poly * cyclotomic(d), nd)
+                rec(k + 1, subset + (d,), nd)
 
-    rec(0, IntPolynomial.one(), 0)
+    rec(0, (), 0)
     return None if best is None else best[1]
 
 

@@ -474,22 +474,14 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
     Enumerates value multisets with multinomial weights instead of all n^N
     tuples. Values exactly on the threshold count (the condition is >=); values
     still ambiguous at the precision cap count too, keeping the result a valid
-    upper-bound ingredient. When h divides t^n - 1 the closed bound
-    (n - deg h)^N is checked against the result, raising RuntimeError on
-    violation. The check and the ambiguity warning run on every call, also
-    when sign_count_tuples answers from its cache.
+    upper-bound ingredient. The ambiguity warning runs on every call, also
+    when sign_count_tuples answers from its cache; the closed-form check
+    runs there, once per (h, n, N).
     """
     sc = sign_count_tuples(h, n, N)
-    total = sc.n_nonneg + sc.n_ambiguous
-    if _divides_circle(h, n):
-        # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
-        # exactly deg(h) roots among the n-th roots of unity.
-        if total > (n - h.degree) ** N:
-            raise RuntimeError(f"count {total} exceeds the nonzero-product total "
-                               f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
     if sc.n_ambiguous:
         warnings.warn(f"{sc.n_ambiguous} tuples ambiguous at precision cap {PRECISION_CAP}; counted")
-    return total
+    return sc.n_nonneg + sc.n_ambiguous
 
 
 @functools.lru_cache(maxsize=256)
@@ -497,8 +489,10 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
     """SignCount of the product-weighted Cayley spectrum over all n^N characters.
 
     Eigenvalue -2 + 2*Re(P) is nonnegative iff Re(P) >= 1, zero iff Re(P) = 1.
-    Raises MultisetCapExceeded past MULTISET_CAP value multisets. Cached per
-    process, since a sweep of queries asks for the same few pair counts.
+    Raises MultisetCapExceeded past MULTISET_CAP value multisets. When h
+    divides t^n - 1 the closed bound (n - deg h)^N is checked against the
+    count n_nonneg + n_ambiguous, raising RuntimeError on violation. Cached
+    per process, since a sweep of queries asks for the same few pair counts.
     """
     weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
     n_multisets = math.comb(N + n - 1, n - 1)
@@ -529,6 +523,11 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
             nonpos += weight
         else:
             ambiguous += weight
+    # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
+    # exactly deg(h) roots among the n-th roots of unity.
+    if _divides_circle(h, n) and nonneg + ambiguous > (n - h.degree) ** N:
+        raise RuntimeError(f"count {nonneg + ambiguous} exceeds the nonzero-product total "
+                           f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
     return SignCount(nonneg, nonpos, zero, ambiguous, n**N)
 
 

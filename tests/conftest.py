@@ -2,10 +2,21 @@
 
 import pytest
 
-from intersective import spectral
+from intersective import engine, numtheory, oracle, spectral
+from intersective.cyclotomic import _squarefree_factor
+
+# Every per-process cache in the package; tests/test_caches.py checks the list is complete.
+PER_PROCESS_CACHES = (
+    spectral.sign_count_tuples,
+    oracle._closed_results,
+    engine._divisor_product,
+    _squarefree_factor,
+    numtheory.factorize,
+)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_sign_count_cache():
-    """Start every test with an empty sign-count cache, so test order cannot change cache counts."""
-    spectral.sign_count_tuples.cache_clear()
+def _fresh_caches():
+    """Start every test with empty caches, so test order cannot change cache counts or answers."""
+    for cache in PER_PROCESS_CACHES:
+        cache.cache_clear()

@@ -92,6 +92,16 @@ def test_subgroup_generated():
     assert H2.contains((1, 2))
 
 
+def test_subgroup_on_cyclic_group_needs_no_members():
+    # rank 1 takes the gcd path at any order: <gcd(6, 10, n)> = <2> in Z_(2^20 * 5)
+    G = GroupSpec((5 << 20,))
+    H = subgroup_generated(G, [(6,), (10,)])
+    assert (H.order, H.index, H.members) == (5 << 19, 2, None)
+    assert H.contains((4,)) and not H.contains((3,))
+    small = subgroup_generated(GroupSpec((12,)), [(8,), (6,)])
+    assert small.sorted_members() == [(2 * k,) for k in range(6)]
+
+
 def test_subgroup_trivial_and_full():
     G = GroupSpec((7,))
     assert subgroup_generated(G, []).order == 1

@@ -34,6 +34,33 @@ def test_slab_size_binary_is_central_binomial():
         assert slab_size(3, N) == math.comb(N, N // 2)
 
 
+def _convolution_count(n, N):
+    """Coefficient of x^T in (1 + x + ... + x^(n-2))^N, one factor at a time."""
+    counts = [1]
+    for _ in range(N):
+        counts = [sum(counts[max(0, s - n + 2):s + 1]) for s in range(len(counts) + n - 2)]
+    return counts[(n - 2) * N // 2]
+
+
+def test_slab_size_matches_brute_force():
+    for n in range(3, 12):
+        for N in range(1, 6):
+            if (n - 1) ** N <= 20_000:
+                T = (n - 2) * N // 2
+                brute = sum(1 for t in itertools.product(range(n - 1), repeat=N) if sum(t) == T)
+                assert slab_size(n, N) == brute, (n, N)
+    for n in (3, 4, 17, 40):
+        for N in range(1, 13):
+            assert slab_size(n, N) == _convolution_count(n, N), (n, N)
+
+
+def test_slab_size_at_large_n():
+    # one tuple (T,) at N = 1; at N = 2 the pairs (k, n - 2 - k), 0 <= k <= n - 2
+    n = 1 << 22
+    assert slab_size(n, 1) == 1
+    assert slab_size(n, 2) == n - 1
+
+
 def test_slab_sizes_upto_matches_pointwise():
     assert slab_sizes_upto(5, 4) == [slab_size(5, N) for N in (1, 2, 3, 4)]
     assert slab_sizes_upto(8, 6) == [slab_size(8, N) for N in range(1, 7)]

@@ -62,6 +62,18 @@ def test_divisor_search_rejects(monkeypatch):
         best_divisor_polynomial(105, set(cyclotomic(105).support()))
 
 
+def test_divisor_search_reuses_subset_products(monkeypatch):
+    J = set(cyclotomic(105).support())
+    first = best_divisor_polynomial(105, J)
+    misses = engine._divisor_product.cache_info().misses
+    assert best_divisor_polynomial(105, J) == first
+    assert engine._divisor_product.cache_info().misses == misses
+    # a warm cache leaves the visit count, and so the cap error, unchanged
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 5)
+    with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
+        best_divisor_polynomial(105, J)
+
+
 def test_pair_upper_bound():
     assert pair_upper_bound(GroupSpec((3,)), (1,), 2) == residue_dp_count(3, 2) == 4
     # <(0,1)> has order 4 and index 2 in Z_2 x Z_4

@@ -6,6 +6,7 @@ unreduced graph over all of G^N before being frozen.
 
 import functools
 import itertools
+import math
 import sys
 
 import networkx as nx
@@ -455,6 +456,117 @@ def test_exact_avoidance_checks_cap_before_building_subgroup(monkeypatch):
     monkeypatch.setattr(oracle, "_subgroup_base", refuse)
     with pytest.raises(OracleInfeasible, match="4194304 vertices exceed cap 4096"):
         exact_avoidance(GroupSpec((1 << 22,)), [(0,), (1,)], 1)
+
+
+# ---------------------------------------------------------------------------
+# canonical labels and the closed-result memo
+
+
+def test_canonical_labels_leave_ladder_instances_alone():
+    for orders, J in (((5,), [(0,), (1,)]), ((6,), [(0,), (1,), (2,)]), ((8,), [(0,), (1,)]),
+                      ((2, 2), [(0, 0), (1, 0), (0, 1)]), ((9,), [(0,), (1,), (3,)]),
+                      ((7,), [(0,), (1,), (2,)])):
+        G = GroupSpec(orders)
+        H = subgroup_generated(G, J)
+        assert oracle._canonical_labels(G, H, tuple(J)) == (tuple(sorted(J)), None)
+
+
+def test_canonical_labels_are_class_invariants():
+    """Unit multiples and factor swaps of J share one label, and phi^-1 maps it back onto J."""
+    checked = 0
+    for orders in [(m,) for m in range(3, 10)] + [(2, 2), (3, 3), (2, 4)]:
+        G = GroupSpec(orders)
+        nonzero = [e for e in G.elements() if any(e)]
+        perms = oracle._factor_permutations(orders, 100)
+        units = [u for u in range(1, G.order) if math.gcd(u, G.order) == 1]
+        for S in itertools.combinations(nonzero, 2):
+            J = (G.zero(),) + S
+            label, _ = oracle._canonical_labels(G, subgroup_generated(G, J), J)
+            for u in units:
+                for perm in perms:
+                    K = tuple(G.element(tuple(u * j[k] for k in perm)) for j in J)
+                    K_label, inverse = oracle._canonical_labels(G, subgroup_generated(G, K), K)
+                    assert K_label == label, (orders, J, K)
+                    if inverse is not None:
+                        back = sorted(oracle._relabel(G, inverse, x) for x in K_label)
+                        assert back == sorted(K)
+                    checked += 1
+    assert checked > 500
+
+
+def test_relabelled_search_matches_direct_search():
+    """Values through the canonical labels equal a search on J's own labels, and
+    each mapped-back witness is independent in J's own block graph."""
+    for orders in [(m,) for m in range(3, 10)] + [(2, 2), (3, 3), (2, 4)]:
+        G = GroupSpec(orders)
+        nonzero = [e for e in G.elements() if any(e)]
+        for k in (1, 2):
+            for S in itertools.combinations(nonzero, k):
+                J = (G.zero(),) + S
+                H = subgroup_generated(G, J)
+                for N in (1, 2):
+                    if H.order**N > 81:
+                        continue
+                    r = exact_avoidance(G, J, N)
+                    direct = oracle._block_search(G, H, J, N, None)
+                    assert r.optimal and r.value == direct.value, (orders, J, N)
+                    X = _build_on_base(G, J, N, _subgroup_base(G, H), 4096)
+                    members = [X.vertices.index(v) for v in r.mis.witness]
+                    assert len(set(members)) == r.block_alpha
+                    assert not any(X.rows[i] >> j & 1 for i in members for j in members)
+
+
+def test_relabelled_pair_closes_like_the_canonical_one():
+    # {0, 2} = 3 * {0, 1} in Z_5: open after 60 s on its own labels, 121 nodes on {0, 1}'s
+    r = exact_avoidance(GroupSpec((5,)), [(0,), (2,)], 4)
+    assert (r.value, r.optimal, r.mis.nodes) == (125, True, 121)
+
+
+def test_relabelled_triple_matches_its_class():
+    # 8 * {0, 1, 7} = {0, 8, 1} in Z_11
+    G = GroupSpec((11,))
+    r = exact_avoidance(G, [(0,), (1,), (8,)], 2)
+    assert r.optimal and r.value == exact_avoidance(G, [(0,), (1,), (7,)], 2).value == 22
+
+
+def test_tampered_inverse_raises(monkeypatch):
+    real = oracle._canonical_labels
+
+    def identity_inverse(G, H, J):
+        return real(G, H, J)[0], (1, (0,))
+
+    monkeypatch.setattr(oracle, "_canonical_labels", identity_inverse)
+    with pytest.raises(RuntimeError, match="not an independent set"):
+        exact_avoidance(GroupSpec((5,)), [(0,), (2,)], 2)
+
+
+def test_memo_answers_closed_queries_once(monkeypatch):
+    G = GroupSpec((7,))
+    first = exact_avoidance(G, [(0,), (1,)], 2)
+    calls = []
+    monkeypatch.setattr(oracle, "max_independent_set", lambda X, timeout=None: calls.append(X))
+    # the same query in another order, a unit multiple, and a budget of zero
+    assert exact_avoidance(G, [(1,), (0,)], 2, timeout=0.0) is first
+    assert exact_avoidance(G, [(0,), (3,)], 2, timeout=0.0).value == first.value
+    assert calls == []
+
+
+def test_memo_keeps_no_timed_out_result():
+    G = GroupSpec((7,))
+    for J in ([(0,), (1,)], [(0,), (3,)]):  # canonical, then relabelled
+        r = exact_avoidance(G, J, 2, timeout=0.0)
+        assert not r.optimal
+        assert len(oracle._closed_results._results) == 0
+    assert exact_avoidance(G, [(0,), (3,)], 2).optimal
+    assert len(oracle._closed_results._results) == 2  # the caller's key and {0, 1}'s
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(oracle._closed_results, "maxsize", 3)
+    G = GroupSpec((5,))
+    for N in (1, 2, 3, 1, 4):  # N = 1 is used again before N = 2 is dropped
+        exact_avoidance(G, [(0,), (1,)], N)
+    assert [key[2] for key in oracle._closed_results._results] == [3, 1, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,15 @@ def test_count_closed_form_violation_raises(monkeypatch):
         count_nonneg_tuples(ONE_MINUS_T, 5, 2)
 
 
+def test_closed_form_check_runs_once_per_count(monkeypatch):
+    calls = []
+    divides = spectral._divides_circle
+    monkeypatch.setattr(spectral, "_divides_circle", lambda h, n: calls.append(n) or divides(h, n))
+    for _ in range(3):
+        count_nonneg_tuples(ONE_MINUS_T, 5, 2)
+    assert calls == [5]
+
+
 def test_multiset_cap(monkeypatch):
     monkeypatch.setattr(spectral, "MULTISET_CAP", 10)
     with pytest.raises(MultisetCapExceeded, match="multisets exceed cap 10 "):
