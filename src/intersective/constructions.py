@@ -17,12 +17,11 @@ decided exactly by comparing integer powers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .abelian import GroupSpec
 from .cyclotomic import IntPolynomial, cyclotomic
@@ -50,6 +49,10 @@ __all__ = [
 SLAB_ENUM_CAP = 10**6
 EPSILON_DENOMINATOR_CAP = 64
 _WINDOW_SLIDE_CAP = 32
+# slab check costs in bits of bitset shifting (~0.1 ns a bit on a 2.1 GHz Xeon):
+# the Python overhead of one translate step, and one pairwise digit test
+_STEP_BITS = 1000
+_PAIR_BITS = 1500
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +87,48 @@ def slab_sizes_upto(n: int, max_N: int) -> list[int]:
     return [slab_size(n, N) for N in range(1, max_N + 1)]
 
 
-def slab_members(n: int, N: int) -> np.ndarray:
-    """All slab tuples as an int16 array of shape (size, N), lexicographic order.
-
-    Rows grow one coordinate at a time: every kept prefix is followed by each
-    digit 0..n-2 in turn, which keeps the order, and a prefix stays only
-    while the remaining coordinates can still reach the target sum, so the
-    (n-1)^N tuples outside the slab are never built. Refuses more than
-    SLAB_ENUM_CAP tuples in {0..n-2}^N.
-    """
+def _check_enumerable(n: int, N: int) -> None:
     if n < 3 or N < 1:
         raise ValueError(f"need n >= 3 and N >= 1, got n={n}, N={N}")
     total = (n - 1) ** N
     if total > SLAB_ENUM_CAP:
         raise ValueError(f"{total} tuples exceed enumeration cap {SLAB_ENUM_CAP}")
+
+
+def _slab_dp(n: int, N: int, empty, prepend) -> list:
+    """Slab members built from the back, grouped by coordinate sum.
+
+    tails[s] holds the last j coordinates of the members, those with sum s
+    that the first N - j coordinates can still complete to T, as
+    prepend(j, d, tails[s - d]) over their first digit d in increasing
+    order; only s = T is kept at j = N, so no tail off the target sum is
+    built. When prepend keeps the order of its tails, so does each list,
+    and the members come out in lexicographic order.
+    """
     T = _slab_target(n, N)
-    if min(n - 2, T) > np.iinfo(np.int16).max:
-        raise ValueError(f"slab entries up to {min(n - 2, T)} do not fit in int16")
-    digits = np.arange(n - 1)
-    rows = np.zeros((1, 0), dtype=np.int16)
-    sums = np.zeros(1, dtype=np.int64)
-    for k in range(N):
-        reach = (N - 1 - k) * (n - 2)  # the most the later coordinates can add
-        cand = (sums[:, None] + digits).ravel()  # prefix-major, digit-minor
-        keep = np.flatnonzero((cand <= T) & (cand + reach >= T))
-        rows = np.column_stack((rows[keep // (n - 1)], (keep % (n - 1)).astype(np.int16)))
-        sums = cand[keep]
-    return rows
+    tails = {0: [empty]}
+    for j in range(1, N + 1):
+        lo = T if j == N else max(0, T - (N - j) * (n - 2))
+        extended = {}
+        for s in range(lo, min(T, j * (n - 2)) + 1):
+            members = []
+            for d in range(max(0, s - (j - 1) * (n - 2)), min(n - 2, s) + 1):
+                members += prepend(j, d, tails[s - d])
+            extended[s] = members
+        tails = extended
+    return tails[T]
+
+
+def slab_members(n: int, N: int) -> list[tuple[int, ...]]:
+    """All slab tuples, in lexicographic order.
+
+    Tuples are built from the back, one coordinate at a time, and every
+    tail of a given sum is shared by all the members that end in it (see
+    _slab_dp), so the (n-1)^N tuples outside the slab are never built.
+    Refuses more than SLAB_ENUM_CAP tuples in {0..n-2}^N.
+    """
+    _check_enumerable(n, N)
+    return _slab_dp(n, N, (), lambda j, d, tails: [(d,) + t for t in tails])
 
 
 def slab_is_valid(n: int, N: int) -> bool:
@@ -119,65 +137,96 @@ def slab_is_valid(n: int, N: int) -> bool:
     Two members a != b fail when b - a lies in {0,1}^N or in {0,-1}^N; the
     second case is a - b in {0,1}^N, so the check is whether some member
     plus a nonzero step e in {0,1}^N is again a member. Members have entries
-    <= n-2, so codes in base (largest entry + 2) <= n of a + e need no carry
-    and stay injective, and one sorted-set membership test per step decides it. That costs about
-    2^N * |S| log |S| against |S|^2 * N for the pairwise differences, so the
-    translate check runs when 2^N - 1 < |S| and the pairwise loop otherwise.
-    For n = 3 the members are 0/1 rows, and b - a lies in {0,1}^N exactly
-    when the bitmask of a is contained in that of b: one vectorised
-    containment test per member replaces the pairwise loop (N = 15 or 16,
-    where 2^N is huge next to |S|).
+    at most top = min(n - 2, T), so their codes sum a_i * base^(N-1-i) with
+    base = top + 2 take a + e to code(a) + code(e) without a carry, and the
+    members are checked as codes (see _codes_avoid_steps). When top <= 1
+    (always for n = 3) the members are 0/1 rows, coded in base 2 as
+    bitmasks, and b - a lies in {0,1}^N exactly when mask(a) lies inside
+    mask(b). Refuses more than SLAB_ENUM_CAP tuples in {0..n-2}^N.
     """
-    return _rows_avoid_steps(slab_members(n, N))
+    _check_enumerable(n, N)
+    top = min(n - 2, _slab_target(n, N))
+    base = 2 if top <= 1 else top + 2
+    return _codes_avoid_steps(_slab_codes(n, N, base), base, N)
 
 
-def _rows_avoid_steps(arr: np.ndarray) -> bool:
-    """True iff no two rows of a nonnegative array differ by a {0,1}- or {0,-1}-vector.
+def _slab_codes(n: int, N: int, base: int) -> list[int]:
+    """Codes sum a_i * base^(N-1-i) of the slab members a, from the DP of slab_members."""
 
-    Equal rows differ by the zero vector, so duplicates fail too.
+    def prepend(j: int, d: int, tails: list[int]) -> list[int]:
+        step = d * base ** (j - 1)
+        return [step + t for t in tails]
+
+    return _slab_dp(n, N, 0, prepend)
+
+
+def _codes_avoid_steps(codes: list[int], base: int, N: int) -> bool:
+    """True iff no two coded rows differ by a {0,1}- or {0,-1}-vector.
+
+    codes are sum r_i * base^(N-1-i) over rows r of length N. With base 2 the rows
+    are 0/1 and codes are their bitmasks; otherwise every entry is at most
+    base - 2. Equal rows differ by the zero vector, so duplicates fail too.
+    The translate check makes 2^N - 1 shifts and ands of a bitset of up to
+    base^N bits, the pairwise one a digit test per pair of rows. Measured
+    in bits of bitset work, a step costs about _STEP_BITS more than its
+    bitset and a pair about _PAIR_BITS, and the cheaper check runs.
     """
-    m, N = arr.shape
-    top = int(arr.max(initial=0))
-    if top <= 1 and N < 63:
-        return _subset_avoids(arr)
-    base = top + 2  # every entry + 1 stays a base digit
-    if 2**N - 1 < m and base**N <= np.iinfo(np.int64).max:
-        return _translate_avoids(arr, base)
-    return _pairwise_avoids(arr)
+    if base == 2:
+        return _subset_avoids(codes)
+    pairs = len(codes) * (len(codes) - 1) // 2
+    if _PAIR_BITS * pairs < (2**N - 1) * (_STEP_BITS + base**N):
+        return _pairwise_avoids(codes, base)
+    return _translate_avoids(codes, base, N)
 
 
-def _translate_avoids(arr: np.ndarray, base: int) -> bool:
-    weights = base ** np.arange(arr.shape[1], dtype=np.int64)
-    codes = np.sort(arr.astype(np.int64) @ weights)
-    if (codes[1:] == codes[:-1]).any():
+def _translate_avoids(codes: list[int], base: int, N: int) -> bool:
+    """No code c with c + code(e) also a code, e a nonzero step, on a bitset M of the codes.
+
+    Bit c of M >> code(e) is set iff c + code(e) is a code, so any
+    (M >> code(e)) & M is a failure; fewer bits than codes means a duplicate.
+    """
+    flags = bytearray(b"0") * (max(codes, default=0) + 1)
+    for c in codes:
+        flags[-1 - c] = ord("1")
+    M = int(flags, 2)
+    if M.bit_count() != len(codes):
         return False
-    for mask in range(1, 2 ** arr.shape[1]):
-        step = sum(int(w) for i, w in enumerate(weights) if mask >> i & 1)
-        if np.isin(codes + step, codes, assume_unique=True).any():
-            return False
-    return True
+    steps = [0]
+    for i in range(N):
+        steps += [s + base**i for s in steps]
+    return not any(M >> step & M for step in steps[1:])
 
 
-def _subset_avoids(arr: np.ndarray) -> bool:
-    """_rows_avoid_steps for 0/1 rows: b - a is in {0,1}^N exactly when mask(a) is inside mask(b).
+def _subset_avoids(masks: list[int]) -> bool:
+    """For 0/1 rows as bitmasks: b - a is in {0,1}^N exactly when mask(a) lies inside mask(b).
 
-    A row whose mask lies inside another row's mask (a duplicate included)
-    fails, which covers both step directions; every pair is compared.
+    That covers both step directions. A proper subset has fewer bits, so
+    masks are grouped by popcount: a duplicate fails inside its group, and
+    containment is only tested from each group into the larger ones.
     """
-    masks = arr.astype(np.int64) @ (1 << np.arange(arr.shape[1], dtype=np.int64))
+    groups: dict[int, set[int]] = {}
     for mask in masks:
-        if np.count_nonzero((masks & mask) == mask) > 1:
-            return False
-    return True
+        groups.setdefault(mask.bit_count(), set()).add(mask)
+    if sum(map(len, groups.values())) != len(masks):
+        return False
+    counts = sorted(groups)
+    return not any(a & b == a for i, p in enumerate(counts) for q in counts[i + 1:]
+                   for a in groups[p] for b in groups[q])
 
 
-def _pairwise_avoids(arr: np.ndarray) -> bool:
-    for i in range(len(arr) - 1):
-        d = arr[i + 1:] - arr[i]
-        up = ((d == 0) | (d == 1)).all(axis=1)
-        down = ((d == 0) | (d == -1)).all(axis=1)
-        if (up | down).any():
-            return False
+def _pairwise_avoids(codes: list[int], base: int) -> bool:
+    """No two codes whose difference has only 0/1 digits in base.
+
+    For rows with entries at most base - 2, |code(b) - code(a)| = code(e)
+    for some e in {0,1}^N iff b - a or a - b equals e: the entries of
+    b - a - e lie strictly between -base and base and their code is 0.
+    """
+    for a, b in itertools.combinations(codes, 2):
+        d = abs(a - b)
+        while d % base <= 1:
+            if d == 0:
+                return False
+            d //= base
     return True
 
 

@@ -61,8 +61,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from .abelian import GroupSpec, SubgroupInfo, element_order, subgroup_generated
 
 __all__ = [
@@ -81,7 +79,6 @@ __all__ = [
 ]
 
 DENSE_CAP = 1 << 16  # the most vertices build_cayley builds rows for
-_ROW_BLOCK_CELLS = 1 << 18  # adjacency cells materialised at once while building rows
 MIS_CAP = 4096  # most vertices exact_avoidance searches, and largest lifted witness
 
 
@@ -146,62 +143,48 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
     base = tuple(base)
     _check_cap(len(base) ** N, vertex_cap)
     index = {e: i for i, e in enumerate(base)}
-    shifts = tuple(dict.fromkeys(J + tuple(G.neg(j) for j in J)))
-    add = np.empty((len(base), len(shifts)), dtype=np.int64)
-    for i, e in enumerate(base):
-        for k, s in enumerate(shifts):
-            w = index.get(G.add(e, s))
-            if w is None:
+    neg = {j: G.neg(j) for j in J}
+    add = {}  # (e, s) -> index of e + s
+    for e in base:
+        for s in dict.fromkeys(J + tuple(neg.values())):
+            if (w := index.get(G.add(e, s))) is None:
                 raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
-            add[i, k] = w
-    # connection vectors: coordinates all in J or all in -J, not all zero
-    shift_index = {s: k for k, s in enumerate(shifts)}
-    conn = set()
-    for c in itertools.product(J, repeat=N):
-        if any(x != G.zero() for x in c):
-            conn.add(tuple(shift_index[x] for x in c))
-            conn.add(tuple(shift_index[G.neg(x)] for x in c))
+            add[e, s] = w
+    plus = [[add[e, j] for j in J] for e in base]
+    minus = [[add[e, neg[j]] for j in J] for e in base]
     vertices = tuple(itertools.product(base, repeat=N))
-    return CayleyGraph(G, tuple(J), N, vertices, _dense_rows(add, sorted(conn), N))
+    return CayleyGraph(G, tuple(J), N, vertices, _bitset_rows(plus, minus, N))
 
 
-def _mixed_radix(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Place weights and digit rows of the vertex codes 0..m^N - 1.
+def _shifted(bits: int, offsets: list[int], w: int) -> int:
+    """Union of bits << a * w over a in offsets."""
+    out = 0
+    for a in offsets:
+        out |= bits << a * w
+    return out
+
+
+def _bitset_rows(plus: list[list[int]], minus: list[list[int]], N: int) -> tuple[int, ...]:
+    """Bitset rows of base^N from the index tables plus[d] = (d + J) and minus[d] = (d - J).
 
     Codes are mixed-radix base indices, last coordinate fastest as in
-    itertools.product, so the vertex with digits d has code d @ weights.
+    itertools.product, so coordinate i has weight m^(N-1-i). The codes of
+    v + J^N are the sums of one a * m^(N-1-i) per coordinate i, a in
+    plus[v_i], so its bitset grows depth first over the coordinates: the
+    prefix bitset of v_0..v_(i-1) is shifted by a * m^(N-1-i) for each a in
+    plus[v_i], and prefixes are shared by every vertex that extends them.
+    row(v) is the union of v + J^N and v - J^N without v itself, which both
+    contain since 0 is in J.
     """
-    weights = m ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    return weights, (np.arange(m**N, dtype=np.int64)[:, None] // weights) % m
-
-
-def _pack_rows(block: np.ndarray) -> list[int]:
-    """Rows of a boolean matrix as bitset ints, column j at bit j."""
-    packed = np.packbits(block, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
-def _dense_rows(add: np.ndarray, conn: list[tuple[int, ...]], N: int) -> tuple[int, ...]:
-    """Bitset rows of base^N from the table add[base index, shift index].
-
-    A connection vector c sends the vertex with digits d to code
-    add[d, c] @ weights. Rows are filled a block at a time, at most
-    _ROW_BLOCK_CELLS booleans, then packed into ints.
-    """
-    m = add.shape[0]
-    n = m**N
-    weights, digits = _mixed_radix(m, N)
-    conn_arr = np.array(conn, dtype=np.int64).reshape(len(conn), N)
-    step = max(1, _ROW_BLOCK_CELLS // n)
-    rows: list[int] = []
-    for lo in range(0, n, step):
-        block_digits = digits[lo:lo + step]
-        block = np.zeros((len(block_digits), n), dtype=bool)
-        at = np.arange(len(block_digits))
-        for c in conn_arr:
-            block[at, add[block_digits, c] @ weights] = True
-        rows.extend(_pack_rows(block))
-    return tuple(rows)
+    m = len(plus)
+    prefixes = [(1, 1)]
+    for i in range(N - 1):
+        w = m ** (N - 1 - i)
+        prefixes = [(_shifted(up, pu, w), _shifted(down, pd, w))
+                    for up, down in prefixes for pu, pd in zip(plus, minus)]
+    rows = (_shifted(up, pu, 1) | _shifted(down, pd, 1)
+            for up, down in prefixes for pu, pd in zip(plus, minus))
+    return tuple(row ^ (1 << v) for v, row in enumerate(rows))
 
 
 def build_cayley(G: GroupSpec, J: Iterable, N: int) -> CayleyGraph:
@@ -280,26 +263,49 @@ def _kernel_incumbent(X: CayleyGraph) -> tuple[int, int]:
     contains no connection vector is independent, since two of its members
     differ by a member. The largest such kernel wins, the first c in vertex
     order on ties. Returns (0, 0) on other bases or when every kernel meets S.
+
+    Permuting or negating c keeps its size and whether it misses S, which
+    is invariant under both, and the first c of each such orbit in vertex
+    order is its sorted digits or those of -c, whichever is smaller. So
+    only those representatives are tried, largest gcd first, then by code.
     """
     G, N, n = X.group, X.N, X.n_vertices
     m = _base_size(X)
     step = G.order // m
     if G.rank != 1 or any(X.vertices[k][-1] != (k * step,) for k in range(m)):
         return 0, 0
-    _, digits = _mixed_radix(m, N)
-    # vertex 0 is the zero vector, so its neighbours are exactly S
-    row0 = np.frombuffer(X.rows[0].to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    conn = digits[np.flatnonzero(np.unpackbits(row0, bitorder="little")[:n])]
-    sizes = n // m * np.gcd(np.gcd.reduce(digits, axis=1), m)
-    misses = np.empty(n, dtype=bool)
-    block = max(1, _ROW_BLOCK_CELLS // max(1, len(conn)))
-    for lo in range(0, n, block):
-        misses[lo:lo + block] = (digits[lo:lo + block] @ conn.T % m != 0).all(axis=1)
-    if not misses.any():
+    J = [j // step for (j,) in X.J]
+    reps = [c for c in itertools.combinations_with_replacement(range(m), N)
+            if c <= tuple(sorted(-x % m for x in c))]
+    reps.sort(key=lambda c: -math.gcd(m, *c))
+    c = next((c for c in reps if _kernel_misses(c, J, m)), None)
+    if c is None:
         return 0, 0
-    c = int(np.argmax(np.where(misses, sizes, 0)))
-    members = digits @ digits[c] % m == 0
-    return int(sizes[c]), _pack_rows(members[None, :])[0]
+    residues = [0]  # sum c_i x_i mod m for each vertex x, in code order
+    for ci in c:
+        residues = [(r + ci * d) % m for r in residues for d in range(m)]
+    members = "".join("1" if r == 0 else "0" for r in reversed(residues))
+    return n // m * math.gcd(m, *c), int(members, 2)
+
+
+def _kernel_misses(c: tuple[int, ...], J: list[int], m: int) -> bool:
+    """True iff sum c_i s_i != 0 mod m for every nonzero s in J^N, N = len(c).
+
+    s and -s give opposite sums, so this covers (-J)^N too. hit is the set
+    of sums over the nonzero prefixes of s, as a bitset over Z_m; a prefix
+    is nonzero when an earlier coordinate is, or when this one is.
+    """
+    full = (1 << m) - 1
+    hit = 0
+    for ci in c:
+        new = 0
+        for j in J:
+            t = ci * j % m
+            new |= (hit << t | hit >> (m - t)) & full
+            if j:
+                new |= 1 << t
+        hit = new
+    return not hit & 1
 
 
 def _orbit_masks(X: CayleyGraph, v0: int) -> list[int]:
@@ -308,22 +314,28 @@ def _orbit_masks(X: CayleyGraph, v0: int) -> list[int]:
     g runs over the group generated by coordinate permutations and x -> -x.
     When S is invariant under both, as on every graph _build_on_base makes,
     each map is an automorphism of X fixing v0. x and y share an orbit iff
-    x - v0 and y - v0 agree up to order and sign, so the orbit label is the
-    smaller code of the sorted digits of d = x - v0 and of -d.
+    the digits of d = x - v0 and of y - v0 agree as multisets up to sign,
+    so the orbit label is the smaller of sum B^(d_i) and sum B^(-d_i), with
+    B = N + 1 so that digit counts never carry. Labels are summed one
+    coordinate at a time over the vertices in code order.
     """
     G, N = X.group, X.N
     m = _base_size(X)
     base = [X.vertices[k][-1] for k in range(m)]
     index = {e: k for k, e in enumerate(base)}
-    neg = np.array([index[G.neg(e)] for e in base], dtype=np.int64)
-    sub = np.array([[index[G.sub(e, a)] for a in X.vertices[v0]] for e in base], dtype=np.int64)
-    weights, digits = _mixed_radix(m, N)
-    d = sub[digits, np.arange(N)]
-    codes = np.minimum(np.sort(d, axis=1) @ weights, np.sort(neg[d], axis=1) @ weights).tolist()
+    B = N + 1
+    up, down = [0], [0]
+    for a in X.vertices[v0]:
+        d = [G.sub(e, a) for e in base]
+        terms = [B ** index[x] for x in d]
+        up = [p + t for p in up for t in terms]
+        terms = [B ** index[G.neg(x)] for x in d]
+        down = [p + t for p in down for t in terms]
     masks: dict[int, int] = {}
-    for v, code in enumerate(codes):
-        masks[code] = masks.get(code, 0) | 1 << v
-    return [masks[code] for code in codes]
+    labels = list(map(min, up, down))
+    for v, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << v
+    return [masks[label] for label in labels]
 
 
 def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISResult:

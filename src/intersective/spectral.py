@@ -543,35 +543,45 @@ def _divides_circle(h: IntPolynomial, n: int) -> bool:
 # residue DP for the h = 1 - t pair bound
 
 
-def _band_residues(n: int, N: int) -> set[int]:
+def _band_residues(n: int, N: int) -> range:
     # Re >= 1 forces cos(pi*S/n - pi*N/2) strictly positive, i.e.
-    # S strictly inside (nN/2 - n/2, nN/2 + n/2) mod 2n.
+    # S strictly inside (nN/2 - n/2, nN/2 + n/2) mod 2n: at most n sums,
+    # so distinct residues once reduced mod 2n.
     lo2, hi2 = n * N - n, n * N + n
     s_min = lo2 // 2 + 1
     s_max = (hi2 - 1) // 2 if hi2 % 2 == 0 else hi2 // 2
-    return {s % (2 * n) for s in range(s_min, s_max + 1)}
+    return range(s_min, s_max + 1)
+
+
+def _band_count(counts: list[int], band: range) -> int:
+    """Sum of counts over the residues of band mod len(counts), as at most two slices."""
+    m = len(counts)
+    lo = band.start % m
+    wrapped = lo + len(band) - m  # residues past m - 1 continue at 0
+    return sum(counts[lo:lo + len(band)]) + sum(counts[:max(wrapped, 0)])
 
 
 def _residue_dp_states(n: int) -> Iterator[list[int]]:
     """Counts of the coordinate sums S mod 2n over v in {1..n-1}^N, for N = 1, 2, ...
 
-    A step is a cyclic sliding window: the new count at rho is the sum of the
-    old counts at rho - n + 1 .. rho - 1, so moving rho by one adds one old
-    count and drops another, O(2n) per N. Each state must sum to (n - 1)^N.
+    The N = 1 state is 1 at residues 1..n-1 and 0 elsewhere. A step is a
+    cyclic sliding window: the new count at rho is the sum of the old counts
+    at rho - n + 1 .. rho - 1, so moving rho by one adds one old count and
+    drops another, O(2n) per N. Each state must sum to (n - 1)^N.
     """
     m = 2 * n
-    counts = [1] + [0] * (m - 1)
-    total = 1
+    counts = [0] + [1] * (n - 1) + [0] * n
+    total = n - 1
     while True:
+        if sum(counts) != total:
+            raise RuntimeError(f"residue counts sum to {sum(counts)}, not (n-1)^N = {total}")
+        yield counts
         prev, counts = counts, [0] * m
         acc = sum(prev[n + 1:])  # old counts at -(n - 1) .. -1, i.e. rho = 0
         for rho in range(m):
             counts[rho] = acc
             acc += prev[rho] - prev[rho - n + 1]  # negative index wraps, same as mod m
         total *= n - 1
-        if sum(counts) != total:
-            raise RuntimeError(f"residue counts sum to {sum(counts)}, not (n-1)^N = {total}")
-        yield counts
 
 
 def residue_dp_count(n: int, N: int) -> int:
@@ -592,7 +602,7 @@ def residue_dp_profile(n: int, max_N: int) -> list[int]:
         raise ValueError(f"need n >= 3, got {n}")
     if max_N < 1:
         raise ValueError(f"need N >= 1, got {max_N}")
-    return [sum(counts[r] for r in _band_residues(n, N))
+    return [_band_count(counts, _band_residues(n, N))
             for N, counts in zip(range(1, max_N + 1), _residue_dp_states(n))]
 
 

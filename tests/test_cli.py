@@ -1,9 +1,13 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import intersective
 from intersective.cli import main
 from intersective.cyclotomic import cyclotomic
 from intersective.engine import InconsistencyError
@@ -283,3 +287,12 @@ def test_timeout_must_be_nonnegative(capsys, argv, error):
         assert (rc, err) == (0, "") and out
     else:
         assert (rc, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_package_imports_without_numpy():
+    """Importing the package, its CLI and engine leaves numpy unloaded, so start-up stays cheap."""
+    src = os.path.dirname(os.path.dirname(intersective.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, intersective, intersective.cli, intersective.engine; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

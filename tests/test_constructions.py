@@ -1,11 +1,12 @@
 """Slab counts, product powering, and the prime-window construction family."""
 
 import dataclasses
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from intersective import constructions
@@ -67,14 +68,12 @@ def test_slab_sizes_upto_matches_pointwise():
 
 
 def test_slab_members_structure():
-    arr = slab_members(5, 3)
-    assert arr.shape == (slab_size(5, 3), 3)
+    rows = slab_members(5, 3)
+    assert len(rows) == slab_size(5, 3)
     target = (5 - 2) * 3 // 2
-    assert (arr.sum(axis=1) == target).all()
-    assert arr.min() >= 0 and arr.max() <= 3
-    # lexicographic order
-    rows = [tuple(r) for r in arr.tolist()]
-    assert rows == sorted(rows)
+    assert all(type(r) is tuple and len(r) == 3 and sum(r) == target for r in rows)
+    assert min(map(min, rows)) >= 0 and max(map(max, rows)) <= 3
+    assert rows == sorted(rows)  # lexicographic order
 
 
 def test_slab_members_match_itertools_filter():
@@ -88,9 +87,7 @@ def test_slab_members_match_itertools_filter():
                 ref = [(T,)]  # the filter keeps exactly the one tuple (T,)
             else:
                 ref = [t for t in itertools.product(range(n - 1), repeat=N) if sum(t) == T]
-            arr = slab_members(n, N)
-            assert arr.dtype == np.int16 and arr.shape == (len(ref), N), (n, N)
-            assert arr.tolist() == [list(t) for t in ref], (n, N)
+            assert slab_members(n, N) == ref, (n, N)
             checked += 1
             n += 1
     assert checked == 10144
@@ -102,46 +99,74 @@ def test_slab_is_valid_sweep():
             assert slab_is_valid(n, N), (n, N)
 
 
-def test_slab_members_not_valid_when_tampered():
-    # a slab plus one member shifted by a {0,1}- or {0,-1}-step fails on both paths
-    arr = slab_members(6, 3)
+def _codes(rows, base):
+    """The code sum r_i * base^(N-1-i) of each row r of length N."""
+    return [functools.reduce(lambda code, x: code * base + x, r, 0) for r in rows]
+
+
+def _rows_avoid_steps(rows):
+    """No two rows (duplicates included) differ by a {0,1}- or {0,-1}-vector, pair by pair."""
+    for a, b in itertools.combinations(rows, 2):
+        d = [y - x for x, y in zip(a, b)]
+        if set(d) <= {0, 1} or set(d) <= {0, -1}:
+            return False
+    return True
+
+
+def test_slab_codes_are_member_codes():
+    for n, N in ((3, 6), (4, 5), (6, 3), (9, 4), (12, 2)):
+        top = min(n - 2, (n - 2) * N // 2)
+        base = 2 if top <= 1 else top + 2
+        codes = constructions._slab_codes(n, N, base)
+        assert sorted(codes) == sorted(_codes(slab_members(n, N), base)), (n, N)
+
+
+def test_slab_members_not_valid_when_tampered(monkeypatch):
+    # a slab plus one member shifted by a {0,1}- or {0,-1}-step fails on every path
+    rows = slab_members(6, 3)
     assert slab_is_valid(6, 3)
-    assert constructions._translate_avoids(arr, 6) and constructions._pairwise_avoids(arr)
-    assert (arr == 2).all(axis=1).any()
+    codes = _codes(rows, 6)
+    assert constructions._translate_avoids(codes, 6, 3) and constructions._pairwise_avoids(codes, 6)
+    assert (2, 2, 2) in rows
     for planted in ((1, 0, 1), (0, -1, -1)):
-        shifted = np.array([2, 2, 2], dtype=np.int16) + np.array(planted, dtype=np.int16)
-        bad = np.vstack([arr, shifted])
-        assert 2**3 - 1 < len(bad)  # the cost rule picks the translate path
-        assert not constructions._rows_avoid_steps(bad), planted
-        assert not constructions._translate_avoids(bad, 6), planted
-        assert not constructions._pairwise_avoids(bad), planted
+        bad = codes + _codes([tuple(2 + x for x in planted)], 6)
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "_pairwise_avoids", None)  # the cost rule picks the translate path
+            assert not constructions._codes_avoid_steps(bad, 6, 3), planted
+        assert not constructions._translate_avoids(bad, 6, 3), planted
+        assert not constructions._pairwise_avoids(bad, 6), planted
     # n = 3: 0/1 rows take the bitmask path; plant a member plus an up-step
     # and a member minus a down-step, each behind the whole slab
     binary = slab_members(3, 6)
-    assert constructions._subset_avoids(binary) and constructions._pairwise_avoids(binary)
+    assert constructions._subset_avoids(_codes(binary, 2))
+    assert constructions._pairwise_avoids(_codes(binary, 3), 3)
     member = binary[-1]
-    assert member.tolist() == [1, 1, 1, 0, 0, 0]
-    for planted in (member + [0, 0, 0, 1, 0, 1], member - [1, 0, 1, 0, 0, 0], member):
-        bad = np.vstack([binary, planted.astype(np.int16)])
-        assert not constructions._rows_avoid_steps(bad), planted
-        assert not constructions._subset_avoids(bad), planted
-        assert not constructions._pairwise_avoids(bad), planted
+    assert member == (1, 1, 1, 0, 0, 0)
+    for step in ((0, 0, 0, 1, 0, 1), (-1, 0, -1, 0, 0, 0), (0,) * 6):
+        bad = binary + [tuple(x + e for x, e in zip(member, step))]
+        assert not constructions._codes_avoid_steps(_codes(bad, 2), 2, 6), step
+        assert not constructions._subset_avoids(_codes(bad, 2)), step
+        assert not constructions._pairwise_avoids(_codes(bad, 3), 3), step
 
 
 def test_translate_and_pairwise_paths_agree():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     outcomes = set()
     binary_outcomes = set()
     for _ in range(300):
-        N = int(rng.integers(1, 5))
-        arr = rng.integers(0, 5, size=(int(rng.integers(2, 7)), N)).astype(np.int16)
-        pairwise = constructions._pairwise_avoids(arr)
-        assert constructions._translate_avoids(arr, int(arr.max()) + 2) == pairwise, arr
+        N = rng.randint(1, 4)
+        rows = [tuple(rng.randrange(5) for _ in range(N)) for _ in range(rng.randint(2, 6))]
+        base = max(map(max, rows)) + 2
+        pairwise = constructions._pairwise_avoids(_codes(rows, base), base)
+        assert pairwise == _rows_avoid_steps(rows), rows
+        assert constructions._translate_avoids(_codes(rows, base), base, N) == pairwise, rows
+        assert constructions._codes_avoid_steps(_codes(rows, base), base, N) == pairwise, rows
         outcomes.add(pairwise)
-        binary = rng.integers(0, 2, size=(int(rng.integers(2, 12)), N + 2)).astype(np.int16)
-        pairwise = constructions._pairwise_avoids(binary)
-        assert constructions._subset_avoids(binary) == pairwise, binary
-        assert constructions._rows_avoid_steps(binary) == pairwise, binary
+        binary = [tuple(rng.randrange(2) for _ in range(N + 2)) for _ in range(rng.randint(2, 11))]
+        pairwise = constructions._pairwise_avoids(_codes(binary, 3), 3)
+        assert pairwise == _rows_avoid_steps(binary), binary
+        assert constructions._subset_avoids(_codes(binary, 2)) == pairwise, binary
+        assert constructions._codes_avoid_steps(_codes(binary, 2), 2, N + 2) == pairwise, binary
         binary_outcomes.add(pairwise)
     assert outcomes == binary_outcomes == {True, False}
 
@@ -151,14 +176,16 @@ def test_slab_rejects(monkeypatch):
         slab_size(2, 3)
     with pytest.raises(ValueError):
         slab_size(5, 0)
-    with monkeypatch.context() as m:
-        m.setattr(constructions, "SLAB_ENUM_CAP", 100)
-        with pytest.raises(ValueError, match="exceed enumeration cap 100"):
-            slab_members(9, 9)
-    # entries are int16: the N = 1 member (n-2)//2 must fit
-    assert slab_members(40_000, 1).tolist() == [[19_999]]
-    with pytest.raises(ValueError, match="int16"):
-        slab_members(70_000, 1)
+    for enumerate_slab in (slab_members, slab_is_valid):
+        with pytest.raises(ValueError):
+            enumerate_slab(2, 3)
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "SLAB_ENUM_CAP", 100)
+            with pytest.raises(ValueError, match="exceed enumeration cap 100"):
+                enumerate_slab(9, 9)
+    # entries are Python ints: the N = 1 member (n-2)//2 has no width limit
+    assert slab_members(70_000, 1) == [(34_999,)]
+    assert slab_is_valid(70_000, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,12 @@ def test_builder_matches_reference():
     ((2, 4), [(0, 0), (0, 2)], 2),
     ((9,), [(0,), (3,), (6,)], 3),
     ((2, 2), [(0, 0), (1, 0), (0, 1)], 4),
+    ((8,), [(0,), (1,)], 4),  # 4096 vertices, MIS_CAP
+    ((4, 64), [(0, 0), (2, 0), (0, 2)], 1),  # rank-2 bases of 256 and 64 elements
 ])
 def test_builder_matches_reference_on_larger_graphs(orders, J, N):
     G = GroupSpec(orders)
-    for base in (tuple(G.elements()), _subgroup_base(G, subgroup_generated(G, J))):
+    for base in dict.fromkeys((tuple(G.elements()), _subgroup_base(G, subgroup_generated(G, J)))):
         assert _build_on_base(G, tuple(J), N, base, 4096).rows == _reference_rows(G, J, N, base)
 
 
