@@ -49,10 +49,6 @@ __all__ = [
 SLAB_ENUM_CAP = 10**6
 EPSILON_DENOMINATOR_CAP = 64
 _WINDOW_SLIDE_CAP = 32
-# slab check costs in bits of bitset shifting (~0.1 ns a bit on a 2.1 GHz Xeon):
-# the Python overhead of one translate step, and one pairwise digit test
-_STEP_BITS = 1000
-_PAIR_BITS = 1500
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +160,13 @@ def _codes_avoid_steps(codes: list[int], base: int, N: int) -> bool:
     """True iff no two coded rows differ by a {0,1}- or {0,-1}-vector.
 
     codes are sum r_i * base^(N-1-i) over rows r of length N. With base 2 the rows
-    are 0/1 and codes are their bitmasks; otherwise every entry is at most
-    base - 2. Equal rows differ by the zero vector, so duplicates fail too.
-    The translate check makes 2^N - 1 shifts and ands of a bitset of up to
-    base^N bits, the pairwise one a digit test per pair of rows. Measured
-    in bits of bitset work, a step costs about _STEP_BITS more than its
-    bitset and a pair about _PAIR_BITS, and the cheaper check runs.
+    are 0/1 and codes are their bitmasks (see _subset_avoids); otherwise every
+    entry is at most base - 2 and the codes go on a bitset (see
+    _translate_avoids). Equal rows differ by the zero vector, so duplicates
+    fail too.
     """
     if base == 2:
         return _subset_avoids(codes)
-    pairs = len(codes) * (len(codes) - 1) // 2
-    if _PAIR_BITS * pairs < (2**N - 1) * (_STEP_BITS + base**N):
-        return _pairwise_avoids(codes, base)
     return _translate_avoids(codes, base, N)
 
 
@@ -212,22 +203,6 @@ def _subset_avoids(masks: list[int]) -> bool:
     counts = sorted(groups)
     return not any(a & b == a for i, p in enumerate(counts) for q in counts[i + 1:]
                    for a in groups[p] for b in groups[q])
-
-
-def _pairwise_avoids(codes: list[int], base: int) -> bool:
-    """No two codes whose difference has only 0/1 digits in base.
-
-    For rows with entries at most base - 2, |code(b) - code(a)| = code(e)
-    for some e in {0,1}^N iff b - a or a - b equals e: the entries of
-    b - a - e lie strictly between -base and base and their code is 0.
-    """
-    for a, b in itertools.combinations(codes, 2):
-        d = abs(a - b)
-        while d % base <= 1:
-            if d == 0:
-                return False
-            d //= base
-    return True
 
 
 # ---------------------------------------------------------------------------

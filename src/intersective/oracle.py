@@ -143,15 +143,18 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
     base = tuple(base)
     _check_cap(len(base) ** N, vertex_cap)
     index = {e: i for i, e in enumerate(base)}
-    neg = {j: G.neg(j) for j in J}
-    add = {}  # (e, s) -> index of e + s
+    negJ = tuple(G.neg(j) for j in J)
+    shifts = tuple(dict.fromkeys(J + negJ))  # J u -J, each sum e + s computed once
+    at = {s: k for k, s in enumerate(shifts)}
+    up, down = [at[j] for j in J], [at[j] for j in negJ]
+    plus, minus = [], []
     for e in base:
-        for s in dict.fromkeys(J + tuple(neg.values())):
-            if (w := index.get(G.add(e, s))) is None:
-                raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
-            add[e, s] = w
-    plus = [[add[e, j] for j in J] for e in base]
-    minus = [[add[e, neg[j]] for j in J] for e in base]
+        w = [index.get(G.add(e, s)) for s in shifts]
+        if None in w:
+            s = shifts[w.index(None)]
+            raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
+        plus.append([w[k] for k in up])
+        minus.append([w[k] for k in down])
     vertices = tuple(itertools.product(base, repeat=N))
     return CayleyGraph(G, tuple(J), N, vertices, _bitset_rows(plus, minus, N))
 
@@ -173,8 +176,7 @@ def _bitset_rows(plus: list[list[int]], minus: list[list[int]], N: int) -> tuple
     plus[v_i], so its bitset grows depth first over the coordinates: the
     prefix bitset of v_0..v_(i-1) is shifted by a * m^(N-1-i) for each a in
     plus[v_i], and prefixes are shared by every vertex that extends them.
-    row(v) is the union of v + J^N and v - J^N without v itself, which both
-    contain since 0 is in J.
+    row(v) is the union of v + J^N and v - J^N without v itself.
     """
     m = len(plus)
     prefixes = [(1, 1)]
@@ -184,7 +186,7 @@ def _bitset_rows(plus: list[list[int]], minus: list[list[int]], N: int) -> tuple
                     for up, down in prefixes for pu, pd in zip(plus, minus)]
     rows = (_shifted(up, pu, 1) | _shifted(down, pd, 1)
             for up, down in prefixes for pu, pd in zip(plus, minus))
-    return tuple(row ^ (1 << v) for v, row in enumerate(rows))
+    return tuple(row & ~(1 << v) for v, row in enumerate(rows))
 
 
 def build_cayley(G: GroupSpec, J: Iterable, N: int) -> CayleyGraph:

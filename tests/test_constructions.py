@@ -121,35 +121,34 @@ def test_slab_codes_are_member_codes():
         assert sorted(codes) == sorted(_codes(slab_members(n, N), base)), (n, N)
 
 
-def test_slab_members_not_valid_when_tampered(monkeypatch):
+def test_slab_members_not_valid_when_tampered():
     # a slab plus one member shifted by a {0,1}- or {0,-1}-step fails on every path
     rows = slab_members(6, 3)
     assert slab_is_valid(6, 3)
     codes = _codes(rows, 6)
-    assert constructions._translate_avoids(codes, 6, 3) and constructions._pairwise_avoids(codes, 6)
+    assert constructions._translate_avoids(codes, 6, 3) and _rows_avoid_steps(rows)
     assert (2, 2, 2) in rows
     for planted in ((1, 0, 1), (0, -1, -1)):
-        bad = codes + _codes([tuple(2 + x for x in planted)], 6)
-        with monkeypatch.context() as m:
-            m.setattr(constructions, "_pairwise_avoids", None)  # the cost rule picks the translate path
-            assert not constructions._codes_avoid_steps(bad, 6, 3), planted
+        bad_rows = rows + [tuple(2 + x for x in planted)]
+        bad = _codes(bad_rows, 6)
+        assert not constructions._codes_avoid_steps(bad, 6, 3), planted
         assert not constructions._translate_avoids(bad, 6, 3), planted
-        assert not constructions._pairwise_avoids(bad, 6), planted
+        assert not _rows_avoid_steps(bad_rows), planted
     # n = 3: 0/1 rows take the bitmask path; plant a member plus an up-step
     # and a member minus a down-step, each behind the whole slab
     binary = slab_members(3, 6)
-    assert constructions._subset_avoids(_codes(binary, 2))
-    assert constructions._pairwise_avoids(_codes(binary, 3), 3)
+    assert constructions._subset_avoids(_codes(binary, 2)) and _rows_avoid_steps(binary)
     member = binary[-1]
     assert member == (1, 1, 1, 0, 0, 0)
     for step in ((0, 0, 0, 1, 0, 1), (-1, 0, -1, 0, 0, 0), (0,) * 6):
         bad = binary + [tuple(x + e for x, e in zip(member, step))]
         assert not constructions._codes_avoid_steps(_codes(bad, 2), 2, 6), step
         assert not constructions._subset_avoids(_codes(bad, 2)), step
-        assert not constructions._pairwise_avoids(_codes(bad, 3), 3), step
+        assert not _rows_avoid_steps(bad), step
 
 
 def test_translate_and_pairwise_paths_agree():
+    # the bitset paths against the pair-by-pair reference _rows_avoid_steps
     rng = random.Random(7)
     outcomes = set()
     binary_outcomes = set()
@@ -157,14 +156,12 @@ def test_translate_and_pairwise_paths_agree():
         N = rng.randint(1, 4)
         rows = [tuple(rng.randrange(5) for _ in range(N)) for _ in range(rng.randint(2, 6))]
         base = max(map(max, rows)) + 2
-        pairwise = constructions._pairwise_avoids(_codes(rows, base), base)
-        assert pairwise == _rows_avoid_steps(rows), rows
+        pairwise = _rows_avoid_steps(rows)
         assert constructions._translate_avoids(_codes(rows, base), base, N) == pairwise, rows
         assert constructions._codes_avoid_steps(_codes(rows, base), base, N) == pairwise, rows
         outcomes.add(pairwise)
         binary = [tuple(rng.randrange(2) for _ in range(N + 2)) for _ in range(rng.randint(2, 11))]
-        pairwise = constructions._pairwise_avoids(_codes(binary, 3), 3)
-        assert pairwise == _rows_avoid_steps(binary), binary
+        pairwise = _rows_avoid_steps(binary)
         assert constructions._subset_avoids(_codes(binary, 2)) == pairwise, binary
         assert constructions._codes_avoid_steps(_codes(binary, 2), 2, N + 2) == pairwise, binary
         binary_outcomes.add(pairwise)

@@ -127,6 +127,18 @@ def test_build_rejects_base_not_closed_under_shifts():
         _build_on_base(GroupSpec((3,)), ((0,), (1,)), 1, ((0,), (1,)), 4096)
 
 
+def test_build_without_zero_in_J_has_no_self_loops():
+    # J = {1} in Z_5 at N = 2: v is adjacent to v + (1,1) and v - (1,1) only
+    G = GroupSpec((5,))
+    X = _build_on_base(G, ((1,),), 2, tuple(G.elements()), 4096)
+    for v, row in enumerate(X.rows):
+        assert not row >> v & 1
+        assert row.bit_count() == 2
+        u = X.vertices[v]
+        assert {X.vertices[w] for w in range(25) if row >> w & 1} == {
+            tuple(G.add(x, (1,)) for x in u), tuple(G.add(x, (4,)) for x in u)}
+
+
 def test_build_cayley_sparse_above_dense_cap():
     # 5^7 = 78125 vertices: every graph has dense rows, so the builder refuses
     with pytest.raises(OracleInfeasible, match="78125 vertices exceed cap 65536"):
