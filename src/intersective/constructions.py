@@ -235,15 +235,9 @@ def product_lower_bound(G: GroupSpec, J: Iterable, N: int, *, timeout: float | N
 # exact rational-power comparisons
 
 
-def _power_compare(lhs: int, base: int, num: int, den: int) -> int:
-    """Sign of lhs - base**(num/den) for positive integers, exactly."""
-    if lhs <= 0:
-        raise ValueError(f"need positive left side, got {lhs}")
-    if base < 1 or num < 0 or den < 1:
-        raise ValueError(f"bad power comparison ({base}, {num}/{den})")
-    left = lhs**den
-    right = base**num
-    return (left > right) - (left < right)
+def _at_least(lhs: int, exp: int, target: int) -> bool:
+    """lhs > 0 and lhs**exp >= target: lhs >= base**(num/den) with exp = den, target = base**num."""
+    return lhs > 0 and lhs**exp >= target
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +412,21 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
     (3) (8*degree)^(3b) >= n^(3b-a) and degree^b >= n^(b-a) * |S|^b;
     (4) every nonzero support element j has
         (24*(degree - gcd(j, n)))^(3b) >= n^(3b-a).
+    The description itself is checked too: (2) fails unless phi_r_support
+    is supp Phi_r, block = r^(s-1) > Q and support_size = Q * |phi_r_support|,
+    and (3) fails unless degree is the largest support element.
+
+    (2) sweeps the blocks of S against those of n - S instead of walking
+    S (see _first_collision). In (4) the test depends
+    on j only through g = gcd(j, n), and both of its conditions, slack =
+    degree - g > 0 and (24*slack)^(3b) >= n^(3b-a), only get easier as g
+    falls; so once one cut g0 passes, every j <= g0 passes (gcd(j, n) <= j),
+    and only the elements above g0 are scanned (see _first_small_slack).
     A zero epsilon makes the power comparisons trivial and is flagged.
     """
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    if not 0 <= a <= 3 * b:
+        raise ValueError(f"epsilon {inst.epsilon} outside [0, 3]: the power comparisons need 0 <= a <= 3b")
     bullets = []
 
     structural = (
@@ -436,47 +442,95 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
         "prime-divisors", structural,
         f"n = {inst.Q} * {inst.r}^{inst.s}, primes {inst.primes}"))
 
-    sym_ok = inst.contains(1)
-    collision = None
-    for j in inst.iter_support():
-        if j != 0 and inst.contains(inst.n - j):
-            collision = j
-            break
-    sym_ok = sym_ok and collision is None
-    size_ok = _power_compare(inst.support_size, inst.n, a, 3 * b) >= 0
-    bullets.append(BulletCheck(
-        "support-admissible", sym_ok and size_ok,
-        f"collision at {collision}" if collision is not None
-        else f"|S| = {inst.support_size} vs n^({a}/{3*b})"))
+    phi_support = cyclotomic(inst.r).support()
+    block = inst.r ** (inst.s - 1)
+    described = (
+        inst.phi_r_support == phi_support
+        and inst.block == block > inst.Q
+        and inst.support_size == inst.Q * len(phi_support)
+    )
+    collision = _first_collision(inst)
+    sym_ok = inst.contains(1) and collision is None
+    size_ok = _at_least(inst.support_size, 3 * b, inst.n**a)
+    if collision is not None:
+        detail = f"collision at {collision}"
+    elif not described:
+        detail = f"block {inst.block} and |S| = {inst.support_size} do not describe Q * supp Phi_{inst.r}"
+    else:
+        detail = f"|S| = {inst.support_size} vs n^({a}/{3*b})"
+    bullets.append(BulletCheck("support-admissible", described and sym_ok and size_ok, detail))
 
-    deg_abs = _power_compare(8 * inst.degree, inst.n, 3 * b - a, 3 * b) >= 0
+    target = inst.n ** (3 * b - a)  # shared by (3) and every comparison of (4)
+    top = phi_support[-1] * block + inst.Q - 1
+    deg_abs = _at_least(8 * inst.degree, 3 * b, target)
     if a <= b:
         deg_rel = inst.degree**b >= inst.n ** (b - a) * inst.support_size**b
     else:  # epsilon > 1 cannot arise from generation; keep the check total
         deg_rel = inst.degree**b * inst.n ** (a - b) >= inst.support_size**b
     bullets.append(BulletCheck(
-        "degree-dominates", deg_abs and deg_rel,
-        f"degree {inst.degree} vs (1/8)n^({3*b-a}/{3*b}) and n^({b-a}/{b})*|S|"))
+        "degree-dominates", inst.degree == top and deg_abs and deg_rel,
+        f"degree {inst.degree} vs (1/8)n^({3*b-a}/{3*b}) and n^({b-a}/{b})*|S|" if inst.degree == top
+        else f"degree {inst.degree} is not the largest support element {top}"))
 
-    bad = None
-    ok_by_gcd: dict[int, bool] = {}  # the outcome depends on j only through gcd(j, n)
-    for j in inst.iter_support():
-        if j == 0:
-            continue
-        g = math.gcd(j, inst.n)
-        ok = ok_by_gcd.get(g)
-        if ok is None:
-            slack = inst.degree - g
-            ok = ok_by_gcd[g] = slack > 0 and _power_compare(24 * slack, inst.n, 3 * b - a, 3 * b) >= 0
-        if not ok:
-            bad = j
-            break
+    # n < 2^L, so 24 * s_up > 2^ceil(L(3b-a)/(3b)) > n^((3b-a)/(3b)): the slack s_up passes (4)
+    s_up = 2 ** -(-inst.n.bit_length() * (3 * b - a) // (3 * b)) // 24 + 1
+    bad = _first_small_slack(inst, lambda g: _at_least(24 * (inst.degree - g), 3 * b, target),
+                             inst.degree - s_up)
     bullets.append(BulletCheck(
         "subgroup-index", bad is None,
         f"element {bad} has gcd {math.gcd(bad, inst.n)}" if bad is not None
         else f"max gcd slack ok over {inst.support_size - 1} elements"))
 
     return ConstructionReport(tuple(bullets), degenerate_epsilon=(a == 0))
+
+
+def _blocks(inst: ConstructionInstance) -> list[tuple[int, int]]:
+    """The support as intervals [l*block, l*block + Q - 1], l in phi_r_support."""
+    return [(ell * inst.block, ell * inst.block + inst.Q - 1) for ell in inst.phi_r_support]
+
+
+def _first_collision(inst: ConstructionInstance) -> int | None:
+    """Smallest j in S with 1 <= j <= n and n - j in S, or None.
+
+    When phi_r_support increases and block >= Q (bullet (2) checks both),
+    S and n - S are each sorted lists of disjoint intervals, so one merge
+    sweep meets their common points in increasing order: O(|phi_r_support|).
+    """
+    n = inst.n
+    ours = _blocks(inst)
+    mirrored = [(n - hi, n - lo) for lo, hi in reversed(ours)]
+    i = k = 0
+    while i < len(ours) and k < len(mirrored):
+        lo = max(ours[i][0], mirrored[k][0], 1)
+        if lo <= min(ours[i][1], mirrored[k][1], n):
+            return lo
+        if ours[i][1] < mirrored[k][1]:
+            i += 1
+        else:
+            k += 1
+    return None
+
+
+def _first_small_slack(inst: ConstructionInstance, gcd_ok, cut: int) -> int | None:
+    """First nonzero support element j with gcd_ok(gcd(j, n)) false, or None.
+
+    gcd_ok only gets easier as its argument falls (see verify_construction),
+    so once gcd_ok(cut) holds, the elements j <= cut pass and are skipped,
+    block by block; if it fails or cut < 1, every element is scanned. Each
+    distinct gcd is tested once.
+    """
+    if cut < 1 or not gcd_ok(cut):
+        cut = 0
+    ok_by_gcd = {}
+    for lo, hi in _blocks(inst):
+        for j in range(max(lo, cut + 1), hi + 1):
+            g = math.gcd(j, inst.n)
+            ok = ok_by_gcd.get(g)
+            if ok is None:
+                ok = ok_by_gcd[g] = gcd_ok(g)
+            if not ok:
+                return j
+    return None
 
 
 def construction_upper_bound(inst: ConstructionInstance, N: int) -> int:

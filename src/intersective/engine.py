@@ -193,9 +193,10 @@ def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | No
             h, failure = None, e
         if h is not None:
             cands.append(("spectral-divisor", h))
-        hinv = inverse_cyclotomic(n).scale(-1)
-        if hinv[0] == 1 and set(hinv.support()) <= residues:
-            cands.append(("spectral-invcyclo", hinv))
+        if n - euler_phi(n) in residues:  # Psi_n is monic of degree n - phi(n)
+            hinv = inverse_cyclotomic(n).scale(-1)
+            if hinv[0] == 1 and set(hinv.support()) <= residues:
+                cands.append(("spectral-invcyclo", hinv))
     if {0, 1} <= residues:
         cands.append(("pair-count", _PAIR_T))
     return cands, failure

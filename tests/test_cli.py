@@ -186,11 +186,12 @@ def test_oracle_infeasible_exit_code(capsys):
 
 
 def test_construct_text_verify(capsys):
-    rc, out, _ = run(capsys, "construct", "--M", "2", "--eps", "3/5", "--verify")
-    assert rc == 0
-    assert "n: 55523125" in out
-    assert out.count("PASS") == 4
-    assert "FAIL" not in out
+    for M, eps, n in [("2", "3/5", 55523125), ("3", "3/5", 8546583093125)]:
+        rc, out, _ = run(capsys, "construct", "--M", M, "--eps", eps, "--verify")
+        assert rc == 0
+        assert f"n: {n}" in out
+        assert out.count("PASS") == 4
+        assert "FAIL" not in out
 
 
 def test_construct_json(capsys):

@@ -245,30 +245,149 @@ def test_verify_construction_catches_tampering():
     assert not verify_construction(composite_q).bullets[0].passed
 
 
-def test_subgroup_index_bullet_reports_first_failing_element(monkeypatch):
-    # plant a failure on one gcd value: the bullet must name the first support
-    # element with that gcd, after passing ones, and compare once per gcd
-    inst = build_construction(2, Fraction(3, 4))
-    nonzero = [j for j in inst.iter_support() if j != 0]
-    gcds = list(dict.fromkeys(math.gcd(j, inst.n) for j in nonzero))
-    planted = gcds[2]
-    first = next(j for j in nonzero if math.gcd(j, inst.n) == planted)
-    assert nonzero.index(first) > 2
-    original = constructions._power_compare
-    slack_calls = []
+def _reference_bullets(inst, slack_ok=None):
+    """Bullets 2 and 4 from a walk over every support element, and the slacks it compared.
 
-    def planted_compare(lhs, base, num, den):
-        if lhs % 24 == 0 and (inst.degree - lhs // 24) in gcds:
-            slack_calls.append(lhs)
-            if lhs == 24 * (inst.degree - planted):
-                return -1
-        return original(lhs, base, num, den)
+    The element-by-element check the block-wise verifier must agree with:
+    the first nonzero j with n - j in S, then the first nonzero j whose
+    gcd(j, n) fails the slack test, compared once per distinct gcd.
+    """
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    target = inst.n ** (3 * b - a)
 
-    monkeypatch.setattr(constructions, "_power_compare", planted_compare)
+    def exact_ok(slack):
+        return slack > 0 and (24 * slack) ** (3 * b) >= target
+
+    slack_ok = slack_ok or exact_ok
+    collision = next((j for j in inst.iter_support() if j != 0 and inst.contains(inst.n - j)), None)
+    size_ok = inst.support_size ** (3 * b) >= inst.n**a
+    support = (inst.contains(1) and collision is None and size_ok,
+               f"collision at {collision}" if collision is not None
+               else f"|S| = {inst.support_size} vs n^({a}/{3*b})")
+    compared, ok_by_gcd, bad = [], {}, None
+    for j in inst.iter_support():
+        if j == 0:
+            continue
+        g = math.gcd(j, inst.n)
+        if g not in ok_by_gcd:
+            compared.append(inst.degree - g)
+            ok_by_gcd[g] = slack_ok(inst.degree - g)
+        if not ok_by_gcd[g]:
+            bad = j
+            break
+    index = (bad is None, f"element {bad} has gcd {math.gcd(bad, inst.n)}" if bad is not None
+             else f"max gcd slack ok over {inst.support_size - 1} elements")
+    return support, index, compared
+
+
+@functools.cache
+def _built(M, eps):
+    return build_construction(M, Fraction(eps))
+
+
+def _tampered(inst, how):
+    if how == "as-built":
+        return inst
+    if how.startswith("n@"):  # n - j lands in block 3 for j in the middle of block k
+        L, k = inst.phi_r_support, int(how[2:])
+        return dataclasses.replace(inst, n=L[k] * inst.block + inst.Q // 2 + L[3] * inst.block + 1)
+    d = inst.degree
+    return dataclasses.replace(inst, degree={"d/3": d // 3, "d/50": d // 50,
+                                             "d-d/40": d - d // 40, "d-5": d - 5}[how])
+
+
+@pytest.mark.parametrize("how", ["as-built", "d/3", "d/50", "d-d/40", "d-5", "n@0", "n@1", "n@7"])
+@pytest.mark.parametrize("M,eps", [(2, "3/4"), (2, "3/5"), (2, "1/2"), (2, "5/64"), (3, "3/5")])
+def test_blockwise_bullets_match_element_walk(M, eps, how):
+    inst = _tampered(_built(M, eps), how)
+    support, index, _ = _reference_bullets(inst)
+    report = verify_construction(inst)
+    assert (report.bullets[1].passed, report.bullets[1].detail) == support
+    assert (report.bullets[3].passed, report.bullets[3].detail) == index
+    if how.startswith("n@"):
+        assert support[1].startswith("collision at")
+
+
+def _planted_subgroup_index(monkeypatch, inst, bound):
+    """Bullet 4 and the walk's answer when every slack below degree - bound fails.
+
+    Also returns the slacks the walk compared and those the verifier did.
+    """
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    full = inst.n ** (3 * b - a)
+    original = constructions._at_least
+    slacks = []
+
+    def planted_ok(slack):
+        return slack >= inst.degree - bound
+
+    def planted(lhs, exp, target):
+        if target == full and lhs != 8 * inst.degree:
+            slacks.append(lhs // 24)
+            return planted_ok(lhs // 24)
+        return original(lhs, exp, target)
+
+    _, expected, walked = _reference_bullets(inst, planted_ok)
+    monkeypatch.setattr(constructions, "_at_least", planted)
     bullet = verify_construction(inst).bullets[3]
-    assert not bullet.passed
-    assert bullet.detail == f"element {first} has gcd {planted}"
-    assert len(slack_calls) == len(set(slack_calls)) == 3
+    monkeypatch.setattr(constructions, "_at_least", original)
+    return (bullet.passed, bullet.detail), expected, walked, slacks
+
+
+def test_subgroup_index_bullet_reports_first_failing_element(monkeypatch):
+    # plant a monotone failure, so exactly the gcds above bound fail: the
+    # bullet must name the element the walk finds first and compare each
+    # slack at most once
+    inst = _built(2, "3/4")
+    # the cut 26705 fails, so every element is scanned: 1225 is the first gcd over 1000
+    bullet, expected, walked, slacks = _planted_subgroup_index(monkeypatch, inst, 1000)
+    assert bullet == expected == (False, "element 1225 has gcd 1225")
+    assert slacks[1:] == walked and len(slacks) == len(set(slacks))
+    # the cut passes, and only the elements above it are compared
+    bullet, expected, walked, slacks = _planted_subgroup_index(monkeypatch, inst, 27000)
+    assert bullet == expected and bullet[0]
+    assert len(slacks) == len(set(slacks)) < len(walked)
+
+
+def test_verify_construction_never_walks_the_support(monkeypatch):
+    inst = build_construction(3, Fraction(3, 5))
+
+    def walk(self):
+        raise AssertionError("support walked element by element")
+
+    monkeypatch.setattr(constructions.ConstructionInstance, "iter_support", walk)
+    assert verify_construction(inst).passed
+
+
+@pytest.mark.parametrize("field,value", [
+    ("degree", lambda i: 3 * i.degree), ("degree", lambda i: i.degree + 10**6),
+    ("block", lambda i: 35), ("block", lambda i: i.block + 1),
+    ("support_size", lambda i: i.support_size + 1),
+    ("phi_r_support", lambda i: i.phi_r_support[:-1]),
+])
+def test_verify_construction_checks_the_description(field, value):
+    # an inflated degree passes every inequality, and would give a smaller
+    # (n - degree)^N that nothing has proved
+    inst = build_construction(2, Fraction(3, 5))
+    broken = dataclasses.replace(inst, **{field: value(inst)})
+    report = verify_construction(broken)
+    assert not report.passed
+    with pytest.raises(ValueError, match="unverified instance"):
+        construction_upper_bound(broken, 1)
+
+
+@pytest.mark.parametrize("eps", ["3/5", "3/4"])  # odd and even 3b: (-x)^(3b) > 0 for the latter
+@pytest.mark.parametrize("field,value,failed", [
+    ("degree", lambda i: 0, ["degree-dominates", "subgroup-index"]),
+    ("degree", lambda i: -3, ["degree-dominates", "subgroup-index"]),
+    ("degree", lambda i: -i.degree, ["degree-dominates", "subgroup-index"]),
+    ("support_size", lambda i: 0, ["support-admissible"]),
+    ("support_size", lambda i: -i.support_size, ["support-admissible"]),
+])
+def test_nonpositive_sizes_fail_a_bullet(eps, field, value, failed):
+    inst = _built(2, eps)
+    report = verify_construction(dataclasses.replace(inst, **{field: value(inst)}))
+    assert [b.name for b in report.bullets if not b.passed] == failed
 
 
 def test_degenerate_epsilon_flagged():
@@ -276,6 +395,8 @@ def test_degenerate_epsilon_flagged():
     degen = dataclasses.replace(inst, epsilon=Fraction(0, 1))
     report = verify_construction(degen)
     assert report.degenerate_epsilon
+    with pytest.raises(ValueError, match="outside"):
+        verify_construction(dataclasses.replace(inst, epsilon=Fraction(4)))
 
 
 def test_support_block_decomposition():

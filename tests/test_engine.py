@@ -163,6 +163,24 @@ def test_cached_ambiguous_count_warns_on_every_query(monkeypatch):
     assert (info.misses, info.hits) == (1, 1)  # counted once, warned twice
 
 
+def test_invcyclo_needs_its_degree_in_the_residues(monkeypatch):
+    # Psi_n is monic of degree n - phi(n) = 500000 here, so {0, 1} cannot hold it
+    def dense(n):
+        raise AssertionError(f"Psi_{n} built")
+
+    monkeypatch.setattr(engine, "inverse_cyclotomic", dense)
+    cands, failure = engine.weight_candidates(10**6, {0, 1})
+    assert [m for m, _ in cands] == ["spectral-divisor", "pair-count"] and failure is None
+
+
+def test_spectral_family_survives_an_order_past_the_dense_limit():
+    # Psi_4194304 has degree 2^21, over the dense limit, but {0, 1} could never hold it
+    r = best_bounds(GroupSpec((4194304,)), [(0,), (1,)], 1)
+    assert r.method_value("pair-dp") == r.method_value("spectral-divisor") == 4194303
+    assert not any(note.startswith("spectral:") for note in r.notes)
+    assert r.best_upper == 2097152
+
+
 def test_family_value_error_becomes_note(monkeypatch):
     def boom(n, residues):
         raise ValueError("boom")
