@@ -204,8 +204,16 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with an `error:` line, as every refused input does; 2 means a bug."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intersective",
         description="Difference-avoidance bounds for powers of finite abelian groups.")
     sub = parser.add_subparsers(dest="command", required=True)

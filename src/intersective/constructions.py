@@ -12,11 +12,12 @@ prime Q in (r, 2r), and forms n = Q * r^s. The weight polynomial is the
 product of the Q-th and r^s-th cyclotomic polynomials; its support splits
 into blocks x + l*r^(s-1) with 0 <= x < Q that never overlap because
 r^(s-1) > Q. All verification inequalities with fractional exponents are
-decided exactly by comparing integer powers.
+decided exactly against integer roots of integer powers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,15 +233,6 @@ def product_lower_bound(G: GroupSpec, J: Iterable, N: int, *, timeout: float | N
 
 
 # ---------------------------------------------------------------------------
-# exact rational-power comparisons
-
-
-def _at_least(lhs: int, exp: int, target: int) -> bool:
-    """lhs > 0 and lhs**exp >= target: lhs >= base**(num/den) with exp = den, target = base**num."""
-    return lhs > 0 and lhs**exp >= target
-
-
-# ---------------------------------------------------------------------------
 # the construction family
 
 
@@ -274,12 +266,11 @@ class ConstructionInstance:
         """Membership in the support, O(1) via the block decomposition."""
         if not 0 <= j < self.n:
             return False
-        return j % self.block < self.Q and j // self.block in self._phi_set()
+        return j % self.block < self.Q and j // self.block in self._phi_set
 
+    @functools.cached_property
     def _phi_set(self) -> frozenset:
-        if not hasattr(self, "_phi_cache"):
-            object.__setattr__(self, "_phi_cache", frozenset(self.phi_r_support))
-        return self._phi_cache
+        return frozenset(self.phi_r_support)
 
     def iter_support(self) -> Iterator[int]:
         """Support elements in increasing order, never materialized."""
@@ -292,18 +283,10 @@ class ConstructionInstance:
         return cyclotomic(self.Q) * cyclotomic(self.r**self.s)
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": str(self.M),
-            "epsilon": str(self.epsilon),
-            "primes": [str(p) for p in self.primes],
-            "r": str(self.r),
-            "Q": str(self.Q),
-            "s": str(self.s),
-            "n": str(self.n),
-            "degree": str(self.degree),
-            "support_size": str(self.support_size),
-            "block": str(self.block),
-        }
+        names = ("M", "epsilon", "primes", "r", "Q", "s", "n", "degree", "support_size", "block")
+        obj = {name: str(getattr(self, name)) for name in names}
+        obj["primes"] = [str(p) for p in self.primes]  # keeps its place in the key order
+        return obj
 
 
 def _admissible_s(epsilon: Fraction) -> int:
@@ -416,13 +399,12 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
     is supp Phi_r, block = r^(s-1) > Q and support_size = Q * |phi_r_support|,
     and (3) fails unless degree is the largest support element.
 
-    (2) sweeps the blocks of S against those of n - S instead of walking
-    S (see _first_collision). In (4) the test depends
-    on j only through g = gcd(j, n), and both of its conditions, slack =
-    degree - g > 0 and (24*slack)^(3b) >= n^(3b-a), only get easier as g
-    falls; so once one cut g0 passes, every j <= g0 passes (gcd(j, n) <= j),
-    and only the elements above g0 are scanned (see _first_small_slack).
-    A zero epsilon makes the power comparisons trivial and is flagged.
+    Each power inequality lhs^(3b) >= X above, with lhs > 0, is decided as
+    lhs >= R = max(_ceil_root(X, 3b), 1), the least lhs that passes. (3)
+    and (4) share X = n^(3b-a): j passes (4) iff gcd(j, n) <= g_max =
+    degree - ceil(R/24), so every j <= g_max passes (gcd(j, n) <= j) and
+    only the elements above g_max are scanned. (2) sweeps the blocks of S
+    against those of n - S (see _first_collision). A zero epsilon is flagged.
     """
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
     if not 0 <= a <= 3 * b:
@@ -451,7 +433,7 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
     )
     collision = _first_collision(inst)
     sym_ok = inst.contains(1) and collision is None
-    size_ok = _at_least(inst.support_size, 3 * b, inst.n**a)
+    size_ok = inst.support_size >= max(_ceil_root(inst.n**a, 3 * b), 1)
     if collision is not None:
         detail = f"collision at {collision}"
     elif not described:
@@ -460,28 +442,43 @@ def verify_construction(inst: ConstructionInstance) -> ConstructionReport:
         detail = f"|S| = {inst.support_size} vs n^({a}/{3*b})"
     bullets.append(BulletCheck("support-admissible", described and sym_ok and size_ok, detail))
 
-    target = inst.n ** (3 * b - a)  # shared by (3) and every comparison of (4)
+    R = max(_ceil_root(inst.n ** (3 * b - a), 3 * b), 1)  # shared by (3) and (4)
     top = phi_support[-1] * block + inst.Q - 1
-    deg_abs = _at_least(8 * inst.degree, 3 * b, target)
     if a <= b:
         deg_rel = inst.degree**b >= inst.n ** (b - a) * inst.support_size**b
     else:  # epsilon > 1 cannot arise from generation; keep the check total
         deg_rel = inst.degree**b * inst.n ** (a - b) >= inst.support_size**b
     bullets.append(BulletCheck(
-        "degree-dominates", inst.degree == top and deg_abs and deg_rel,
+        "degree-dominates", inst.degree == top and 8 * inst.degree >= R and deg_rel,
         f"degree {inst.degree} vs (1/8)n^({3*b-a}/{3*b}) and n^({b-a}/{b})*|S|" if inst.degree == top
         else f"degree {inst.degree} is not the largest support element {top}"))
 
-    # n < 2^L, so 24 * s_up > 2^ceil(L(3b-a)/(3b)) > n^((3b-a)/(3b)): the slack s_up passes (4)
-    s_up = 2 ** -(-inst.n.bit_length() * (3 * b - a) // (3 * b)) // 24 + 1
-    bad = _first_small_slack(inst, lambda g: _at_least(24 * (inst.degree - g), 3 * b, target),
-                             inst.degree - s_up)
+    g_max = inst.degree - -(-R // 24)
+    bad = next((j for lo, hi in _blocks(inst) for j in range(max(lo, g_max + 1, 1), hi + 1)
+                if math.gcd(j, inst.n) > g_max), None)
     bullets.append(BulletCheck(
         "subgroup-index", bad is None,
         f"element {bad} has gcd {math.gcd(bad, inst.n)}" if bad is not None
         else f"max gcd slack ok over {inst.support_size - 1} elements"))
 
     return ConstructionReport(tuple(bullets), degenerate_epsilon=(a == 0))
+
+
+def _ceil_root(x: int, k: int) -> int:
+    """Least r >= 0 with r**k >= x, exactly, for k >= 1: 1 + the k-th root of m = x - 1.
+
+    Integer Newton steps y -> ((k-1)*y + m // y^(k-1)) // k fall strictly
+    while above that root and, from any y > 0, land at or above it (AM-GM),
+    so they stop on it. They start at y = u * 2^t > m^(1/k), u the ceil root
+    of x // 2^(kt) + 1 (half the root's bits, found the same way).
+    """
+    if x <= 1:
+        return max(x, 0)
+    m, t = x - 1, (x.bit_length() - 1) // (2 * k)
+    y = _ceil_root((x >> k * t) + 1, k) << t if t else 4  # x < 2^(2k) has a root below 4
+    while (z := ((k - 1) * y + m // y ** (k - 1)) // k) < y:
+        y = z
+    return y + 1
 
 
 def _blocks(inst: ConstructionInstance) -> list[tuple[int, int]]:
@@ -508,28 +505,6 @@ def _first_collision(inst: ConstructionInstance) -> int | None:
             i += 1
         else:
             k += 1
-    return None
-
-
-def _first_small_slack(inst: ConstructionInstance, gcd_ok, cut: int) -> int | None:
-    """First nonzero support element j with gcd_ok(gcd(j, n)) false, or None.
-
-    gcd_ok only gets easier as its argument falls (see verify_construction),
-    so once gcd_ok(cut) holds, the elements j <= cut pass and are skipped,
-    block by block; if it fails or cut < 1, every element is scanned. Each
-    distinct gcd is tested once.
-    """
-    if cut < 1 or not gcd_ok(cut):
-        cut = 0
-    ok_by_gcd = {}
-    for lo, hi in _blocks(inst):
-        for j in range(max(lo, cut + 1), hi + 1):
-            g = math.gcd(j, inst.n)
-            ok = ok_by_gcd.get(g)
-            if ok is None:
-                ok = ok_by_gcd[g] = gcd_ok(g)
-            if not ok:
-                return j
     return None
 
 

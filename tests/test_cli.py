@@ -14,7 +14,11 @@ from intersective.engine import InconsistencyError
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    """main(), with argparse's SystemExit turned into its exit code."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:
+        rc = e.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -288,6 +292,43 @@ def test_timeout_must_be_nonnegative(capsys, argv, error):
         assert (rc, err) == (0, "") and out
     else:
         assert (rc, out, err) == (1, "", f"error: {error}\n")
+
+
+# ---------------------------------------------------------------------------
+# refused input
+
+
+@pytest.mark.parametrize("argv,fragment,stdout", [
+    # malformed command lines, refused by the parser
+    (("bounds", "--group", "7", "--J", "0;1", "--N", "abc"), "invalid int value: 'abc'", ""),
+    (("bounds", "--group", "7", "--J", "0;1"), "arguments are required: --N", ""),
+    (("frobnicate",), "invalid choice: 'frobnicate'", ""),
+    (("construct", "--M", "x", "--eps", "3/5"), "invalid int value: 'x'", ""),
+    (("oracle", "--group", "5", "--J", "0;1", "--N", "2", "--timeout", "soon"),
+     "invalid float value: 'soon'", ""),
+    # well-formed command lines with values the library refuses
+    (("bounds", "--group", "1x3", "--J", "0", "--N", "1"), "factor orders must be integers >= 2", ""),
+    (("bounds", "--group", "2x3", "--J", "0", "--N", "1"), "group 2x3 needs 2", ""),
+    (("cyclotomic", "10000000000000"), "trial division capped", ""),
+    (("bound", "spectral", "--group", "7", "--J", "0;1", "--h", "phi:0", "--N", "1"),
+     "cyclotomic index must be >= 1", ""),
+    (("bound", "spectral", "--group", "2x2", "--J", "0,0;1,0;0,1", "--N", "1"),
+     "not contained in the span of any single element", ""),
+    (("construct", "--M", "1", "--eps", "3/5"), "need M >= 2", ""),
+    (("construct", "--M", "2", "--eps", "1/65"), "denominator 65 exceeds 64", ""),
+    (("slab", "--n", "3", "--N", "30", "--check"), "exceed enumeration cap", "155117520\n"),
+])
+def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
+    rc, out, err = run(capsys, *argv)
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert (rc, out) == (1, stdout)
+    assert len(errors) == 1 and errors[0].startswith("error: ") and fragment in errors[0], err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    rc, out, err = run(capsys, "--help")
+    assert (rc, err) == (0, "") and out.startswith("usage: intersective")
 
 
 def test_package_imports_without_numpy():

@@ -246,7 +246,7 @@ def test_verify_construction_catches_tampering():
 
 
 def _reference_bullets(inst, slack_ok=None):
-    """Bullets 2 and 4 from a walk over every support element, and the slacks it compared.
+    """Bullets 2 and 4 from a walk over every support element.
 
     The element-by-element check the block-wise verifier must agree with:
     the first nonzero j with n - j in S, then the first nonzero j whose
@@ -264,20 +264,19 @@ def _reference_bullets(inst, slack_ok=None):
     support = (inst.contains(1) and collision is None and size_ok,
                f"collision at {collision}" if collision is not None
                else f"|S| = {inst.support_size} vs n^({a}/{3*b})")
-    compared, ok_by_gcd, bad = [], {}, None
+    ok_by_gcd, bad = {}, None
     for j in inst.iter_support():
         if j == 0:
             continue
         g = math.gcd(j, inst.n)
         if g not in ok_by_gcd:
-            compared.append(inst.degree - g)
             ok_by_gcd[g] = slack_ok(inst.degree - g)
         if not ok_by_gcd[g]:
             bad = j
             break
     index = (bad is None, f"element {bad} has gcd {math.gcd(bad, inst.n)}" if bad is not None
              else f"max gcd slack ok over {inst.support_size - 1} elements")
-    return support, index, compared
+    return support, index
 
 
 @functools.cache
@@ -297,10 +296,10 @@ def _tampered(inst, how):
 
 
 @pytest.mark.parametrize("how", ["as-built", "d/3", "d/50", "d-d/40", "d-5", "n@0", "n@1", "n@7"])
-@pytest.mark.parametrize("M,eps", [(2, "3/4"), (2, "3/5"), (2, "1/2"), (2, "5/64"), (3, "3/5")])
+@pytest.mark.parametrize("M,eps", [(2, "3/4"), (2, "3/5"), (2, "1/2"), (2, "5/64"), (2, "1/64"), (3, "3/5")])
 def test_blockwise_bullets_match_element_walk(M, eps, how):
     inst = _tampered(_built(M, eps), how)
-    support, index, _ = _reference_bullets(inst)
+    support, index = _reference_bullets(inst)
     report = verify_construction(inst)
     assert (report.bullets[1].passed, report.bullets[1].detail) == support
     assert (report.bullets[3].passed, report.bullets[3].detail) == index
@@ -308,45 +307,59 @@ def test_blockwise_bullets_match_element_walk(M, eps, how):
         assert support[1].startswith("collision at")
 
 
+def _least_slack(inst):
+    """Least slack with (24 * slack)^(3b) >= n^(3b-a), by bisection on exact powers."""
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    target = inst.n ** (3 * b - a)
+    lo, hi = 1, inst.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if (24 * mid) ** (3 * b) >= target else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("off", [-1, 0])
+@pytest.mark.parametrize("M,eps", [(2, "3/4"), (2, "3/5"), (3, "3/5")])
+def test_subgroup_index_threshold_is_exact(M, eps, off):
+    # the largest gcd in S gets exactly the least passing slack, or one less
+    inst = _built(M, eps)
+    top_gcd = max(math.gcd(j, inst.n) for j in inst.iter_support() if j)
+    edge = dataclasses.replace(inst, degree=top_gcd + _least_slack(inst) + off)
+    _, index = _reference_bullets(edge)
+    assert index[0] == (off == 0)
+    bullet = verify_construction(edge).bullets[3]
+    assert (bullet.passed, bullet.detail) == index
+
+
 def _planted_subgroup_index(monkeypatch, inst, bound):
     """Bullet 4 and the walk's answer when every slack below degree - bound fails.
 
-    Also returns the slacks the walk compared and those the verifier did.
+    The root of bullet 4's target is planted as 24 * (degree - bound), so
+    the verifier's g_max is bound.
     """
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
     full = inst.n ** (3 * b - a)
-    original = constructions._at_least
-    slacks = []
+    original = constructions._ceil_root
 
-    def planted_ok(slack):
-        return slack >= inst.degree - bound
+    def planted(x, k):
+        return 24 * (inst.degree - bound) if (x, k) == (full, 3 * b) else original(x, k)
 
-    def planted(lhs, exp, target):
-        if target == full and lhs != 8 * inst.degree:
-            slacks.append(lhs // 24)
-            return planted_ok(lhs // 24)
-        return original(lhs, exp, target)
-
-    _, expected, walked = _reference_bullets(inst, planted_ok)
-    monkeypatch.setattr(constructions, "_at_least", planted)
-    bullet = verify_construction(inst).bullets[3]
-    monkeypatch.setattr(constructions, "_at_least", original)
-    return (bullet.passed, bullet.detail), expected, walked, slacks
+    _, expected = _reference_bullets(inst, lambda slack: slack >= inst.degree - bound)
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "_ceil_root", planted)
+        bullet = verify_construction(inst).bullets[3]
+    return (bullet.passed, bullet.detail), expected
 
 
 def test_subgroup_index_bullet_reports_first_failing_element(monkeypatch):
     # plant a monotone failure, so exactly the gcds above bound fail: the
-    # bullet must name the element the walk finds first and compare each
-    # slack at most once
+    # bullet must name the element the walk finds first
     inst = _built(2, "3/4")
-    # the cut 26705 fails, so every element is scanned: 1225 is the first gcd over 1000
-    bullet, expected, walked, slacks = _planted_subgroup_index(monkeypatch, inst, 1000)
+    # the elements up to 1000 pass unscanned: 1225 is the first gcd over 1000
+    bullet, expected = _planted_subgroup_index(monkeypatch, inst, 1000)
     assert bullet == expected == (False, "element 1225 has gcd 1225")
-    assert slacks[1:] == walked and len(slacks) == len(set(slacks))
-    # the cut passes, and only the elements above it are compared
-    bullet, expected, walked, slacks = _planted_subgroup_index(monkeypatch, inst, 27000)
+    bullet, expected = _planted_subgroup_index(monkeypatch, inst, 27000)
     assert bullet == expected and bullet[0]
-    assert len(slacks) == len(set(slacks)) < len(walked)
 
 
 def test_verify_construction_never_walks_the_support(monkeypatch):
@@ -388,6 +401,31 @@ def test_nonpositive_sizes_fail_a_bullet(eps, field, value, failed):
     inst = _built(2, eps)
     report = verify_construction(dataclasses.replace(inst, **{field: value(inst)}))
     assert [b.name for b in report.bullets if not b.passed] == failed
+
+
+def test_ceil_root_small_values():
+    for k in range(1, 9):
+        assert constructions._ceil_root(0, k) == 0 and constructions._ceil_root(1, k) == 1
+        for x in range(1, 300):
+            r = constructions._ceil_root(x, k)
+            assert r**k >= x > (r - 1) ** k, (x, k)
+    assert constructions._ceil_root(10**500 + 7, 1) == 10**500 + 7
+
+
+def test_ceil_root_random():
+    rng = random.Random(5)
+    for _ in range(300):
+        x, k = rng.getrandbits(rng.randint(1, 3000)), rng.randint(1, 200)
+        r = constructions._ceil_root(x, k)
+        assert r**k >= x > (r - 1) ** k or x == r == 0, (x, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 15, 64, 191, 192])
+def test_ceil_root_at_perfect_powers(k):
+    r = random.Random(k).getrandbits(1000 + k) | 1 << (999 + k)
+    assert constructions._ceil_root(r**k, k) == r
+    assert constructions._ceil_root(r**k - 1, k) == r
+    assert constructions._ceil_root(r**k + 1, k) == r + 1
 
 
 def test_degenerate_epsilon_flagged():
