@@ -48,13 +48,13 @@ from mpmath import mp
 from .abelian import (GroupSpec, character_value, cyclic_residues, element_order,
                       subgroup_generated)
 from .cyclotomic import IntPolynomial, cyclotomic, is_admissible_support
+from .numtheory import divisors, euler_phi
 
 __all__ = [
     "ComplexBall",
     "WeightFunction",
     "weight_from_polynomial",
     "cayley_eigenvalue",
-    "product_eigenvalue",
     "count_nonneg_tuples",
     "sign_count_tuples",
     "SignCount",
@@ -168,9 +168,6 @@ class WeightFunction:
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
-    def value(self, k: int) -> int:
-        return self.as_dict().get(k % self.n, 0)
-
     def support(self) -> tuple[int, ...]:
         """Nonzero residues; the connection set S = support \\ {0}."""
         return tuple(k for k, _ in self.items if k != 0)
@@ -244,83 +241,48 @@ def _poly_mod_circle(h: IntPolynomial, n: int, v: int) -> tuple[int, ...]:
 
 
 def _circle_mul(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    bnz = [(j, cb) for j, cb in enumerate(b) if cb]
     out = [0] * n
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[(i + j) % n] += ca * cb
+            for j, cb in bnz:
+                out[(i + j) % n] += ca * cb
     return tuple(out)
 
 
-def _circle_pow(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
-    out = tuple([1] + [0] * (n - 1))
-    base = a
-    while k:
-        if k & 1:
-            out = _circle_mul(out, base, n)
-        k >>= 1
-        if k:
-            base = _circle_mul(base, base, n)
-    return out
-
-
-def _monic_remainder_is_zero(coeffs: Iterable[int], monic: IntPolynomial) -> bool:
-    rem = list(coeffs)
-    d = monic.coeffs
-    deg = len(d) - 1
-    for k in range(len(rem) - 1, deg - 1, -1):
-        f = rem[k]
-        if f:
-            for j, dc in enumerate(d):
-                rem[k - deg + j] -= f * dc
-    return not any(rem)
-
-
-def _real_part_is_exactly_one(mults: dict[int, int], shifted: dict[int, tuple[int, ...]], n: int) -> bool:
+def _real_part_is_exactly_one(mults: dict[int, int], h: IntPolynomial, n: int) -> bool:
     """Exact test: Re(prod_v h(e_n(v))^{m_v}) == 1.
 
-    The product is P(e_n(1)) for an integer polynomial P mod t^n - 1; twice its
-    real part minus 2 is (P + reverse(P) - 2)(e_n(1)), which vanishes iff Phi_n
-    divides that polynomial.
+    The product is P(e_n(1)) for an integer polynomial P mod t^n - 1, built
+    from the reductions of h(t^v) for the residues of this multiset only;
+    twice its real part minus 2 is (P + reverse(P) - 2)(e_n(1)), which
+    vanishes iff Phi_n divides that polynomial.
     """
     P = tuple([1] + [0] * (n - 1))
     for v, m in mults.items():
-        P = _circle_mul(P, _circle_pow(shifted[v], m, n), n)
+        hv = _poly_mod_circle(h, n, v)
+        for _ in range(m):
+            P = _circle_mul(P, hv, n)
     R = [0] * n
     for k, c in enumerate(P):
         R[k] += c
         R[(-k) % n] += c
     R[0] -= 2
-    return _monic_remainder_is_zero(R, cyclotomic(n))
+    return cyclotomic(n).divides(IntPolynomial.from_coeffs(R))
+
+
+def _circle_factors(h: IntPolynomial, n: int) -> list[int]:
+    """Divisors d of n with Phi_d | h; only d with phi(d) <= deg h can qualify."""
+    return [d for d in divisors(n)
+            if euler_phi(d) <= h.degree and cyclotomic(d).divides(h)]
 
 
 def _root_residues(h: IntPolynomial, n: int) -> set[int]:
-    """Residues v with h(e_n(v)) = 0 exactly: Phi_{n/gcd(n,v)} divides h."""
-    roots = set()
-    for d in {n // math.gcd(n, v) for v in range(n)}:
-        if cyclotomic(d).divides(h):
-            roots.update(v for v in range(n) if n // math.gcd(n, v) == d)
-    return roots
+    """Residues v with h(e_n(v)) = 0 exactly: Phi_{n/gcd(n,v)} divides h.
 
-
-def product_eigenvalue(h: IntPolynomial, n: int, v: tuple[int, ...]) -> ComplexBall:
-    """Eigenvalue -2 + 2*Re(prod_j h(e_n(v_j))) of the N-fold product weighting.
-
-    Exact when some factor is a cyclotomic root of h (the product is then 0 and
-    the eigenvalue exactly -2); otherwise a ball at PRECISION_START bits.
+    The residues with n/gcd(n, v) = d are (n/d) * u for the units u mod d.
     """
-    weight_from_polynomial(h, n)  # validate support constraints
-    roots = _root_residues(h, n)
-    if any(x % n in roots for x in v):
-        return ball_exact_int(-2)
-    with mp.workprec(PRECISION_START):
-        vals = _ball_values(h, n, PRECISION_START)
-        prod = ball_exact_int(1)
-        for x in v:
-            prod = ball_mul(prod, vals[x % n])
-        re = -2 + 2 * prod.re
-        return ComplexBall(re, mp.mpf(0), 2 * prod.rad + _slack(re))
+    return {n // d * u for d in _circle_factors(h, n) for u in range(d) if math.gcd(u, d) == 1}
 
 
 def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
@@ -411,7 +373,7 @@ def _float_decide(mults: dict[int, int], tier: _FloatTier) -> str | None:
     return None
 
 
-def _classify_multiset(mults, ball_cache, h, n, shifted, tier):
+def _classify_multiset(mults, ball_cache, h, n, tier):
     """Trichotomy of Re(product) against 1: above / below / equal / ambiguous.
 
     The float tier decides what its margin allows; the rest goes to the balls.
@@ -420,10 +382,10 @@ def _classify_multiset(mults, ball_cache, h, n, shifted, tier):
         cls = _float_decide(mults, tier)
         if cls is not None:
             return cls
-    return _classify_multiset_ball(mults, ball_cache, h, n, shifted)
+    return _classify_multiset_ball(mults, ball_cache, h, n)
 
 
-def _classify_multiset_ball(mults, ball_cache, h, n, shifted):
+def _classify_multiset_ball(mults, ball_cache, h, n):
     """Ball tier: escalate precision, settling exact ties symbolically."""
     prec = PRECISION_START
     exact_checked = False
@@ -441,7 +403,7 @@ def _classify_multiset_ball(mults, ball_cache, h, n, shifted):
             if hi < 1:
                 return "below"
         if not exact_checked:
-            if _real_part_is_exactly_one(mults, shifted, n):
+            if _real_part_is_exactly_one(mults, h, n):
                 return "equal"
             exact_checked = True
         prec *= 2
@@ -500,7 +462,6 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
         raise MultisetCapExceeded(
             f"{n_multisets} multisets exceed cap {MULTISET_CAP} for n={n}, N={N}")
     roots = _root_residues(h, n)
-    shifted = {v: _poly_mod_circle(h, n, v) for v in range(n)}
     ball_cache = {PRECISION_START: _ball_values(h, n, PRECISION_START)}
     tier = _float_tier(ball_cache[PRECISION_START], N, roots)
     nonneg = nonpos = zero = ambiguous = 0
@@ -512,7 +473,7 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
         if any(v in roots for v in mults):
             nonpos += weight
             continue
-        cls = _classify_multiset(mults, ball_cache, h, n, shifted, tier)
+        cls = _classify_multiset(mults, ball_cache, h, n, tier)
         if cls == "above":
             nonneg += weight
         elif cls == "equal":
@@ -532,11 +493,18 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
 
 
 def _divides_circle(h: IntPolynomial, n: int) -> bool:
-    """h | t^n - 1 over Z (unit factors allowed, so h = -g with g | t^n - 1 counts)."""
-    if h.is_zero() or h.degree > n:
+    """h | t^n - 1 over Z (unit factors allowed, so h = -g with g | t^n - 1 counts).
+
+    The Phi_d of _circle_factors are distinct monic irreducibles dividing h,
+    so their product divides h, and its degree is the sum of their phi(d).
+    When that sum is deg h, h = lead(h) * prod Phi_d, and since
+    t^n - 1 = prod_{d | n} Phi_d is squarefree with content 1, h divides it
+    exactly when lead(h) = +-1. Conversely a divisor of t^n - 1 is +-1 times
+    a product of distinct Phi_d with d | n, all of which _circle_factors finds.
+    """
+    if h.is_zero() or abs(h.coeffs[-1]) != 1:
         return False
-    circle = IntPolynomial.from_coeffs([-1] + [0] * (n - 1) + [1])
-    return h.divides(circle)
+    return sum(euler_phi(d) for d in _circle_factors(h, n)) == h.degree
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ def test_bound_spectral_auto_divisor(capsys):
     ("2x4", "0,0;1,1", "1 + t (degree 1)", "1,1, order 4, index 2", 36),
     ("7", "0", "1 (degree 0)", "1, order 7, index 1", 49),  # J = {0}: |G|^N
     ("2x4", "0,0", "1 (degree 0)", "1,1, order 4, index 2", 64),
+    ("4194304", "0;1", "1 + t (degree 1)", "1, order 4194304, index 1", 17592177655809),
 ])
 def test_bound_spectral_auto_branches(capsys, group, J, h, generator, bound):
     rc, out, _ = run(capsys, "bound", "spectral", "--group", group, "--J", J, "--N", "2")

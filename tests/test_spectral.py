@@ -9,6 +9,7 @@ import builtins
 import cmath
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from intersective.spectral import (ComplexBall, MultisetCapExceeded, SignCount,
                                    WeightFunction, ball_add, ball_exact_int,
                                    ball_mul, ball_pow, ball_root_of_unity, cayley_eigenvalue,
                                    clique_bounds, count_nonneg_tuples, inertia_bound,
-                                   product_eigenvalue, residue_dp_count, residue_dp_profile,
+                                   residue_dp_count, residue_dp_profile,
                                    sign_count_tuples, spectral_upper_bound,
                                    weight_from_polynomial)
 
@@ -131,22 +132,6 @@ def test_eigenvalues_match_dense_solver_z6():
 
 
 # ---------------------------------------------------------------------------
-# product eigenvalues
-
-
-def test_product_eigenvalue_anchors():
-    # 1-t at e(1/3) has Re 3/2, so -2 + 2*Re = 1
-    lam = product_eigenvalue(ONE_MINUS_T, 3, (1,))
-    assert lam.contains_real(1)
-    # a root of h makes the product vanish: -2 exactly
-    lam = product_eigenvalue(ONE_MINUS_T, 7, (0, 3))
-    assert float(lam.re) == -2 and float(lam.rad) == 0
-    # conjugate pair: (3/2 - i s)(3/2 + i s) = 3, eigenvalue 4
-    lam = product_eigenvalue(ONE_MINUS_T, 3, (1, 2))
-    assert lam.contains_real(4)
-
-
-# ---------------------------------------------------------------------------
 # the tuple count
 
 
@@ -185,6 +170,60 @@ def test_count_exact_threshold_tie():
     assert count_nonneg_tuples(ONE_MINUS_T, 6, 2) == 19
 
 
+def test_exact_tie_reduces_only_tied_residues(monkeypatch):
+    # the multisets the balls leave open, (1, 3), (1, 5) and (3, 5), are the
+    # only ones reduced mod t^6 - 1; residue 0, a root of 1 - t, never is
+    reduced = []
+    reduce = spectral._poly_mod_circle
+    monkeypatch.setattr(spectral, "_poly_mod_circle",
+                        lambda h, n, v: reduced.append(v) or reduce(h, n, v))
+    assert count_nonneg_tuples(ONE_MINUS_T, 6, 2) == 19
+    assert set(reduced) == {1, 3, 5}
+
+
+def _dense_divides_circle(h, n):
+    """Reference: exact division by a dense t^n - 1."""
+    if h.degree > n:
+        return False
+    return h.divides(IntPolynomial.from_coeffs([-1] + [0] * (n - 1) + [1]))
+
+
+def _dense_root_residues(h, n):
+    """Reference: test Phi_{n/gcd(n,v)} | h once per divisor, then list its residues."""
+    roots = set()
+    for d in {n // math.gcd(n, v) for v in range(n)}:
+        if cyclotomic(d).divides(h):
+            roots.update(v for v in range(n) if n // math.gcd(n, v) == d)
+    return roots
+
+
+def _circle_weights(n, rng):
+    """Phi_d, Psi_d, products of distinct Phi_d and their negations, squared
+    factors, 2 * h and random h."""
+    ds = [d for d in range(1, n + 1) if n % d == 0]
+    hs = [cyclotomic(d) for d in ds] + [inverse_cyclotomic(d) for d in ds]
+    for _ in range(3):
+        picked = rng.sample(ds, rng.randint(1, len(ds)))
+        h = IntPolynomial.one()
+        for d in picked:
+            h = h * cyclotomic(d)
+        stray = h * cyclotomic(rng.randint(1, 2 * n))  # a non-divisor or a square
+        hs += [h, -h, h * cyclotomic(picked[0]), stray, h.scale(2)]
+    for _ in range(4):
+        hs.append(IntPolynomial.from_coeffs([rng.randint(-2, 2) for _ in range(rng.randint(1, 8))]))
+    return [h for h in hs if not h.is_zero()]
+
+
+def test_circle_factors_match_dense_reference():
+    rng = random.Random(14)
+    for n in range(1, 61):
+        for h in _circle_weights(n, rng):
+            assert spectral._circle_factors(h, n) == [
+                d for d in range(1, n + 1) if n % d == 0 and cyclotomic(d).divides(h)], (str(h), n)
+            assert spectral._divides_circle(h, n) == _dense_divides_circle(h, n), (str(h), n)
+            assert spectral._root_residues(h, n) == _dense_root_residues(h, n), (str(h), n)
+
+
 def test_count_closed_form_inequality():
     for n in (3, 4, 5, 6, 7):
         for N in (1, 2, 3):
@@ -200,7 +239,6 @@ def _tier_classes(h, n, N):
     """(multiset, two-tier class, ball-only class) for every nonzero-product multiset."""
     start = spectral.PRECISION_START
     roots = spectral._root_residues(h, n)
-    shifted = {v: spectral._poly_mod_circle(h, n, v) for v in range(n)}
     cache = {start: spectral._ball_values(h, n, start)}
     tier = spectral._float_tier(cache[start], N, roots)
     assert tier is not None
@@ -209,8 +247,8 @@ def _tier_classes(h, n, N):
             continue
         mults = {v: combo.count(v) for v in set(combo)}
         yield (combo,
-               spectral._classify_multiset(mults, cache, h, n, shifted, tier),
-               spectral._classify_multiset_ball(mults, cache, h, n, shifted))
+               spectral._classify_multiset(mults, cache, h, n, tier),
+               spectral._classify_multiset_ball(mults, cache, h, n))
 
 
 def _weight_candidates(n):
