@@ -21,7 +21,7 @@ from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, support_a
 from .engine import (InconsistencyError, best_bounds, report_to_json, require_admissible,
                      weight_candidates)
 from .oracle import OracleInfeasible, exact_avoidance, lift_block_witness
-from .constructions import build_construction, slab_is_valid, slab_size, verify_construction
+from .constructions import _build_verified, slab_is_valid, slab_size
 from .spectral import residue_dp_profile, spectral_upper_bound
 
 
@@ -146,8 +146,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_construct(args) -> int:
     eps = _parse_fraction(args.eps)
-    inst = build_construction(args.M, eps)
-    report = verify_construction(inst) if args.verify else None
+    inst, report = _build_verified(args.M, eps)
+    if not args.verify:
+        report = None
     if args.json:
         obj = inst.to_json_dict()
         if report is not None:

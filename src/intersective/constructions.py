@@ -306,6 +306,15 @@ def build_construction(M: int, epsilon) -> ConstructionInstance:
     most 64; s is the largest value with epsilon <= 3/(s+1), which keeps
     s >= 3 and the support blocks disjoint.
     """
+    return _build_verified(M, epsilon)[0]
+
+
+def _build_verified(M: int, epsilon) -> tuple[ConstructionInstance, ConstructionReport]:
+    """build_construction's instance with the passing report that accepted it.
+
+    The report is returned, never stored on the instance: a copy made with
+    dataclasses.replace would carry it to fields it never checked.
+    """
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
     epsilon = Fraction(epsilon)
@@ -329,7 +338,7 @@ def build_construction(M: int, epsilon) -> ConstructionInstance:
         else:
             report = verify_construction(inst)
             if report.passed:
-                return inst
+                return inst, report
             failures.append(f"window {tuple(window)}: {report.first_failure()}")
         window = window[1:] + [next_prime(window[-1])]
     raise ConstructionSearchError("; ".join(failures[-4:]))

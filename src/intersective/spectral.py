@@ -1,10 +1,24 @@
 """Spectral machinery: weighted Cayley eigenvalues, sign counts, tuple counting.
 
-Numeric layer: ComplexBall, a midpoint/radius pair over mpmath reals. Ball
-arithmetic propagates input radii exactly and charges every operation a
-32-ulp rounding slack (mpmath's basic arithmetic is correctly rounded and its
-transcendentals are accurate to a few ulp, so the slack is a wide margin).
-Sign decisions escalate the working precision, and exact ties are settled
+Numeric layer: ComplexBall, the closed disk with center (x + iy) / 2^p and
+radius r / 2^p for Python ints x, y, r and p, so every ball is exact dyadic
+data. The error model of each operation:
+
+- ball_add and ball_scale_int are exact.
+- ball_mul floors both center products back to 2^-p. With |c| = |x| + |y|,
+  which bounds a center's modulus, any points of the two disks differ in
+  product from the product of the centers by at most
+  |c_a| r_b + |c_b| r_a + r_a r_b; that is rounded up to a multiple of 2^-p,
+  and the floors move the center by less than sqrt(2) < 2 units of 2^-p,
+  so the radius is ceil((|c_a| r_b + |c_b| r_a + r_a r_b) / 2^p) + 2.
+- Operands at different p are aligned by exact left shifts to the larger p.
+- ball_root_of_unity works at prec + _GUARD bits. pi comes from Machin's
+  formula with a counted truncation bound, the angle is reduced to within
+  pi/4 of a quarter turn (powers of i are exact), and cos and sin come from
+  integer Taylor series whose floor errors and tail are counted. The result
+  is floored to prec bits, which adds 2 units of 2^-prec to the radius.
+
+Sign decisions escalate the precision, and exact ties are settled
 symbolically: a product of values h(e_n(v_j)) lives in Z[t]/(t^n - 1), so
 "real part equals 1" is equivalent to an integer polynomial being divisible
 by the n-th cyclotomic polynomial. Ambiguity at the precision cap is counted
@@ -14,19 +28,19 @@ Tuple counts classify each multiset with a float64 first tier before any
 ball product. Each value w_v = h(e_n(v)) is taken as the float midpoint z_v
 of its start-precision ball, with |w_v - z_v| <= e_v (ball radius plus the
 exactly computed conversion error) and |z_v| + e_v <= M_v. The product
-p = z_1 * ... * z_N is formed by complex float multiplications (repeated
+q = z_1 * ... * z_N is formed by complex float multiplications (repeated
 factors by squaring), at most N nodes once the tree is unrolled. Each errs
 by at most sqrt(2) * gamma_2 * |a| * |b| < 4u|a||b| (u = 2^-53, with or
 without fused multiply-add, while |a||b| stays in the normal range), so
-|p - prod z_j| <= ((1 + 4u)^N - 1) * prod |z_j| <= 8Nu * prod M_j.
+|q - prod z_j| <= ((1 + 4u)^N - 1) * prod |z_j| <= 8Nu * prod M_j.
 Expanding prod(z_j + d_j) gives |prod w_j - prod z_j| <= prod M_j *
 sum_j e_j / M_j. Together
 
-    |Re(prod w_j) - Re(p)| <= prod M_j * (sum_j e_j / M_j + 8Nu),
+    |Re(prod w_j) - Re(q)| <= prod M_j * (sum_j e_j / M_j + 8Nu),
 
 and the float evaluation of this margin (at most 4N + 3 roundings) is
 covered by a factor 1 + (3N + 4) * 4u. The tier answers "above" or "below"
-only when |Re(p) - 1| exceeds the margin; everything else, including an inf
+only when |Re(q) - 1| exceeds the margin; everything else, including an inf
 or nan margin, goes to the ball tier and the symbolic tie-breaker unchanged.
 The error model needs every partial product in the normal float range, so
 the tier is used for a count only when max(1, M_v)^N <= 2^990 and
@@ -41,9 +55,8 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
-
-from mpmath import mp
 
 from .abelian import (GroupSpec, character_value, cyclic_residues, element_order,
                       subgroup_generated)
@@ -71,7 +84,7 @@ __all__ = [
 
 PRECISION_START = 64
 PRECISION_CAP = 1024
-_SLACK_BITS = 5  # 32 ulp charged per operation
+_GUARD = 32  # extra bits a root of unity is computed with before rounding to its precision
 
 MULTISET_CAP = 10**8
 
@@ -82,57 +95,134 @@ class MultisetCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class ComplexBall:
-    """Closed disk {z : |z - (re + i*im)| <= rad} with mpmath midpoints."""
+    """Closed disk {z : |z - (x + i*y) / 2^p| <= r / 2^p} for integers x, y and r, p >= 0.
 
-    re: object
-    im: object
-    rad: object
+    re, im and rad read the center and radius as exact dyadic Fractions.
+    """
 
-    def magnitude_bound(self):
-        return abs(self.re) + abs(self.im) + self.rad
+    x: int
+    y: int
+    r: int
+    p: int
 
-    def real_interval(self):
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, 1 << self.p)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, 1 << self.p)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self.r, 1 << self.p)
+
+    def real_interval(self) -> tuple[Fraction, Fraction]:
         return self.re - self.rad, self.re + self.rad
 
     def contains_real(self, x) -> bool:
-        return (self.re - x) ** 2 + self.im**2 <= self.rad**2
-
-
-def _slack(*magnitudes):
-    s = mp.mpf(0)
-    for m in magnitudes:
-        s += abs(m)
-    return mp.ldexp(s + 1, _SLACK_BITS - mp.prec)
+        d = Fraction(x) * (1 << self.p) - self.x
+        return d * d + self.y**2 <= self.r**2
 
 
 def ball_exact_int(k: int) -> ComplexBall:
-    return ComplexBall(mp.mpf(k), mp.mpf(0), mp.mpf(0))
+    return ComplexBall(k, 0, 0, 0)
+
+
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """(A, e) with |A - atan(1/x) * 2^bits| <= e, for an integer x >= 2.
+
+    Term k of the series sum (-1)^k / ((2k + 1) x^(2k+1)) is computed as
+    floor(2^bits / (x^(2k+1) (2k + 1))) exactly, since nested floor divisions
+    by positive integers compose; each is short by less than 1. The series
+    stops at the first k with 2^bits < x^(2k+1), where the alternating,
+    decreasing tail is below 1: e = (number of terms) + 1.
+    """
+    power = (1 << bits) // x
+    total = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x * x
+        k += 1
+    return total, k + 1
+
+
+@functools.lru_cache(maxsize=16)
+def _pi(bits: int) -> tuple[int, int]:
+    """(P, e) with |P - pi * 2^bits| <= e, from Machin's pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a5, e5 = _atan_inv(5, bits)
+    a239, e239 = _atan_inv(239, bits)
+    return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+
+
+def _cos_sin(t: int, bits: int) -> tuple[int, int, int]:
+    """(c, s, e) with c and s within e of cos(x) * 2^bits and sin(x) * 2^bits,
+    for x = t / 2^bits and |t| < 2^bits.
+
+    Taylor term j, |x|^j / j! * 2^bits, is computed as
+    floor(term_{j-1} * |t| / (j * 2^bits)); as |x| < 1 it falls short by
+    less than 1 + (shortfall of term j - 1) / j, hence by less than 2. The
+    series stops at the first zero term, number J >= 1, whose true value is
+    then below 2, and so the tail from it, with ratios below 1/2, is below 4:
+    e = 2J + 4.
+    """
+    a = abs(t)
+    c = s = 0
+    term, j = 1 << bits, 0
+    while term:
+        signed = -term if j & 2 else term  # signs + + - - repeat with period 4
+        if j & 1:
+            s += signed
+        else:
+            c += signed
+        j += 1
+        term = term * a // (j << bits)
+    return c, s if t >= 0 else -s, 2 * j + 4
 
 
 def ball_root_of_unity(num: int, den: int, prec: int) -> ComplexBall:
-    """e(num/den) as a ball at the given precision."""
-    with mp.workprec(prec):
-        theta = 2 * mp.pi * num / den
-        c, s = mp.cos(theta), mp.sin(theta)
-        return ComplexBall(c, s, _slack(theta, 1))
+    """e(num/den) as a ball at 2^-prec.
+
+    With o = round(4 num / den), e(num/den) = i^o * e(r / (4 den)) for
+    r = 4 num - o * den, |r| <= |den| / 2, so the residual angle
+    x = pi * r / (2 den) has |x| <= pi/4.
+    """
+    bits = prec + _GUARD
+    o = (8 * num + den) // (2 * den)
+    r = 4 * num - o * den
+    pi, pi_err = _pi(bits)
+    c, s, err = _cos_sin(pi * r // (2 * den), bits)
+    # x * 2^bits is off by at most |r / (2 den)| <= 1/4 of pi's error, plus the floor,
+    # and cos and sin are 1-Lipschitz
+    err += pi_err // 4 + 2
+    for _ in range(o % 4):
+        c, s = -s, c
+    # |(dc, ds)| <= 2 err before the floors, which add less than 2 units after
+    return ComplexBall(c >> _GUARD, s >> _GUARD, -(-2 * err >> _GUARD) + 2, prec)
+
+
+def _aligned(a: ComplexBall, b: ComplexBall) -> tuple[tuple[int, int, int], tuple[int, int, int], int]:
+    """(x, y, r) of both balls at the larger of their two p, by exact left shifts."""
+    p = max(a.p, b.p)
+    sa, sb = p - a.p, p - b.p
+    return (a.x << sa, a.y << sa, a.r << sa), (b.x << sb, b.y << sb, b.r << sb), p
 
 
 def ball_add(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    re, im = a.re + b.re, a.im + b.im
-    return ComplexBall(re, im, a.rad + b.rad + _slack(re, im))
+    (ax, ay, ar), (bx, by, br), p = _aligned(a, b)
+    return ComplexBall(ax + bx, ay + by, ar + br, p)
 
 
 def ball_mul(a: ComplexBall, b: ComplexBall) -> ComplexBall:
-    re = a.re * b.re - a.im * b.im
-    im = a.re * b.im + a.im * b.re
-    ma, mb = a.magnitude_bound(), b.magnitude_bound()
-    rad = ma * b.rad + mb * a.rad + a.rad * b.rad + _slack(re, im, ma * mb)
-    return ComplexBall(re, im, rad)
+    (ax, ay, ar), (bx, by, br), p = _aligned(a, b)
+    err = (abs(ax) + abs(ay)) * br + (abs(bx) + abs(by)) * ar + ar * br
+    return ComplexBall((ax * bx - ay * by) >> p, (ax * by + ay * bx) >> p,
+                       -(-err >> p) + 2, p)
 
 
 def ball_scale_int(a: ComplexBall, k: int) -> ComplexBall:
-    re, im = a.re * k, a.im * k
-    return ComplexBall(re, im, a.rad * abs(k) + _slack(re, im))
+    return ComplexBall(a.x * k, a.y * k, a.r * abs(k), a.p)
 
 
 def ball_pow(a: ComplexBall, k: int) -> ComplexBall:
@@ -218,13 +308,12 @@ def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...]) -> ComplexBall:
     for x, v in weights.items():
         if weights.get(G.neg(x)) != v:
             raise ValueError(f"weight not symmetric at {x}: f(x)={v}, f(-x)={weights.get(G.neg(x))}")
-    with mp.workprec(PRECISION_START):
-        acc = ball_exact_int(0)
-        for x, v in sorted(weights.items()):
-            root = character_value(G, chi, G.neg(x))
-            root_ball = ball_root_of_unity(root.num, root.den, PRECISION_START)
-            acc = ball_add(acc, ball_scale_int(root_ball, v))
-        return acc
+    acc = ball_exact_int(0)
+    for x, v in sorted(weights.items()):
+        root = character_value(G, chi, G.neg(x))
+        root_ball = ball_root_of_unity(root.num, root.den, PRECISION_START)
+        acc = ball_add(acc, ball_scale_int(root_ball, v))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +376,14 @@ def _root_residues(h: IntPolynomial, n: int) -> set[int]:
 
 def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
     """h(e_n(v)) for v = 0..n-1 at the given precision."""
-    with mp.workprec(prec):
-        roots = [ball_root_of_unity(j, n, prec) for j in range(n)]
-        out = []
-        for v in range(n):
-            acc = ball_exact_int(0)
-            for k in h.support():
-                acc = ball_add(acc, ball_scale_int(roots[(k * v) % n], h[k]))
-            out.append(acc)
-        return out
+    roots = [ball_root_of_unity(j, n, prec) for j in range(n)]
+    out = []
+    for v in range(n):
+        acc = ball_exact_int(0)
+        for k in h.support():
+            acc = ball_add(acc, ball_scale_int(roots[(k * v) % n], h[k]))
+        out.append(acc)
+    return out
 
 
 def _multinomial(N: int, mults: dict[int, int]) -> int:
@@ -320,15 +408,26 @@ class _FloatTier:
     safety: float  # covers the rounding of the margin evaluation itself
 
 
+def _to_float(k: int, p: int) -> tuple[float, float]:
+    """k / 2^p rounded to the nearest float, and the exact error of that rounding,
+    itself rounded to the nearest float."""
+    f = k / (1 << p)
+    num, den = f.as_integer_ratio()
+    return f, abs(k * den - (num << p)) / (den << p)
+
+
 def _float_tier(vals: list[ComplexBall], N: int, roots: set[int]) -> _FloatTier | None:
     """First-tier data from start-precision balls; None when the range guard fails."""
     z, mag, rel = [], [], []
     lo_min = hi_max = 1.0
     for v, b in enumerate(vals):
-        x, y = float(b.re), float(b.im)
-        # float() truncates and the sums round, hence the relative and absolute pads
-        err = (float(b.rad) + float(abs(mp.fsub(b.re, x, exact=True)))
-               + float(abs(mp.fsub(b.im, y, exact=True)))) * (1 + 2.0**-48) + 2.0**-1000
+        try:
+            (x, ex), (y, ey) = _to_float(b.x, b.p), _to_float(b.y, b.p)
+            rad = b.r / (1 << b.p)
+        except OverflowError:  # past the float range, where the range guard fails anyway
+            return None
+        # the divisions and sums round to nearest, hence the relative and absolute pads
+        err = (rad + ex + ey) * (1 + 2.0**-48) + 2.0**-1000
         a = math.hypot(x, y)
         hi = (a * (1 + 2.0**-48) + err) * (1 + 2.0**-48)
         z.append(complex(x, y))
@@ -393,15 +492,14 @@ def _classify_multiset_ball(mults, ball_cache, h, n):
         if prec not in ball_cache:
             ball_cache[prec] = _ball_values(h, n, prec)
         vals = ball_cache[prec]
-        with mp.workprec(prec):
-            prod = ball_exact_int(1)
-            for v, m in mults.items():
-                prod = ball_mul(prod, ball_pow(vals[v], m))
-            lo, hi = prod.re - prod.rad, prod.re + prod.rad
-            if lo > 1:
-                return "above"
-            if hi < 1:
-                return "below"
+        prod = ball_exact_int(1)
+        for v, m in mults.items():
+            prod = ball_mul(prod, ball_pow(vals[v], m))
+        one = 1 << prod.p
+        if prod.x - prod.r > one:
+            return "above"
+        if prod.x + prod.r < one:
+            return "below"
         if not exact_checked:
             if _real_part_is_exactly_one(mults, h, n):
                 return "equal"

@@ -8,6 +8,7 @@ from intersective.cyclotomic import _squarefree_factor
 # Every per-process cache in the package; tests/test_caches.py checks the list is complete.
 PER_PROCESS_CACHES = (
     spectral.sign_count_tuples,
+    spectral._pi,
     oracle._closed_results,
     engine._divisor_product,
     _squarefree_factor,

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import intersective
+from intersective import cli, constructions
 from intersective.cli import main
 from intersective.cyclotomic import cyclotomic
 from intersective.engine import InconsistencyError
@@ -208,6 +210,30 @@ def test_construct_json(capsys):
     assert obj["degenerate_epsilon"] is False
 
 
+def test_construct_verify_runs_the_checker_once(capsys, monkeypatch):
+    inst = constructions.build_construction(3, Fraction(3, 5))
+    report = constructions.verify_construction(inst)
+    expected_json = dict(inst.to_json_dict(),
+                         verified={b.name: {"passed": b.passed, "detail": b.detail}
+                                   for b in report.bullets},
+                         degenerate_epsilon=report.degenerate_epsilon)
+    calls = []
+    verify = constructions.verify_construction
+    for module in (constructions, cli):  # wherever the package may bind the checker
+        monkeypatch.setattr(module, "verify_construction",
+                            lambda inst: calls.append(inst) or verify(inst), raising=False)
+    rc, out, _ = run(capsys, "construct", "--M", "3", "--eps", "3/5", "--verify")
+    assert (rc, len(calls)) == (0, 1)
+    assert out == (
+        "primes: 5, 7, 11\nr: 385\nQ: 389\ns: 4\nn: 8546583093125\ndegree: 13695990388\n"
+        "support size: 68853\nbullet prime-divisors: PASS\nbullet support-admissible: PASS\n"
+        "bullet degree-dominates: PASS\nbullet subgroup-index: PASS\n")
+    calls.clear()
+    rc, out, _ = run(capsys, "construct", "--M", "3", "--eps", "3/5", "--verify", "--json")
+    assert (rc, len(calls)) == (0, 1)
+    assert out == json.dumps(expected_json, indent=2) + "\n"
+
+
 def test_construct_bad_epsilon(capsys):
     rc, _, err = run(capsys, "construct", "--M", "2", "--eps", "7/8")
     assert rc == 1
@@ -333,9 +359,11 @@ def test_help_exits_0(capsys):
 
 
 def test_package_imports_without_numpy():
-    """Importing the package, its CLI and engine leaves numpy unloaded, so start-up stays cheap."""
+    """Importing the package, its CLI and engine leaves numpy and mpmath unloaded, so
+    start-up stays cheap."""
     src = os.path.dirname(os.path.dirname(intersective.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, intersective, intersective.cli, intersective.engine; print('numpy' in sys.modules)"
+    code = ("import sys, intersective, intersective.cli, intersective.engine; "
+            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

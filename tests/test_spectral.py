@@ -11,11 +11,13 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from intersective import spectral
 from intersective.abelian import GroupSpec
@@ -72,6 +74,99 @@ def test_ball_exact_int_has_zero_radius():
     assert b.contains_real(7)
     lo, hi = b.real_interval()
     assert float(lo) == float(hi) == 7
+
+
+# Integer balls against mpmath, used here as an independent reference only;
+# it evaluates at 200 bits past the ball's precision, far below any radius.
+
+
+def _mp_contains(ball, re, im):
+    """mpf point (re, im) inside the ball, compared at the working precision."""
+    scale = mp.mpf(2) ** ball.p
+    return (ball.x - re * scale) ** 2 + (ball.y - im * scale) ** 2 <= mp.mpf(ball.r) ** 2
+
+
+@pytest.mark.parametrize("bits", [8, 64, 96, 300, 1056, 2000])
+def test_machin_pi_contains_pi(bits):
+    pi, err = spectral._pi(bits)
+    with mp.workprec(bits + 200):
+        assert abs(pi - mp.pi * mp.mpf(2) ** bits) <= err
+
+
+def test_cos_sin_within_counted_error():
+    rng = random.Random(15)
+    for bits in (4, 8, 64, 96, 300, 1056):
+        one = 1 << bits
+        edge = [0, 1, -1, one - 1, 1 - one, one * 785 // 1000, -one * 785 // 1000]
+        for t in edge + [rng.randrange(1 - one, one) for _ in range(20)]:
+            c, s, err = spectral._cos_sin(t, bits)
+            with mp.workprec(bits + 200):
+                x = mp.mpf(t) / one
+                assert abs(c - mp.cos(x) * one) <= err, (bits, t)
+                assert abs(s - mp.sin(x) * one) <= err, (bits, t)
+
+
+@pytest.mark.parametrize("prec", [64, 65, 100, 128, 255, 256, 512, 777, 1024])
+def test_root_of_unity_contains_exact_value(prec):
+    rng = random.Random(prec)
+    fractions = [(num, den) for den in (1, 2, 3, 4, 8) for num in range(-2 * den, 2 * den + 1)]
+    for den in (5000, 4096, 10**9 + 7, 2**80 + 1):
+        fractions += [(rng.randrange(-3 * den, 3 * den), den) for _ in range(5)]
+    for num, den in fractions:
+        b = ball_root_of_unity(num, den, prec)
+        assert b.p == prec and b.r <= 3  # radius at most 3 units of 2^-prec
+        with mp.workprec(prec + 200):
+            theta = 2 * mp.pi * num / den
+            assert _mp_contains(b, mp.cos(theta), mp.sin(theta)), (num, den, prec)
+
+
+def _random_ball(rng):
+    p = rng.choice([0, 1, 5, 64, 100])
+    x, y = (rng.randrange(-(1 << p + 3), 1 << p + 3) for _ in range(2))
+    r = rng.choice([0, rng.randrange(1 << max(p - 8, 1))])
+    return ComplexBall(x, y, r, p)
+
+
+def _point_in(ball, rng):
+    """An exact point of the ball: center plus a rational multiple of a point
+    (u, v) on the unit circle, u = (1 - t^2)/(1 + t^2), v = 2t/(1 + t^2)."""
+    t = Fraction(rng.randrange(-50, 51), rng.randrange(1, 50))
+    scale = Fraction(ball.r, 1 << ball.p) * rng.choice([1, 1, Fraction(rng.randrange(100), 100)])
+    return (ball.re + scale * (1 - t * t) / (1 + t * t), ball.im + scale * 2 * t / (1 + t * t))
+
+
+def _contains(ball, z):
+    dx, dy = z[0] * (1 << ball.p) - ball.x, z[1] * (1 << ball.p) - ball.y
+    return dx * dx + dy * dy <= ball.r**2
+
+
+def _cmul(z, w):
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+
+def test_ball_ops_contain_products_of_points():
+    rng = random.Random(15)
+    for _ in range(200):
+        a, b = _random_ball(rng), _random_ball(rng)
+        k = rng.randrange(7)
+        for _ in range(3):
+            za, zb = _point_in(a, rng), _point_in(b, rng)
+            assert _contains(a, za) and _contains(b, zb)
+            assert _contains(ball_add(a, b), (za[0] + zb[0], za[1] + zb[1])), (a, b)
+            assert _contains(ball_mul(a, b), _cmul(za, zb)), (a, b)
+            power = (Fraction(1), Fraction(0))
+            for _ in range(k):
+                power = _cmul(power, za)
+            assert _contains(ball_pow(a, k), power), (a, k)
+
+
+def test_ball_values_at_large_n_are_tight():
+    n = 4096
+    vals = spectral._ball_values(ONE_MINUS_T, n, 64)
+    for v, b in enumerate(vals):
+        w = 1 - cmath.exp(2j * cmath.pi * v / n)
+        assert abs(complex(float(b.re), float(b.im)) - w) <= float(b.rad) + 1e-15, v
+        assert b.rad < Fraction(1, 2**50), v
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +400,9 @@ def test_float_tier_range_guard():
     vals = spectral._ball_values(ONE_MINUS_T, 30, 64)
     assert spectral._float_tier(vals, 400, {0}) is not None
     assert spectral._float_tier(vals, 500, {0}) is None
+    # values past the float range, where the ball tier alone decides
+    huge = IntPolynomial.from_coeffs([1, 10**400])
+    assert spectral._float_tier(spectral._ball_values(huge, 5, 64), 1, set()) is None
 
 
 def test_count_closed_form_violation_raises(monkeypatch):
