@@ -24,28 +24,13 @@ symbolically: a product of values h(e_n(v_j)) lives in Z[t]/(t^n - 1), so
 by the n-th cyclotomic polynomial. Ambiguity at the precision cap is counted
 conservatively for the bound direction in force and reported, never dropped.
 
-Tuple counts classify each multiset with a float64 first tier before any
-ball product. Each value w_v = h(e_n(v)) is taken as the float midpoint z_v
-of its start-precision ball, with |w_v - z_v| <= e_v (ball radius plus the
-exactly computed conversion error) and |z_v| + e_v <= M_v. The product
-q = z_1 * ... * z_N is formed by complex float multiplications (repeated
-factors by squaring), at most N nodes once the tree is unrolled. Each errs
-by at most sqrt(2) * gamma_2 * |a| * |b| < 4u|a||b| (u = 2^-53, with or
-without fused multiply-add, while |a||b| stays in the normal range), so
-|q - prod z_j| <= ((1 + 4u)^N - 1) * prod |z_j| <= 8Nu * prod M_j.
-Expanding prod(z_j + d_j) gives |prod w_j - prod z_j| <= prod M_j *
-sum_j e_j / M_j. Together
-
-    |Re(prod w_j) - Re(q)| <= prod M_j * (sum_j e_j / M_j + 8Nu),
-
-and the float evaluation of this margin (at most 4N + 3 roundings) is
-covered by a factor 1 + (3N + 4) * 4u. The tier answers "above" or "below"
-only when |Re(q) - 1| exceeds the margin; everything else, including an inf
-or nan margin, goes to the ball tier and the symbolic tie-breaker unchanged.
-The error model needs every partial product in the normal float range, so
-the tier is used for a count only when max(1, M_v)^N <= 2^990 and
-min(1, |z_v|)^N >= 2^-990 over the nonzero values (and N * u <= 2^-20, which
-keeps the linearised rounding bounds valid).
+Tuple counts walk the value multisets depth first, carrying each prefix's
+product as a ball at PRECISION_START: it starts at exactly 1, and each step
+is one complex multiplication under ball_mul's radius rule, so every leaf
+ball encloses its product. A leaf whose real part clears 1 either way is
+decided there; every other leaf goes to the ball tier above, which
+recomputes the product at rising precision and breaks exact ties. Tuples
+with a coordinate v where h(e_n(v)) = 0 are counted at once, not visited.
 """
 
 from __future__ import annotations
@@ -54,6 +39,7 @@ import functools
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -228,14 +214,12 @@ def ball_scale_int(a: ComplexBall, k: int) -> ComplexBall:
 def ball_pow(a: ComplexBall, k: int) -> ComplexBall:
     if k < 0:
         raise ValueError(f"ball powers must be >= 0, got {k}")
-    out = ball_exact_int(1)
-    base = a
+    out, base = ball_exact_int(1), a
     while k:
         if k & 1:
             out = ball_mul(out, base)
-        base_needed = k > 1
         k >>= 1
-        if base_needed:
+        if k:
             base = ball_mul(base, base)
     return out
 
@@ -375,113 +359,38 @@ def _root_residues(h: IntPolynomial, n: int) -> set[int]:
 
 
 def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
-    """h(e_n(v)) for v = 0..n-1 at the given precision."""
-    roots = [ball_root_of_unity(j, n, prec) for j in range(n)]
-    out = []
-    for v in range(n):
-        acc = ball_exact_int(0)
-        for k in h.support():
-            acc = ball_add(acc, ball_scale_int(roots[(k * v) % n], h[k]))
-        out.append(acc)
-    return out
+    """h(e_n(v)) for v = 0..n-1 at the given precision.
 
-
-def _multinomial(N: int, mults: dict[int, int]) -> int:
-    out = math.factorial(N)
-    for m in mults.values():
-        out //= math.factorial(m)
-    return out
-
-
-_UNIT = 2.0**-53  # float64 unit roundoff
-
-
-@dataclass(frozen=True)
-class _FloatTier:
-    """Float midpoints z_v, magnitude bounds M_v, ratios e_v / M_v, and the
-    per-count constants of the first-tier margin (see the module docstring)."""
-
-    z: tuple[complex, ...]
-    mag: tuple[float, ...]
-    rel: tuple[float, ...]
-    mul_err: float  # 8Nu >= (1 + 4u)^N - 1, the relative rounding of an N-fold product
-    safety: float  # covers the rounding of the margin evaluation itself
-
-
-def _to_float(k: int, p: int) -> tuple[float, float]:
-    """k / 2^p rounded to the nearest float, and the exact error of that rounding,
-    itself rounded to the nearest float."""
-    f = k / (1 << p)
-    num, den = f.as_integer_ratio()
-    return f, abs(k * den - (num << p)) / (den << p)
-
-
-def _float_tier(vals: list[ComplexBall], N: int, roots: set[int]) -> _FloatTier | None:
-    """First-tier data from start-precision balls; None when the range guard fails."""
-    z, mag, rel = [], [], []
-    lo_min = hi_max = 1.0
-    for v, b in enumerate(vals):
-        try:
-            (x, ex), (y, ey) = _to_float(b.x, b.p), _to_float(b.y, b.p)
-            rad = b.r / (1 << b.p)
-        except OverflowError:  # past the float range, where the range guard fails anyway
-            return None
-        # the divisions and sums round to nearest, hence the relative and absolute pads
-        err = (rad + ex + ey) * (1 + 2.0**-48) + 2.0**-1000
-        a = math.hypot(x, y)
-        hi = (a * (1 + 2.0**-48) + err) * (1 + 2.0**-48)
-        z.append(complex(x, y))
-        mag.append(hi)
-        rel.append(err / hi)
-        if v not in roots:
-            if not math.isfinite(hi):
-                return None
-            lo_min = min(lo_min, a * (1 - 2.0**-48))
-            hi_max = max(hi_max, hi)
-    if not (lo_min > 0 and N * math.log2(lo_min) >= -990 and N * math.log2(hi_max) <= 990
-            and N * _UNIT <= 2.0**-20):
-        return None
-    return _FloatTier(tuple(z), tuple(mag), tuple(rel), 8 * N * _UNIT,
-                      1 + (3 * N + 4) * 4 * _UNIT)
-
-
-def _float_decide(mults: dict[int, int], tier: _FloatTier) -> str | None:
-    """'above' or 'below' when |Re(product) - 1| clears the proven margin, else None."""
-    z, mag_v, rel_v = tier.z, tier.mag, tier.rel
-    p = 1 + 0j
-    mag = 1.0
-    rel = tier.mul_err
-    for v, m in mults.items():
-        rel += m * rel_v[v]
-        zv, mv = z[v], mag_v[v]
-        while True:  # binary powering: m - 1 multiplications in the unrolled tree
-            if m & 1:
-                p *= zv
-                mag *= mv
-            m >>= 1
-            if not m:
-                break
-            zv *= zv
-            mv *= mv
-    margin = mag * rel * tier.safety
-    d = p.real - 1.0
-    if d > margin:
-        return "above"
-    if -d > margin:
-        return "below"
-    return None
-
-
-def _classify_multiset(mults, ball_cache, h, n, tier):
-    """Trichotomy of Re(product) against 1: above / below / equal / ambiguous.
-
-    The float tier decides what its margin allows; the rest goes to the balls.
+    Roots and values are computed for j, v <= n/2 only. The rest are exact
+    conjugates (x, -y, r, p): e_n(-j) is the conjugate of e_n(j), and since h
+    has integer coefficients, h(e_n(-v)) is the conjugate of h(e_n(v)).
     """
-    if tier is not None:
-        cls = _float_decide(mults, tier)
-        if cls is not None:
-            return cls
-    return _classify_multiset_ball(mults, ball_cache, h, n)
+    half = n // 2 + 1
+    roots = [ball_root_of_unity(j, n, prec) for j in range(half)]
+    roots += [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(roots[1:n - half + 1])]
+    terms = [(k, h[k]) for k in h.support()]
+    out = []
+    for v in range(half):
+        x = y = r = 0
+        for k, c in terms:
+            b = roots[k * v % n]
+            x += c * b.x
+            y += c * b.y
+            r += abs(c) * b.r
+        out.append(ComplexBall(x, y, r, prec))
+    return out + [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(out[1:n - half + 1])]
+
+
+def _classify_leaf(x, r, p, leaf, ball_cache, h, n):
+    """Class of the multiset leaf (a tuple of residues) from its walked product
+    ball, whose real part is (x +- r) / 2^p: 'above' or 'below' when that
+    clears 1, else the ball tier's verdict."""
+    one = 1 << p
+    if x - r > one:
+        return "above"
+    if x + r < one:
+        return "below"
+    return _classify_multiset_ball(Counter(leaf), ball_cache, h, n)
 
 
 def _classify_multiset_ball(mults, ball_cache, h, n):
@@ -500,12 +409,56 @@ def _classify_multiset_ball(mults, ball_cache, h, n):
             return "above"
         if prod.x + prod.r < one:
             return "below"
-        if not exact_checked:
-            if _real_part_is_exactly_one(mults, h, n):
-                return "equal"
-            exact_checked = True
+        if not exact_checked and _real_part_is_exactly_one(mults, h, n):
+            return "equal"
+        exact_checked = True
         prec *= 2
     return "ambiguous"
+
+
+def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
+    """Tally of _classify_leaf over the multisets of N residues from live,
+    each weighted by its number of orderings, from a depth-first walk.
+
+    idx holds the first N - 1 positions as nondecreasing indices into live.
+    state[d] = (x, y, r, orderings, run) for the prefix of length d: its
+    product ball at PRECISION_START, and the multiplicity of its last index.
+    """
+    p = PRECISION_START
+    vals = [(b.x, b.y, b.r, abs(b.x) + abs(b.y)) for b in (ball_cache[p][v] for v in live)]
+    tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
+    k, pre = len(live), N - 1
+    if not N:  # the empty product is exactly 1
+        tally[_classify_leaf(1 << p, 0, p, (), ball_cache, h, n)] += 1
+    if pre < 0 or not k:
+        return tally
+    idx = [0] * pre
+    state = [(1 << p, 0, 0, 1, 0)] + [None] * pre
+    t = 0
+    while True:
+        for d in range(t, pre):  # redo the prefix products past the advanced position
+            x, y, r, w, run = state[d]
+            j = idx[d]
+            run = run + 1 if d and idx[d - 1] == j else 1
+            vx, vy, vr, vc = vals[j]
+            state[d + 1] = ((x * vx - y * vy) >> p, (x * vy + y * vx) >> p,
+                            -(-((abs(x) + abs(y)) * vr + vc * r + r * vr) >> p) + 2,
+                            w * (d + 1) // run, run)
+        x, y, r, w, run = state[pre]
+        c = abs(x) + abs(y)
+        prefix = tuple(live[j] for j in idx)
+        first = idx[-1] if pre else 0
+        for j in range(first, k):
+            vx, vy, vr, vc = vals[j]
+            cls = _classify_leaf((x * vx - y * vy) >> p, -(-(c * vr + vc * r + r * vr) >> p) + 2,
+                                 p, prefix + (live[j],), ball_cache, h, n)
+            tally[cls] += w * N // (run + 1 if j == first else 1)
+        t = pre - 1
+        while t >= 0 and idx[t] == k - 1:
+            t -= 1
+        if t < 0:
+            return tally
+        idx[t:] = [idx[t] + 1] * (pre - t)
 
 
 @dataclass(frozen=True)
@@ -555,39 +508,26 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
     per process, since a sweep of queries asks for the same few pair counts.
     """
     weight_from_polynomial(h, n)  # constant term 1, support inside [0, n), admissible
+    if N < 0:
+        raise ValueError(f"need N >= 0, got {N}")
     n_multisets = math.comb(N + n - 1, n - 1)
     if n_multisets > MULTISET_CAP:
         raise MultisetCapExceeded(
             f"{n_multisets} multisets exceed cap {MULTISET_CAP} for n={n}, N={N}")
     roots = _root_residues(h, n)
+    live = [v for v in range(n) if v not in roots]
     ball_cache = {PRECISION_START: _ball_values(h, n, PRECISION_START)}
-    tier = _float_tier(ball_cache[PRECISION_START], N, roots)
-    nonneg = nonpos = zero = ambiguous = 0
-    for combo in itertools.combinations_with_replacement(range(n), N):
-        mults: dict[int, int] = {}
-        for v in combo:
-            mults[v] = mults.get(v, 0) + 1
-        weight = _multinomial(N, mults)
-        if any(v in roots for v in mults):
-            nonpos += weight
-            continue
-        cls = _classify_multiset(mults, ball_cache, h, n, tier)
-        if cls == "above":
-            nonneg += weight
-        elif cls == "equal":
-            nonneg += weight
-            nonpos += weight
-            zero += weight
-        elif cls == "below":
-            nonpos += weight
-        else:
-            ambiguous += weight
+    tally = _walk(live, N, ball_cache, h, n)
+    equal, ambiguous = tally["equal"], tally["ambiguous"]
+    nonneg = tally["above"] + equal
+    # a tuple with a root coordinate has product 0 < 1
+    nonpos = tally["below"] + equal + n**N - len(live) ** N
     # Re >= 1 forces a nonzero product, and a divisor of t^n - 1 has
     # exactly deg(h) roots among the n-th roots of unity.
     if _divides_circle(h, n) and nonneg + ambiguous > (n - h.degree) ** N:
         raise RuntimeError(f"count {nonneg + ambiguous} exceeds the nonzero-product total "
                            f"{(n - h.degree) ** N} for h = {h}, n = {n}, N = {N}")
-    return SignCount(nonneg, nonpos, zero, ambiguous, n**N)
+    return SignCount(nonneg, nonpos, equal, ambiguous, n**N)
 
 
 def _divides_circle(h: IntPolynomial, n: int) -> bool:

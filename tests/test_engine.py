@@ -144,7 +144,7 @@ def test_second_query_reuses_pair_counts():
 
 
 def test_cached_ambiguous_count_warns_on_every_query(monkeypatch):
-    classify = spectral._classify_multiset
+    classify = spectral._classify_leaf
 
     def ambiguous(*args):
         # every multiset the tiers would count as above the threshold is left
@@ -154,7 +154,7 @@ def test_cached_ambiguous_count_warns_on_every_query(monkeypatch):
 
     expected = count_nonneg_tuples(IntPolynomial.from_coeffs([1, -1]), 5, 2)
     sign_count_tuples.cache_clear()
-    monkeypatch.setattr(spectral, "_classify_multiset", ambiguous)
+    monkeypatch.setattr(spectral, "_classify_leaf", ambiguous)
     for _ in range(2):
         with pytest.warns(UserWarning, match="ambiguous at precision cap"):
             r = best_bounds(GroupSpec((5,)), [(0,), (1,)], 2)

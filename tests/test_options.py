@@ -48,3 +48,23 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _is_float_call(func: ast.expr) -> bool:
+    if isinstance(func, ast.Name):
+        return func.id in ("float", "complex")
+    return (isinstance(func, ast.Attribute) and func.attr in ("hypot", "log2")
+            and isinstance(func.value, ast.Name) and func.value.id == "math")
+
+
+def test_spectral_has_no_float():
+    # sign decisions use exact integer balls only: no float constant, no true
+    # division and no conversion to float or complex anywhere in the module
+    path = Path(intersective.__file__).parent / "spectral.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Call) and _is_float_call(node.func)):
+            found.append(f"spectral.py:{node.lineno}")
+    assert found == []

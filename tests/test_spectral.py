@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,31 @@ def test_ball_ops_contain_products_of_points():
             for _ in range(k):
                 power = _cmul(power, za)
             assert _contains(ball_pow(a, k), power), (a, k)
+
+
+def test_walk_leaf_balls_contain_products_of_points(monkeypatch):
+    # the walk's leaf ball (x +- r) / 2^p must hold Re of any product of points
+    # of the value balls; exact (r = 0) and tiny values make every floor count
+    rng = random.Random(16)
+    p = spectral.PRECISION_START
+    leaves = []
+    monkeypatch.setattr(spectral, "_classify_leaf",
+                        lambda x, r, p, leaf, *rest: leaves.append((x, r, leaf)) or "below")
+    for _ in range(20):
+        vals = []
+        for _ in range(5):
+            bits = p + rng.choice([-40, -4, 0, 4])
+            x, y = (rng.randrange(-(1 << bits), 1 << bits) for _ in range(2))
+            vals.append(ComplexBall(x, y, rng.choice([0, 0, rng.randrange(1 << 8)]), p))
+        leaves.clear()
+        spectral._walk(list(range(5)), 3, {p: vals}, ONE_MINUS_T, 5)
+        assert len(leaves) == math.comb(7, 3)
+        for x, r, leaf in leaves:
+            for _ in range(3):
+                prod = (Fraction(1), Fraction(0))
+                for v in leaf:
+                    prod = _cmul(prod, _point_in(vals[v], rng))
+                assert abs(prod[0] * (1 << p) - x) <= r, (vals, leaf)
 
 
 def test_ball_values_at_large_n_are_tight():
@@ -330,20 +356,31 @@ def test_count_strictly_below_closed_form_exists():
     assert count_nonneg_tuples(ONE_MINUS_T, 3, 3) == 6 < (3 - 1) ** 3
 
 
-def _tier_classes(h, n, N):
-    """(multiset, two-tier class, ball-only class) for every nonzero-product multiset."""
+def _walk_leaves(h, n, N):
+    """(multiset, class) for every leaf the walk classifies; the leaves must be
+    exactly the multisets of residues that are not roots of h."""
     start = spectral.PRECISION_START
-    roots = spectral._root_residues(h, n)
-    cache = {start: spectral._ball_values(h, n, start)}
-    tier = spectral._float_tier(cache[start], N, roots)
-    assert tier is not None
-    for combo in itertools.combinations_with_replacement(range(n), N):
-        if any(v in roots for v in combo):
-            continue
-        mults = {v: combo.count(v) for v in set(combo)}
-        yield (combo,
-               spectral._classify_multiset(mults, cache, h, n, tier),
-               spectral._classify_multiset_ball(mults, cache, h, n))
+    live = [v for v in range(n) if v not in spectral._root_residues(h, n)]
+    leaves = []
+    classify = spectral._classify_leaf
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_classify_leaf",
+                  lambda *args: leaves.append((args[3], classify(*args))) or leaves[-1][1])
+        spectral._walk(live, N, {start: spectral._ball_values(h, n, start)}, h, n)
+    assert sorted(leaf for leaf, _ in leaves) == list(
+        itertools.combinations_with_replacement(live, N)), (str(h), n, N)
+    return leaves
+
+
+def _brute_sign_count(h, n, N):
+    """SignCount from every tuple of Z_n^N, each through the ball tier: no
+    multinomial weights and no shortcut for the roots of h."""
+    cache = {}
+    classes = Counter(spectral._classify_multiset_ball(Counter(tup), cache, h, n)
+                      for tup in itertools.product(range(n), repeat=N))
+    equal = classes["equal"]
+    return SignCount(classes["above"] + equal, classes["below"] + equal, equal,
+                     classes["ambiguous"], n**N)
 
 
 def _weight_candidates(n):
@@ -377,39 +414,50 @@ def _weighted_queries(draw):
 @example((cyclotomic(5), 15, 2))
 @example((inverse_cyclotomic(15).scale(-1), 15, 2))
 @example((cyclotomic(2) * cyclotomic(3), 12, 3))
-def test_float_tier_agrees_with_ball_tier(query):
+def test_walk_agrees_with_ball_tier(query):
     h, n, N = query
+    cache = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for combo, two_tier, ball_only in _tier_classes(h, n, N):
-            assert two_tier == ball_only, (str(h), n, combo)
+        for leaf, cls in _walk_leaves(h, n, N):
+            assert cls == spectral._classify_multiset_ball(Counter(leaf), cache, h, n), (
+                str(h), n, leaf)
 
 
-def test_float_tier_leaves_exact_tie_to_symbolic_path():
-    roots = spectral._root_residues(ONE_MINUS_T, 6)
-    tier = spectral._float_tier(spectral._ball_values(ONE_MINUS_T, 6, 64), 2, roots)
-    assert spectral._float_decide({1: 1, 5: 1}, tier) is None
-    assert spectral._float_decide({1: 2}, tier) == "below"   # (1 - e(1/6))^2 = e(-1/3)
-    assert spectral._float_decide({2: 1, 3: 1}, tier) == "above"
-    classes = {combo: cls for combo, cls, _ in _tier_classes(ONE_MINUS_T, 6, 2)}
-    assert classes[(1, 5)] == "equal"
+def test_walk_leaves_exact_tie_to_symbolic_path(monkeypatch):
+    to_balls = []
+    ball_tier = spectral._classify_multiset_ball
+    monkeypatch.setattr(spectral, "_classify_multiset_ball",
+                        lambda mults, *rest: to_balls.append(tuple(sorted(mults.elements())))
+                        or ball_tier(mults, *rest))
+    classes = dict(_walk_leaves(ONE_MINUS_T, 6, 2))
+    assert (1, 5) in to_balls and classes[(1, 5)] == "equal"
+    assert (1, 1) not in to_balls and classes[(1, 1)] == "below"  # (1 - e(1/6))^2 = e(-1/3)
+    assert (2, 3) not in to_balls and classes[(2, 3)] == "above"
 
 
-def test_float_tier_range_guard():
-    # min |1 - e(v/30)| = 2 sin(pi/30) ~ 0.209, so 0.209^N leaves the normal range
-    vals = spectral._ball_values(ONE_MINUS_T, 30, 64)
-    assert spectral._float_tier(vals, 400, {0}) is not None
-    assert spectral._float_tier(vals, 500, {0}) is None
-    # values past the float range, where the ball tier alone decides
+@pytest.mark.parametrize("h,n,N", [
+    (ONE_MINUS_T, 6, 3),  # exact ties
+    (cyclotomic(2) * cyclotomic(3), 12, 3),  # roots at 4, 6 and 8
+    (cyclotomic(5), 15, 2),  # roots at 3, 6, 9 and 12
+    (inverse_cyclotomic(15).scale(-1), 15, 2),
+    (IntPolynomial.from_coeffs([1, 0, -1]), 10, 3),
+], ids=["1-t", "phi2phi3", "phi5", "-psi15", "1-t^2"])
+def test_count_matches_ball_tier_on_every_tuple(h, n, N):
+    assert sign_count_tuples(h, n, N) == _brute_sign_count(h, n, N)
+
+
+def test_count_with_values_past_float_range():
     huge = IntPolynomial.from_coeffs([1, 10**400])
-    assert spectral._float_tier(spectral._ball_values(huge, 5, 64), 1, set()) is None
+    for n, N in ((5, 1), (5, 2), (7, 3)):
+        assert sign_count_tuples(huge, n, N) == _brute_sign_count(huge, n, N)
 
 
 def test_count_closed_form_violation_raises(monkeypatch):
     # the closed-form check is an explicit raise, not an assert that -O strips;
     # a classifier that puts every tuple above the threshold must trip it
     monkeypatch.setattr(spectral, "_root_residues", lambda h, n: set())
-    monkeypatch.setattr(spectral, "_classify_multiset", lambda *args: "above")
+    monkeypatch.setattr(spectral, "_classify_leaf", lambda *args: "above")
     with pytest.raises(RuntimeError, match="nonzero-product total"):
         count_nonneg_tuples(ONE_MINUS_T, 5, 2)
 
