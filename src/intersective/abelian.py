@@ -20,7 +20,6 @@ __all__ = [
     "cyclic_residues",
     "subgroup_generated",
     "character_value",
-    "count_character_extensions",
     "parse_group",
     "parse_element",
     "parse_element_set",
@@ -101,10 +100,6 @@ class RootOfUnity:
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity.from_fraction(self.angle + other.angle)
-
-    def to_complex(self) -> complex:
-        return complex(math.cos(2 * math.pi * self.num / self.den),
-                       math.sin(2 * math.pi * self.num / self.den))
 
 
 def element_order(G: GroupSpec, g: tuple[int, ...]) -> int:
@@ -194,25 +189,6 @@ def character_value(G: GroupSpec, chi: tuple[int, ...], g: tuple[int, ...]) -> R
     g = G.element(g)
     angle = sum((Fraction(c * x, n) for c, x, n in zip(chi, g, G.orders)), Fraction(0))
     return RootOfUnity.from_fraction(angle)
-
-
-def count_character_extensions(G: GroupSpec, a: tuple[int, ...], x: int) -> int:
-    """Number of characters chi of G with chi(a) = e(x / order(a)).
-
-    Enumerates all |G| characters; the count always equals [G : <a>].
-    """
-    a = G.element(a)
-    n = element_order(G, a)
-    if not 0 <= x < n:
-        raise ValueError(f"need 0 <= x < order(a) = {n}, got {x}")
-    target = RootOfUnity.from_fraction(Fraction(x, n))
-    if G.order > ENUMERATION_CAP:
-        raise ValueError(f"character enumeration over cap for |G| = {G.order}")
-    count = 0
-    for chi in itertools.product(*[range(m) for m in G.orders]):
-        if character_value(G, chi, a) == target:
-            count += 1
-    return count
 
 
 def parse_group(text: str) -> GroupSpec:

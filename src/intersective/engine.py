@@ -11,7 +11,6 @@ upper bound aborts with a dump, since it can only mean a bug in the tower.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -108,52 +107,111 @@ def require_admissible(residues: set[int], n: int) -> None:
         raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _divisor_product(subset: tuple[int, ...]) -> IntPolynomial:
-    """prod of Phi_d over d in subset, built on the cached product of subset[:-1].
+class _PackedDigits:
+    """Polynomials of degree < width as the integers P(2^B), B = 8 * nbytes.
 
-    Kept per process, since every a of the same order walks the same subsets.
+    This is Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
+    P(2^B) * Q(2^B) = (PQ)(2^B), so a product of packed polynomials is one
+    big-int multiplication. Every coefficient c must satisfy |c| < 2^(B-1).
+    Then c + 2^(B-1) is a digit in [1, 2^B), so P(2^B) + half, with
+    half = sum_k 2^(B-1) * 2^(Bk), holds these digits with no carries. B is
+    a whole number of bytes, so packing and decoding go through int.to_bytes.
     """
-    if not subset:
-        return IntPolynomial.one()
-    return _divisor_product(subset[:-1]) * cyclotomic(subset[-1])
+
+    def __init__(self, nbytes: int, width: int):
+        self.nbytes, self.width = nbytes, width
+        B = 8 * nbytes
+        ones = ((1 << B * width) - 1) // ((1 << B) - 1)  # 1 in every digit
+        self.half = ones << (B - 1)  # 2^(B-1) in every digit
+        self.low = self.half - ones  # 2^(B-1) - 1 in every digit
+
+    def pack(self, coeffs) -> int:
+        """P(2^B) from P's coefficients, each c written as the digit c + 2^(B-1)."""
+        nb, top = self.nbytes, 1 << (8 * self.nbytes - 1)
+        raw = b"".join((c + top).to_bytes(nb, "little") for c in coeffs)
+        offsets = self.half & ((1 << 8 * len(raw)) - 1)  # 2^(B-1) in the len(coeffs) digits
+        return int.from_bytes(raw, "little") - offsets
+
+    def unpack(self, X: int) -> tuple[int, ...]:
+        """P's coefficients, width of them, from X = P(2^B)."""
+        nb, top = self.nbytes, 1 << (8 * self.nbytes - 1)
+        raw = (X + self.half).to_bytes(self.width * nb, "little")
+        return tuple(int.from_bytes(raw[i:i + nb], "little") - top
+                     for i in range(0, len(raw), nb))
+
+    def mask(self, exponents) -> int:
+        """The top bit of the digit of each exponent."""
+        raw = bytearray(self.width * self.nbytes)
+        for k in exponents:
+            raw[k * self.nbytes + self.nbytes - 1] = 0x80
+        return int.from_bytes(raw, "little")
+
+    def nonzero(self, X: int) -> int:
+        """The top bit of every digit of X whose coefficient is nonzero.
+
+        The low B - 1 bits of the digit c + 2^(B-1) of X + half are c for
+        c >= 0 and 2^(B-1) + c >= 1 for c < 0, so they are zero iff c is.
+        Adding low sets a digit's top bit iff they are nonzero, and cannot
+        carry out, since 2 * (2^(B-1) - 1) < 2^B.
+        """
+        return (((X + self.half) & self.low) + self.low) & self.half
 
 
 def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
 
-    Enumerates subsets of divisors d > 1 of n (so the constant term stays 1),
-    prunes by total degree <= max(J), and checks the support containment on
-    each complete product; intermediate supports may shrink through
-    cancellation, so only degree prunes the recursion. Returns None when no
-    nonempty subset fits; raises ValueError past DIVISOR_SUBSET_CAP visited subsets.
+    Enumerates subsets of divisors d > 1 of n (so the constant term stays 1)
+    depth first, prunes by total degree <= max(J), and keeps the first subset
+    of the highest degree whose product has its support inside J;
+    intermediate supports may shrink through cancellation, so only degree
+    prunes the recursion. Every product of such Phi_d is monic, so t^deg is
+    in its support and a subset whose degree is not in J is not tested.
+    Returns None when no nonempty subset fits; raises ValueError past
+    DIVISOR_SUBSET_CAP visited subsets.
+
+    Each subset's product travels as one packed integer (_PackedDigits), one
+    multiplication per step. Digits are wide enough for every coefficient:
+    for polynomials |coeff(fg)| <= ||fg||_1 <= ||f||_1 * ||g||_1, and each
+    ||Phi_d||_1 >= 1, so every coefficient of every subset product is at
+    most L = prod ||Phi_d||_1 over all candidate d in absolute value, and a
+    digit of B >= bitlength(L) + 1 bits (a sign bit) holds it. The support
+    test is then a constant number of big-int operations, and only the
+    winner's coefficients are decoded.
     """
     Jset = {j % n for j in J}
     require_admissible(Jset, n)
     max_j = max(Jset)
     if max_j == 0:
         return None
-    divs = [d for d in divisors(n) if d > 1 and euler_phi(d) <= max_j]
-    best: tuple[int, IntPolynomial] | None = None
+    factors = [cyclotomic(d) for d in divisors(n) if d > 1 and euler_phi(d) <= max_j]
+    bound = math.prod(sum(map(abs, f.coeffs)) for f in factors)
+    digits = _PackedDigits(bound.bit_length() // 8 + 1, max_j + 1)
+    packed = [digits.pack(f.coeffs) for f in factors]
+    degrees = [f.degree for f in factors]
+    outside = digits.half ^ digits.mask(Jset)
+    best_deg, best = 0, None
     visited = 0
 
-    def rec(i: int, subset: tuple[int, ...], deg: int) -> None:
-        nonlocal best, visited
+    def rec(i: int, parent: int, factor: int, deg: int) -> None:
+        """Visit the subset whose product is parent * factor, multiplied only when needed."""
+        nonlocal best_deg, best, visited
         visited += 1
         if visited > DIVISOR_SUBSET_CAP:
             raise ValueError(f"divisor-subset search exceeded cap {DIVISOR_SUBSET_CAP}")
-        if deg > 0 and (best is None or deg > best[0]):
-            poly = _divisor_product(subset)
-            if set(poly.support()) <= Jset:
-                best = (deg, poly)
-        for k in range(i, len(divs)):
-            d = divs[k]
-            nd = deg + euler_phi(d)
+        X = None
+        if deg > best_deg and deg in Jset:
+            X = parent * factor
+            if not digits.nonzero(X) & outside:
+                best_deg, best = deg, X
+        for k in range(i, len(factors)):
+            nd = deg + degrees[k]
             if nd <= max_j:
-                rec(k + 1, subset + (d,), nd)
+                if X is None:
+                    X = parent * factor
+                rec(k + 1, X, packed[k], nd)
 
-    rec(0, (), 0)
-    return None if best is None else best[1]
+    rec(0, 1, 1, 0)
+    return None if best is None else IntPolynomial(digits.unpack(best))
 
 
 def pair_upper_bound(G: GroupSpec, a, N: int) -> int:

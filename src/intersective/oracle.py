@@ -147,14 +147,17 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
     shifts = tuple(dict.fromkeys(J + negJ))  # J u -J, each sum e + s computed once
     at = {s: k for k, s in enumerate(shifts)}
     up, down = [at[j] for j in J], [at[j] for j in negJ]
-    plus, minus = [], []
-    for e in base:
-        w = [index.get(G.add(e, s)) for s in shifts]
-        if None in w:
-            s = shifts[w.index(None)]
-            raise ValueError(f"vertex base is not closed under shifts by J and -J: {e} + {s}")
-        plus.append([w[k] for k in up])
-        minus.append([w[k] for k in down])
+    columns = list(zip(*base))
+    moved = []  # moved[k][i]: index of base[i] + shifts[k], None outside base
+    for s in shifts:
+        shifted = [[(x + c) % m for x in col] for col, c, m in zip(columns, s, G.orders)]
+        moved.append(list(map(index.get, zip(*shifted))))
+    if any(None in w for w in moved):
+        i = min(w.index(None) for w in moved if None in w)
+        s = next(s for s, w in zip(shifts, moved) if w[i] is None)
+        raise ValueError(f"vertex base is not closed under shifts by J and -J: {base[i]} + {s}")
+    plus = list(zip(*[moved[k] for k in up]))
+    minus = list(zip(*[moved[k] for k in down]))
     vertices = tuple(itertools.product(base, repeat=N))
     return CayleyGraph(G, tuple(J), N, vertices, _bitset_rows(plus, minus, N))
 

@@ -57,7 +57,6 @@ __all__ = [
     "count_nonneg_tuples",
     "sign_count_tuples",
     "SignCount",
-    "inertia_bound",
     "residue_dp_count",
     "residue_dp_profile",
     "spectral_upper_bound",
@@ -326,22 +325,25 @@ def _circle_mul(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ..
 def _real_part_is_exactly_one(mults: dict[int, int], h: IntPolynomial, n: int) -> bool:
     """Exact test: Re(prod_v h(e_n(v))^{m_v}) == 1.
 
-    The product is P(e_n(1)) for an integer polynomial P mod t^n - 1, built
-    from the reductions of h(t^v) for the residues of this multiset only;
-    twice its real part minus 2 is (P + reverse(P) - 2)(e_n(1)), which
-    vanishes iff Phi_n divides that polynomial.
+    With g = gcd(n, the residues of this multiset) and n' = n / g, every
+    e_n(v) is e_n'(v / g), so the product is P(e_n'(1)) for an integer
+    polynomial P mod t^n' - 1, built from the reductions of h(t^(v/g));
+    twice its real part minus 2 is (P + reverse(P) - 2)(e_n'(1)), which
+    vanishes iff Phi_n' divides that polynomial.
     """
-    P = tuple([1] + [0] * (n - 1))
-    for v, m in mults.items():
-        hv = _poly_mod_circle(h, n, v)
-        for _ in range(m):
-            P = _circle_mul(P, hv, n)
-    R = [0] * n
+    g = math.gcd(n, *mults)
+    m = n // g
+    P = tuple([1] + [0] * (m - 1))
+    for v, k in mults.items():
+        hv = _poly_mod_circle(h, m, v // g)
+        for _ in range(k):
+            P = _circle_mul(P, hv, m)
+    R = [0] * m
     for k, c in enumerate(P):
         R[k] += c
-        R[(-k) % n] += c
+        R[(-k) % m] += c
     R[0] -= 2
-    return cyclotomic(n).divides(IntPolynomial.from_coeffs(R))
+    return cyclotomic(m).divides(IntPolynomial.from_coeffs(R))
 
 
 def _circle_factors(h: IntPolynomial, n: int) -> list[int]:
@@ -474,11 +476,6 @@ class SignCount:
     def __post_init__(self) -> None:
         if self.n_nonneg + self.n_nonpos - self.n_zero + self.n_ambiguous != self.total:
             raise ValueError("inconsistent sign bookkeeping")
-
-
-def inertia_bound(sc: SignCount) -> int:
-    """Independence bound min{n_{<=0}, n_{>=0}}; ambiguity counted on both sides."""
-    return min(sc.n_nonneg + sc.n_ambiguous, sc.n_nonpos + sc.n_ambiguous)
 
 
 def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from intersective import engine, numtheory, oracle, spectral
+from intersective import numtheory, oracle, spectral
 from intersective.cyclotomic import _squarefree_factor
 
 # Every per-process cache in the package; tests/test_caches.py checks the list is complete.
@@ -10,7 +10,6 @@ PER_PROCESS_CACHES = (
     spectral.sign_count_tuples,
     spectral._pi,
     oracle._closed_results,
-    engine._divisor_product,
     _squarefree_factor,
     numtheory.factorize,
 )

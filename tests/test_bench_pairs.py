@@ -1,0 +1,53 @@
+"""The paired-benchmark summary of tools/bench_pairs.py, on canned run.py result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _line(query_max, rss, correct=True, failed=0):
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {"query_max_s": {"value": query_max, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_result_line_is_the_last_json_line():
+    out = "# table\nwall_s 0.1 s\n" + json.dumps(_line(0.05, 20.0)) + "\n\n"
+    assert bench_pairs.result_line(out) == _line(0.05, 20.0)
+
+
+def test_summary_medians_quartiles_and_wins():
+    base = [0.050, 0.053, 0.049, 0.055, 0.051]
+    change = [0.033, 0.031, 0.050, 0.034, 0.052]
+    pairs = [(_line(b, 22.0), _line(c, 22.0 + i)) for i, (b, c) in enumerate(zip(base, change))]
+    s = bench_pairs.summarize(pairs, {"query_max_s": "lower"})
+    q = s["metrics"]["query_max_s"]
+    assert s["pairs"] == 5 and s["correct"] == {"base": True, "change": True}
+    assert (q["base"]["q1"], q["base"]["median"], q["base"]["q3"]) == (0.050, 0.051, 0.053)
+    assert (q["change"]["q1"], q["change"]["median"], q["change"]["q3"]) == (0.033, 0.034, 0.050)
+    assert q["change_wins"] == 3  # 0.050 > 0.049 and 0.052 < 0.055: the last pair is a win
+    assert q["unit"] == "s" and q["better"] == "lower"
+    rss = s["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0  # equal or worse is no win
+    assert rss["base"]["median"] == 22.0 and rss["change"]["median"] == 24.0
+
+
+def test_summary_honours_direction_and_failures():
+    pairs = [(_line(1.0, 10.0), _line(2.0, 10.0, correct=False, failed=1))]
+    s = bench_pairs.summarize(pairs, {"query_max_s": "higher"})
+    assert s["metrics"]["query_max_s"]["change_wins"] == 1
+    assert s["metrics"]["query_max_s"]["change"]["q1"] == 2.0
+    assert s["correct"] == {"base": True, "change": False}
+    assert s["failed"] == {"base": 0, "change": 1}
+
+
+@pytest.mark.parametrize("text,seeds", [("701-704", [701, 702, 703, 704]), ("3,5,8", [3, 5, 8])])
+def test_parse_seeds(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds

@@ -1,13 +1,18 @@
 """Bound orchestration: candidate methods, consistency policing, serialization."""
 
+import itertools
+import random
+import re
+
 import pytest
 
 from intersective import engine, spectral
-from intersective.abelian import GroupSpec, element_order, parse_group
+from intersective.abelian import GroupSpec, cyclic_residues, element_order, parse_group
 from intersective.cyclotomic import IntPolynomial, cyclotomic
 from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
                                  best_divisor_polynomial, generic_upper_bound,
                                  pair_upper_bound, report_from_json, report_to_json)
+from intersective.numtheory import divisors, euler_phi
 from intersective.oracle import AvoidanceResult
 from intersective.spectral import count_nonneg_tuples, residue_dp_count, sign_count_tuples
 
@@ -62,16 +67,149 @@ def test_divisor_search_rejects(monkeypatch):
         best_divisor_polynomial(105, set(cyclotomic(105).support()))
 
 
-def test_divisor_search_reuses_subset_products(monkeypatch):
+def test_divisor_search_repeats_answer_and_cap_error(monkeypatch):
     J = set(cyclotomic(105).support())
     first = best_divisor_polynomial(105, J)
-    misses = engine._divisor_product.cache_info().misses
-    assert best_divisor_polynomial(105, J) == first
-    assert engine._divisor_product.cache_info().misses == misses
-    # a warm cache leaves the visit count, and so the cap error, unchanged
+    assert best_divisor_polynomial(105, J) == first == cyclotomic(105)
     monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 5)
-    with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
+            best_divisor_polynomial(105, J)
+
+
+def _old_divisor_search(n, J, products):
+    """The dense depth-first search the packed one replaced: (h or None, subsets visited).
+
+    products keeps (prod Phi_d, its support) per subset across calls, as the
+    old search kept its products per process.
+    """
+    cap = engine.DIVISOR_SUBSET_CAP
+    Jset = {j % n for j in J}
+    engine.require_admissible(Jset, n)
+    max_j = max(Jset)
+    if max_j == 0:
+        return None, 0
+    divs = [d for d in divisors(n) if d > 1 and euler_phi(d) <= max_j]
+    best, visited = None, 0
+
+    def product(subset):
+        if subset not in products:
+            poly = product(subset[:-1])[0] * cyclotomic(subset[-1]) if subset else IntPolynomial.one()
+            products[subset] = (poly, frozenset(poly.support()))
+        return products[subset]
+
+    def rec(i, subset, deg):
+        nonlocal best, visited
+        visited += 1
+        if visited > cap:
+            raise ValueError(f"divisor-subset search exceeded cap {cap}")
+        if deg > 0 and (best is None or deg > best.degree):
+            poly, support = product(subset)
+            if support <= Jset:
+                best = poly
+        for k in range(i, len(divs)):
+            nd = deg + euler_phi(divs[k])
+            if nd <= max_j:
+                rec(k + 1, subset + (divs[k],), nd)
+
+    rec(0, (), 0)
+    return best, visited
+
+
+def _assert_same_as_old(cases):
+    """The packed search returns the old search's polynomial, or raises its ValueError."""
+    products = {}
+    for n, J in cases:
+        try:
+            want = _old_divisor_search(n, J, products)[0]
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                best_divisor_polynomial(n, J)
+            continue
+        assert best_divisor_polynomial(n, J) == want, (n, sorted(J))
+
+
+def _admissible_sets(n):
+    """Every admissible J in Z_n: 0 plus at most one of j, n - j for each j < n/2."""
+    choices = [((), (j,), (n - j,)) for j in range(1, (n + 1) // 2)]
+    return [{0, *itertools.chain(*pick)} for pick in itertools.product(*choices)]
+
+
+def test_divisor_search_matches_old_on_every_small_group():
+    cases = [(n, J) for n in range(1, 13) for J in _admissible_sets(n)]
+    assert len(cases) == 728
+    _assert_same_as_old(cases)
+
+
+def test_divisor_search_matches_old_on_random_sets():
+    # n <= 200 with at most 12 divisors: the five with more (120, 144, 168,
+    # 180, 192) make the old search's dense products too slow for this suite
+    rng = random.Random(2000)
+    orders = [n for n in range(3, 201) if len(divisors(n)) <= 12]
+    cases = []
+    for _ in range(2000):
+        n = rng.choice(orders)
+        J = {0}
+        for j in range(1, (n + 1) // 2):
+            J |= set(rng.choice(((), (j,), (n - j,))))
+        cases.append((n, J))
+    _assert_same_as_old(cases)
+
+
+def test_divisor_search_matches_old_on_z105_residues():
+    G = parse_group("105")
+    J = [(k,) for k in cyclotomic(105).support()]
+    cases = [(element_order(G, a), set(cyclic_residues(G, a, J).values()))
+             for a in J if a != G.zero()]
+    assert len(cases) == 32
+    _assert_same_as_old(cases)
+
+
+def test_divisor_search_matches_old_on_planted_products():
+    def product(*ds):
+        h = IntPolynomial.one()
+        for d in ds:
+            h = h * cyclotomic(d)
+        return h
+
+    small = product(2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+    odd = product(3, 5, 7, 9, 15, 21, 35, 45, 63, 105)
+    assert max(map(abs, small.coeffs)) == 165
+    assert max(map(abs, (odd * odd).coeffs)) == 753
+    planted = [
+        (105, product(3, 5, 7, 15)),
+        (105, product(3, 5, 7, 15, 3, 5, 7, 15)),  # squared support: more subsets fit
+        (126, product(2, 9, 14)),
+        (126, product(2, 9, 14, 2, 9, 14)),
+        (2520, small),
+        (945, odd * odd),
+    ]
+    _assert_same_as_old([(n, set(h.support())) for n, h in planted])
+
+
+def test_packed_support_test_at_the_digit_edge():
+    rng = random.Random(8)
+    for nbytes in (1, 2, 5):
+        edge = (1 << 8 * nbytes - 1) - 1  # the largest |c| a digit holds
+        digits = engine._PackedDigits(nbytes, 40)
+        for _ in range(200):
+            coeffs = [rng.choice((0, 0, 1, -1, edge, -edge)) for _ in range(rng.randrange(1, 41))]
+            X = digits.pack(coeffs)
+            assert digits.unpack(X)[:len(coeffs)] == tuple(coeffs)
+            support = IntPolynomial.from_coeffs(coeffs).support()
+            assert digits.nonzero(X) == digits.mask(support)
+
+
+def test_divisor_search_cap_is_the_subset_count(monkeypatch):
+    J = set(cyclotomic(105).support())
+    _, visited = _old_divisor_search(105, J, {})
+    assert visited == 60
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", visited)
+    assert best_divisor_polynomial(105, J) == cyclotomic(105)
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", visited - 1)
+    with pytest.raises(ValueError, match=f"divisor-subset search exceeded cap {visited - 1}$"):
         best_divisor_polynomial(105, J)
+    _assert_same_as_old([(105, J), (9, {0, 1, 8})])  # the cap error, and an inadmissible J
 
 
 def test_pair_upper_bound():

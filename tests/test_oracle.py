@@ -120,11 +120,15 @@ def test_builder_matches_reference_on_larger_graphs(orders, J, N):
 def test_build_rejects_base_not_closed_under_shifts():
     # {0, 2, 4} is <2> in Z_6, but J = {0, 1} shifts 0 to 1, which lies outside
     G = GroupSpec((6,))
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match=r"not closed under shifts by J and -J: \(0,\) \+ \(1,\)$"):
         _build_on_base(G, ((0,), (1,)), 2, ((0,), (2,), (4,)), 4096)
     # {0, 1} in Z_3 with J = {0, 1}: both 1 + 1 and 0 - 1 land on 2
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match=r"\(0,\) \+ \(2,\)$"):
         _build_on_base(GroupSpec((3,)), ((0,), (1,)), 1, ((0,), (1,)), 4096)
+    # the first failing element wins, then its first failing shift: 0 - 1
+    # leaves {0, 1, 2, 4} in Z_8 before 2 + 1 does
+    with pytest.raises(ValueError, match=r"\(0,\) \+ \(7,\)$"):
+        _build_on_base(GroupSpec((8,)), ((0,), (1,)), 1, ((0,), (1,), (2,), (4,)), 4096)
 
 
 def test_build_without_zero_in_J_has_no_self_loops():

@@ -28,7 +28,7 @@ from intersective.oracle import build_cayley, verify_clique
 from intersective.spectral import (ComplexBall, MultisetCapExceeded, SignCount,
                                    WeightFunction, ball_add, ball_exact_int,
                                    ball_mul, ball_pow, ball_root_of_unity, cayley_eigenvalue,
-                                   clique_bounds, count_nonneg_tuples, inertia_bound,
+                                   clique_bounds, count_nonneg_tuples,
                                    residue_dp_count, residue_dp_profile,
                                    sign_count_tuples, spectral_upper_bound,
                                    weight_from_polynomial)
@@ -302,6 +302,16 @@ def test_exact_tie_reduces_only_tied_residues(monkeypatch):
     assert set(reduced) == {1, 3, 5}
 
 
+def test_exact_tie_works_in_the_smallest_cyclotomic_field(monkeypatch):
+    # 1 - e(v/4000) has real part 1 at v = 1000 and 3000, where e_4000(v) is
+    # e_4(1) and e_4(3): the tie is decided against Phi_4, not Phi_4000
+    asked = []
+    build = spectral.cyclotomic
+    monkeypatch.setattr(spectral, "cyclotomic", lambda d: asked.append(d) or build(d))
+    assert count_nonneg_tuples(ONE_MINUS_T, 4000, 1) == 2001
+    assert 4 in asked and 4000 not in asked
+
+
 def _dense_divides_circle(h, n):
     """Reference: exact division by a dense t^n - 1."""
     if h.degree > n:
@@ -477,13 +487,18 @@ def test_multiset_cap(monkeypatch):
         count_nonneg_tuples(ONE_MINUS_T, 7, 50)
 
 
+def _inertia_bound(sc: SignCount) -> int:
+    """Independence bound min{n_{<=0}, n_{>=0}}; ambiguity counted on both sides."""
+    return min(sc.n_nonneg + sc.n_ambiguous, sc.n_nonpos + sc.n_ambiguous)
+
+
 def test_sign_count_and_inertia():
     sc = sign_count_tuples(ONE_MINUS_T, 5, 1)
     assert sc.total == 5
     assert sc.n_nonneg + sc.n_nonpos - sc.n_zero + sc.n_ambiguous == sc.total
-    assert inertia_bound(sc) == min(sc.n_nonneg, sc.n_nonpos)
+    assert _inertia_bound(sc) == min(sc.n_nonneg, sc.n_nonpos)
     # C_5 itself: alpha = 2 and the inertia bound is tight
-    assert inertia_bound(sc) == 2
+    assert _inertia_bound(sc) == 2
 
 
 def test_sign_count_invariant_violation_rejected():

@@ -1,0 +1,149 @@
+"""Paired benchmark of two checkouts: alternate them over seeds, summarise every metric.
+
+    python3 tools/bench_pairs.py --base PATH --change PATH --workload spectral-z105 \\
+        --seeds 701-710 --seconds 10 --label NAME
+
+For each seed, ``perfbench/run.py`` runs once in each checkout (end-to-end
+metrics, ``--trace 0``). The base runs first on the first seed, the change
+on the second, and so on, so drift of the machine falls on both sides alike.
+The last line a run prints is its result line. The summary is written to
+``BENCH_<label>.json`` in the current directory: each side's commit, the CPU
+model and count, and for every metric each side's median and quartiles and
+the number of pairs the change won. Whether lower or higher wins comes from
+the change's ``BENCHMARK.json`` (lower when it names no direction). Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'701-710' or '3,5,8'."""
+    if "-" in text:
+        lo, hi = (int(x) for x in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def result_line(stdout: str) -> dict:
+    """The JSON object on the last nonempty line of a run.py output."""
+    return json.loads([line for line in stdout.splitlines() if line.strip()][-1])
+
+
+def _spread(values: list[float]) -> dict:
+    """Median and quartiles; quartiles by the inclusive method, so they stay inside the data."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+    """Per metric: each side's spread and the pairs the change won, from (base, change) result lines.
+
+    A pair counts as a win when the change's value is strictly better, in
+    the direction better[name] ('lower' when absent). A side is correct only
+    when every one of its runs was.
+    """
+    out = {"pairs": len(pairs),
+           "correct": {"base": all(b["correct"] for b, _ in pairs),
+                       "change": all(c["correct"] for _, c in pairs)},
+           "failed": {"base": sum(b["failed"] for b, _ in pairs),
+                      "change": sum(c["failed"] for _, c in pairs)},
+           "metrics": {}}
+    for name in pairs[0][0]["metrics"] if pairs else ():
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        out["metrics"][name] = {"unit": pairs[0][0]["metrics"][name]["unit"],
+                                "better": "lower" if lower else "higher",
+                                "base": _spread(base), "change": _spread(change),
+                                "change_wins": wins}
+    return out
+
+
+def machine() -> dict:
+    model = platform.processor() or platform.machine()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu_model": model, "cpu_count": os.cpu_count(), "python": platform.python_version()}
+
+
+def commit(checkout: Path) -> str:
+    """HEAD of the checkout, with '+dirty' when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True).stdout.strip()
+    head = git("rev-parse", "HEAD") or "unknown"
+    return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    try:
+        spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if not proc.stdout.strip():
+        raise RuntimeError(f"run.py in {checkout} printed nothing: {proc.stderr.strip()[-500:]}")
+    return result_line(proc.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, type=Path, help="checkout to compare against")
+    p.add_argument("--change", required=True, type=Path, help="checkout with the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="'701-710' or '3,5,8'; one pair per seed")
+    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--label", required=True, help="the summary goes to BENCH_<label>.json")
+    args = p.parse_args(argv)
+
+    base, change = args.base.resolve(), args.change.resolve()
+    pairs = []
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        sides = [(base, "base"), (change, "change")]
+        got = {name: run_once(path, args.workload, seed, args.seconds)
+               for path, name in (sides if i % 2 == 0 else sides[::-1])}
+        pairs.append((got["base"], got["change"]))
+        print(f"seed {seed}: " + ", ".join(
+            f"{m} {got['base']['metrics'][m]['value']:.4f} -> {got['change']['metrics'][m]['value']:.4f}"
+            for m in got["base"]["metrics"]), flush=True)
+    summary = {"label": args.label, "workload": args.workload, "seeds": parse_seeds(args.seeds),
+               "seconds": args.seconds, "machine": machine(),
+               "commits": {"base": commit(base), "change": commit(change)},
+               **summarize(pairs, directions(change))}
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(summary, indent=2) + "\n")
+    for name, m in summary["metrics"].items():
+        print(f"{name:12s} base {m['base']['median']:.4f} [{m['base']['q1']:.4f}, "
+              f"{m['base']['q3']:.4f}]  change {m['change']['median']:.4f} "
+              f"[{m['change']['q1']:.4f}, {m['change']['q3']:.4f}]  "
+              f"change won {m['change_wins']}/{summary['pairs']}")
+    return 0 if all(summary["correct"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
