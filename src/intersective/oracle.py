@@ -515,9 +515,11 @@ def _canonical_labels(G: GroupSpec, H: SubgroupInfo, J: tuple) -> tuple[tuple, t
     e = math.lcm(*(element_order(G, j) for j in J))
     units = [u for u in range(1, e) if math.gcd(u, e) == 1]
     best, best_auto = tuple(sorted(J)), None
+    columns = list(zip(*J))
     for perm in _factor_permutations(G.orders, MIS_CAP // len(units)):
-        for u in units:
-            image = tuple(sorted(_relabel(G, (u, perm), j) for j in J))
+        moved = [(columns[k], n) for k, n in zip(perm, G.orders)]
+        for u in units:  # relabel J a column at a time, as _relabel does an element
+            image = tuple(sorted(zip(*[[u * x % n for x in col] for col, n in moved])))
             if image < best:
                 best, best_auto = image, (u, perm)
     if best_auto is None:

@@ -29,8 +29,14 @@ product as a ball at PRECISION_START: it starts at exactly 1, and each step
 is one complex multiplication under ball_mul's radius rule, so every leaf
 ball encloses its product. A leaf whose real part clears 1 either way is
 decided there; every other leaf goes to the ball tier above, which
-recomputes the product at rising precision and breaks exact ties. Tuples
-with a coordinate v where h(e_n(v)) = 0 are counted at once, not visited.
+recomputes the product at rising precision and breaks exact ties. Since
+ball_mul's radius grows with the radius and size of the value multiplied,
+the largest of them over all values bound the radius of every leaf of a
+prefix, which gives each prefix one pair of thresholds on the unshifted
+real center: a leaf past one of them is decided by two multiplications and
+one comparison, and only a leaf between them computes its own radius.
+Tuples with a coordinate v where h(e_n(v)) = 0 are counted at once, not
+visited.
 """
 
 from __future__ import annotations
@@ -419,24 +425,38 @@ def _classify_multiset_ball(mults, ball_cache, h, n):
 
 
 def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
-    """Tally of _classify_leaf over the multisets of N residues from live,
-    each weighted by its number of orderings, from a depth-first walk.
+    """Tally of the classes of the multisets of N residues from live, each
+    weighted by its number of orderings, from a depth-first walk.
 
     idx holds the first N - 1 positions as nondecreasing indices into live.
     state[d] = (x, y, r, orderings, run) for the prefix of length d: its
     product ball at PRECISION_START, and the multiplicity of its last index.
+
+    A leaf multiplies the prefix (x, y, r), c = |x| + |y|, by a value
+    (vx, vy, vr), vc = |vx| + |vy|. Under ball_mul's rule its radius is
+    ceil((c vr + vc r + r vr) / 2^p) + 2, which grows with vr and vc, so
+    R = ceil((c VR + VC r + r VR) / 2^p) + 2, with VR and VC the largest vr
+    and vc over live, bounds the radius of every leaf of the prefix. The
+    leaf's real center is floor(Z / 2^p) for Z = x vx - y vy, so center -
+    radius > 2^p holds when Z >= (2^p + R + 1) 2^p, and center + radius <
+    2^p when Z < (2^p - R) 2^p: the two thresholds decide a leaf as its own
+    radius would, from two multiplications. Only a leaf between them
+    computes its own radius and goes to _classify_leaf.
     """
     p = PRECISION_START
+    one = 1 << p
     vals = [(b.x, b.y, b.r, abs(b.x) + abs(b.y)) for b in (ball_cache[p][v] for v in live)]
     tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
     k, pre = len(live), N - 1
     if not N:  # the empty product is exactly 1
-        tally[_classify_leaf(1 << p, 0, p, (), ball_cache, h, n)] += 1
+        tally[_classify_leaf(one, 0, p, (), ball_cache, h, n)] += 1
     if pre < 0 or not k:
         return tally
+    VR = max(v[2] for v in vals)
+    VC = max(v[3] for v in vals)
     idx = [0] * pre
-    state = [(1 << p, 0, 0, 1, 0)] + [None] * pre
-    t = 0
+    state = [(one, 0, 0, 1, 0)] + [None] * pre
+    t = above = below = 0
     while True:
         for d in range(t, pre):  # redo the prefix products past the advanced position
             x, y, r, w, run = state[d]
@@ -448,17 +468,29 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
                             w * (d + 1) // run, run)
         x, y, r, w, run = state[pre]
         c = abs(x) + abs(y)
-        prefix = tuple(live[j] for j in idx)
+        R = -(-(c * VR + VC * r + r * VR) >> p) + 2
+        hi, lo = (one + R + 1) << p, (one - R) << p
         first = idx[-1] if pre else 0
+        wN = w * N
+        wt = wN // (run + 1)
         for j in range(first, k):
             vx, vy, vr, vc = vals[j]
-            cls = _classify_leaf((x * vx - y * vy) >> p, -(-(c * vr + vc * r + r * vr) >> p) + 2,
-                                 p, prefix + (live[j],), ball_cache, h, n)
-            tally[cls] += w * N // (run + 1 if j == first else 1)
+            z = x * vx - y * vy
+            if z >= hi:
+                above += wt
+            elif z < lo:
+                below += wt
+            else:
+                leaf = tuple(live[i] for i in idx) + (live[j],)
+                tally[_classify_leaf(z >> p, -(-(c * vr + vc * r + r * vr) >> p) + 2,
+                                     p, leaf, ball_cache, h, n)] += wt
+            wt = wN
         t = pre - 1
         while t >= 0 and idx[t] == k - 1:
             t -= 1
         if t < 0:
+            tally["above"] += above
+            tally["below"] += below
             return tally
         idx[t:] = [idx[t] + 1] * (pre - t)
 

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import types
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,19 @@ def test_summary_honours_direction_and_failures():
 @pytest.mark.parametrize("text,seeds", [("701-704", [701, 702, 703, 704]), ("3,5,8", [3, 5, 8])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_directory(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        pycache = env["PYTHONPYCACHEPREFIX"]
+        seen.append((pycache, os.listdir(pycache), env.get("PATH")))
+        return types.SimpleNamespace(stdout=json.dumps(_line(0.05, 20.0)) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench_pairs.run_once(tmp_path, "spectral-z105", 1, 1.0) == _line(0.05, 20.0)
+    (first, listed, path), (second, _, _) = seen
+    assert first != second and listed == [] and path == os.environ.get("PATH")
+    assert not os.path.exists(first) and not os.path.exists(second)  # removed after the run

@@ -55,6 +55,9 @@ def test_divisor_search_degree_is_maximal_under_ties():
 def test_divisor_search_none_when_nothing_fits():
     assert best_divisor_polynomial(5, {0, 1}) is None
     assert best_divisor_polynomial(7, {0}) is None
+    # Phi_2500 = Phi_10(t^250) has degree 1000 and no coefficient below t^250
+    # but 1: it passes the test of its low coefficients, not the full one
+    assert best_divisor_polynomial(2500, {0, 1000}) is None
 
 
 def test_divisor_search_rejects(monkeypatch):
@@ -117,12 +120,15 @@ def _old_divisor_search(n, J, products):
 
 
 def _assert_same_as_old(cases):
-    """The packed search returns the old search's polynomial, or raises its ValueError."""
+    """The packed search returns the old search's polynomial, or raises its ValueError;
+    where the old search passed its visit cap, the pruned one may stay under it."""
     products = {}
     for n, J in cases:
         try:
             want = _old_divisor_search(n, J, products)[0]
         except ValueError as e:
+            if "divisor-subset search exceeded cap" in str(e):
+                continue
             with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
                 best_divisor_polynomial(n, J)
             continue
@@ -201,15 +207,28 @@ def test_packed_support_test_at_the_digit_edge():
 
 
 def test_divisor_search_cap_is_the_subset_count(monkeypatch):
+    # the old search visited 60 subsets; 9 of them could not raise the best
+    # degree and are pruned
     J = set(cyclotomic(105).support())
-    _, visited = _old_divisor_search(105, J, {})
-    assert visited == 60
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", visited)
+    assert _old_divisor_search(105, J, {})[1] == 60
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 51)
     assert best_divisor_polynomial(105, J) == cyclotomic(105)
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", visited - 1)
-    with pytest.raises(ValueError, match=f"divisor-subset search exceeded cap {visited - 1}$"):
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 50)
+    with pytest.raises(ValueError, match="divisor-subset search exceeded cap 50$"):
         best_divisor_polynomial(105, J)
-    _assert_same_as_old([(105, J), (9, {0, 1, 8})])  # the cap error, and an inadmissible J
+    _assert_same_as_old([(9, {0, 1, 8})])  # an inadmissible J
+
+
+def test_divisor_search_prunes_degrees_it_cannot_reach(monkeypatch):
+    # all 24 divisors d > 1 of 10^4 fit under max J = 6667, so the unpruned
+    # search passes 2^20 subsets; only degree 6667 could beat 1 + t, and the
+    # search enters a subset only when some subset below it can reach it
+    J = {0, 1, 6667}
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 10586)
+    assert best_divisor_polynomial(10000, J) == IntPolynomial.from_coeffs([1, 1])
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 10585)
+    with pytest.raises(ValueError, match="divisor-subset search exceeded cap 10585$"):
+        best_divisor_polynomial(10000, J)
 
 
 def test_pair_upper_bound():
@@ -282,17 +301,17 @@ def test_second_query_reuses_pair_counts():
 
 
 def test_cached_ambiguous_count_warns_on_every_query(monkeypatch):
-    classify = spectral._classify_leaf
+    walk = spectral._walk
 
     def ambiguous(*args):
-        # every multiset the tiers would count as above the threshold is left
+        # every multiset the walk would count as above the threshold is left
         # undecided instead, so the count is unchanged but warns
-        cls = classify(*args)
-        return "ambiguous" if cls == "above" else cls
+        tally = walk(*args)
+        return {**tally, "above": 0, "ambiguous": tally["ambiguous"] + tally["above"]}
 
     expected = count_nonneg_tuples(IntPolynomial.from_coeffs([1, -1]), 5, 2)
     sign_count_tuples.cache_clear()
-    monkeypatch.setattr(spectral, "_classify_leaf", ambiguous)
+    monkeypatch.setattr(spectral, "_walk", ambiguous)
     for _ in range(2):
         with pytest.warns(UserWarning, match="ambiguous at precision cap"):
             r = best_bounds(GroupSpec((5,)), [(0,), (1,)], 2)

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersective import oracle
-from intersective.abelian import GroupSpec, subgroup_generated
+from intersective.abelian import GroupSpec, element_order, subgroup_generated
+from intersective.cyclotomic import cyclotomic
 from intersective.oracle import (AvoidanceResult, OracleInfeasible, _build_on_base,
                                  _subgroup_base, build_cayley, coset_representatives,
                                  exact_avoidance, lift_block_witness, max_independent_set,
@@ -510,6 +511,45 @@ def test_canonical_labels_are_class_invariants():
                         assert back == sorted(K)
                     checked += 1
     assert checked > 500
+
+
+def _per_element_canonical_labels(G, J):
+    """_canonical_labels as a loop of _relabel over the elements of J, one map at a time."""
+    e = math.lcm(*(element_order(G, j) for j in J))
+    units = [u for u in range(1, e) if math.gcd(u, e) == 1]
+    best, best_auto = tuple(sorted(J)), None
+    for perm in oracle._factor_permutations(G.orders, oracle.MIS_CAP // len(units)):
+        for u in units:
+            image = tuple(sorted(oracle._relabel(G, (u, perm), j) for j in J))
+            if image < best:
+                best, best_auto = image, (u, perm)
+    if best_auto is None:
+        return best, None
+    u, perm = best_auto
+    inverse = [0] * len(perm)
+    for i, src in enumerate(perm):
+        inverse[src] = i
+    return best, (pow(u, -1, e), tuple(inverse))
+
+
+def test_canonical_labels_match_the_per_element_loop():
+    cases = []
+    for G in [GroupSpec((m,)) for m in range(2, 8)] + [GroupSpec((2, 2))]:
+        # criterion 11 but J = {0}, which exact_avoidance answers without labels
+        nonzero = [g for g in G.elements() if any(g)]
+        cases += [(G, (G.zero(),) + S) for k in range(1, len(nonzero) + 1)
+                  for S in itertools.combinations(nonzero, k)]
+    cases.append((GroupSpec((105,)), tuple((k,) for k in cyclotomic(105).support())))
+    for orders, size in (((3, 3), 3), ((2, 4, 2), 2), ((4, 2, 4), 2)):  # factor swaps
+        G = GroupSpec(orders)
+        nonzero = [g for g in G.elements() if any(g)]
+        cases += [(G, (G.zero(),) + S) for S in itertools.combinations(nonzero, size)]
+    relabelled = 0
+    for G, J in cases:
+        want = _per_element_canonical_labels(G, J)
+        assert oracle._canonical_labels(G, subgroup_generated(G, J), J) == want, (G, J)
+        relabelled += want[1] is not None and want[1][1] != tuple(range(len(G.orders)))
+    assert relabelled > 0  # some winners swap factors
 
 
 def test_relabelled_search_matches_direct_search():

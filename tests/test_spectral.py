@@ -7,6 +7,7 @@ the exact ties, which are asserted through the symbolic path instead.
 
 import builtins
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -161,29 +162,101 @@ def test_ball_ops_contain_products_of_points():
             assert _contains(ball_pow(a, k), power), (a, k)
 
 
-def test_walk_leaf_balls_contain_products_of_points(monkeypatch):
-    # the walk's leaf ball (x +- r) / 2^p must hold Re of any product of points
-    # of the value balls; exact (r = 0) and tiny values make every floor count
+def _leaf_ball(vals, leaf):
+    """The product ball of a leaf under ball_mul's radius rule, from exact 1 at
+    PRECISION_START: the ball a walk leaf is classified by."""
+    p = spectral.PRECISION_START
+    return functools.reduce(ball_mul, (vals[v] for v in leaf), ComplexBall(1 << p, 0, 0, p))
+
+
+def _own_ball_classes(live, N, vals):
+    """{leaf: 'above', 'below' or None} for every multiset leaf of live, from the
+    real part of its own product ball; None when that does not clear 1."""
+    one = 1 << spectral.PRECISION_START
+    classes = {}
+    for leaf in itertools.combinations_with_replacement(live, N):
+        ball = _leaf_ball(vals, leaf)
+        classes[leaf] = "above" if ball.x - ball.r > one else "below" if ball.x + ball.r < one else None
+    return classes
+
+
+def _weighted_tally(classes):
+    """Tally of {leaf: class}, each leaf weighted by its number of orderings."""
+    tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
+    for leaf, cls in classes.items():
+        orderings = math.factorial(len(leaf))
+        for m in Counter(leaf).values():
+            orderings //= math.factorial(m)
+        tally[cls] += orderings
+    return tally
+
+
+def _walk_to_ball_tier(live, N, vals, h, n, ball_tier):
+    """The walk's tally, and the leaves it hands to the ball tier, answered by ball_tier(leaf)."""
+    opened = []
+
+    def record(mults, *rest):
+        opened.append(tuple(sorted(mults.elements())))
+        return ball_tier(opened[-1])
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_classify_multiset_ball", record)
+        tally = spectral._walk(live, N, {spectral.PRECISION_START: vals}, h, n)
+    return tally, opened
+
+
+def _assert_walk_is_per_leaf(live, N, vals):
+    """The walk classifies every leaf as its own product ball does, and hands
+    the ball tier exactly the leaves that ball leaves open."""
+    own = _own_ball_classes(live, N, vals)
+    tally, opened = _walk_to_ball_tier(live, N, vals, ONE_MINUS_T, len(vals),
+                                       lambda leaf: "ambiguous")
+    assert opened == [leaf for leaf, cls in own.items() if cls is None], (vals, N)
+    assert tally == _weighted_tally({leaf: cls or "ambiguous" for leaf, cls in own.items()}), (
+        vals, N)
+    return own
+
+
+def test_walk_leaf_balls_contain_products_of_points():
+    # each leaf's product ball (x +- r) / 2^p must hold Re of any product of
+    # points of the value balls, and the walk must decide each leaf as that
+    # ball does; exact (r = 0) and tiny values make every floor count
     rng = random.Random(16)
     p = spectral.PRECISION_START
-    leaves = []
-    monkeypatch.setattr(spectral, "_classify_leaf",
-                        lambda x, r, p, leaf, *rest: leaves.append((x, r, leaf)) or "below")
     for _ in range(20):
         vals = []
         for _ in range(5):
             bits = p + rng.choice([-40, -4, 0, 4])
             x, y = (rng.randrange(-(1 << bits), 1 << bits) for _ in range(2))
             vals.append(ComplexBall(x, y, rng.choice([0, 0, rng.randrange(1 << 8)]), p))
-        leaves.clear()
-        spectral._walk(list(range(5)), 3, {p: vals}, ONE_MINUS_T, 5)
-        assert len(leaves) == math.comb(7, 3)
-        for x, r, leaf in leaves:
+        own = _assert_walk_is_per_leaf(list(range(5)), 3, vals)
+        assert len(own) == math.comb(7, 3)
+        for leaf in own:
+            ball = _leaf_ball(vals, leaf)
             for _ in range(3):
                 prod = (Fraction(1), Fraction(0))
                 for v in leaf:
                     prod = _cmul(prod, _point_in(vals[v], rng))
-                assert abs(prod[0] * (1 << p) - x) <= r, (vals, leaf)
+                assert abs(prod[0] * (1 << p) - ball.x) <= ball.r, (vals, leaf)
+
+
+def test_walk_thresholds_decide_leaves_near_one_as_their_own_balls():
+    # values within a few units of 2^-p of 1, 2 and 1/2 put many products
+    # within a few units of 1, where the per-prefix thresholds, the leaf's own
+    # radius and their off-by-ones decide the class
+    p = spectral.PRECISION_START
+    one = 1 << p
+    # N = 1 from exact 1: leaf radius vr + 2, so with the largest vr = 3 the
+    # centers one +- 5 touch 1 (open) and one +- 6 clear it
+    edge = [ComplexBall(one + d, 0, 3, p) for d in (5, -5, 6, -6)] + [ComplexBall(one, 0, 0, p)]
+    own = _assert_walk_is_per_leaf(list(range(5)), 1, edge)
+    assert list(own.values()) == [None, None, "above", "below", None]
+    rng = random.Random(18)
+    for _ in range(300):
+        vals = [ComplexBall((rng.choice((one, one, 2 * one, one // 2)) + rng.randint(-12, 12)),
+                            rng.randint(-3, 3), rng.choice((0, 1, 2, 3, 5)), p)
+                for _ in range(rng.randint(2, 6))]
+        _assert_walk_is_per_leaf(list(range(len(vals))), rng.randint(1, 3), vals)
 
 
 def test_ball_values_at_large_n_are_tight():
@@ -366,22 +439,6 @@ def test_count_strictly_below_closed_form_exists():
     assert count_nonneg_tuples(ONE_MINUS_T, 3, 3) == 6 < (3 - 1) ** 3
 
 
-def _walk_leaves(h, n, N):
-    """(multiset, class) for every leaf the walk classifies; the leaves must be
-    exactly the multisets of residues that are not roots of h."""
-    start = spectral.PRECISION_START
-    live = [v for v in range(n) if v not in spectral._root_residues(h, n)]
-    leaves = []
-    classify = spectral._classify_leaf
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(spectral, "_classify_leaf",
-                  lambda *args: leaves.append((args[3], classify(*args))) or leaves[-1][1])
-        spectral._walk(live, N, {start: spectral._ball_values(h, n, start)}, h, n)
-    assert sorted(leaf for leaf, _ in leaves) == list(
-        itertools.combinations_with_replacement(live, N)), (str(h), n, N)
-    return leaves
-
-
 def _brute_sign_count(h, n, N):
     """SignCount from every tuple of Z_n^N, each through the ball tier: no
     multinomial weights and no shortcut for the roots of h."""
@@ -425,25 +482,38 @@ def _weighted_queries(draw):
 @example((inverse_cyclotomic(15).scale(-1), 15, 2))
 @example((cyclotomic(2) * cyclotomic(3), 12, 3))
 def test_walk_agrees_with_ball_tier(query):
+    # the leaves are exactly the multisets of residues that are not roots of h,
+    # each with the ball tier's class, and only those its own ball leaves open
+    # reach the ball tier
     h, n, N = query
+    start = spectral.PRECISION_START
+    live = [v for v in range(n) if v not in spectral._root_residues(h, n)]
+    vals = spectral._ball_values(h, n, start)
     cache = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for leaf, cls in _walk_leaves(h, n, N):
-            assert cls == spectral._classify_multiset_ball(Counter(leaf), cache, h, n), (
-                str(h), n, leaf)
+        classes = {leaf: spectral._classify_multiset_ball(Counter(leaf), cache, h, n)
+                   for leaf in itertools.combinations_with_replacement(live, N)}
+        tally, opened = _walk_to_ball_tier(live, N, vals, h, n, classes.__getitem__)
+    own = _own_ball_classes(live, N, vals)
+    assert all(cls in (None, classes[leaf]) for leaf, cls in own.items()), (str(h), n, N)
+    assert opened == [leaf for leaf, cls in own.items() if cls is None], (str(h), n, N)
+    assert tally == _weighted_tally(classes), (str(h), n, N)
 
 
-def test_walk_leaves_exact_tie_to_symbolic_path(monkeypatch):
-    to_balls = []
+def test_walk_leaves_exact_tie_to_symbolic_path():
+    vals = spectral._ball_values(ONE_MINUS_T, 6, spectral.PRECISION_START)
     ball_tier = spectral._classify_multiset_ball
-    monkeypatch.setattr(spectral, "_classify_multiset_ball",
-                        lambda mults, *rest: to_balls.append(tuple(sorted(mults.elements())))
-                        or ball_tier(mults, *rest))
-    classes = dict(_walk_leaves(ONE_MINUS_T, 6, 2))
-    assert (1, 5) in to_balls and classes[(1, 5)] == "equal"
-    assert (1, 1) not in to_balls and classes[(1, 1)] == "below"  # (1 - e(1/6))^2 = e(-1/3)
-    assert (2, 3) not in to_balls and classes[(2, 3)] == "above"
+
+    def walk(live):
+        cache = {}
+        return _walk_to_ball_tier(live, 2, vals, ONE_MINUS_T, 6,
+                                  lambda leaf: ball_tier(Counter(leaf), cache, ONE_MINUS_T, 6))
+
+    tally, opened = walk([1, 5])
+    assert opened == [(1, 5)] and tally["equal"] == 2  # (1 - e(1/6))(1 - e(-1/6)) = 1
+    assert walk([1])[0]["below"] == 1  # (1 - e(1/6))^2 = e(-1/3), without the ball tier
+    assert walk([2, 3]) == ({"above": 4, "below": 0, "equal": 0, "ambiguous": 0}, [])
 
 
 @pytest.mark.parametrize("h,n,N", [
@@ -465,9 +535,10 @@ def test_count_with_values_past_float_range():
 
 def test_count_closed_form_violation_raises(monkeypatch):
     # the closed-form check is an explicit raise, not an assert that -O strips;
-    # a classifier that puts every tuple above the threshold must trip it
+    # values that put every tuple above the threshold must trip it
+    p = spectral.PRECISION_START
     monkeypatch.setattr(spectral, "_root_residues", lambda h, n: set())
-    monkeypatch.setattr(spectral, "_classify_leaf", lambda *args: "above")
+    monkeypatch.setattr(spectral, "_ball_values", lambda h, n, prec: [ComplexBall(2 << p, 0, 0, p)] * n)
     with pytest.raises(RuntimeError, match="nonzero-product total"):
         count_nonneg_tuples(ONE_MINUS_T, 5, 2)
 

@@ -6,12 +6,14 @@
 For each seed, ``perfbench/run.py`` runs once in each checkout (end-to-end
 metrics, ``--trace 0``). The base runs first on the first seed, the change
 on the second, and so on, so drift of the machine falls on both sides alike.
+Each run gets PYTHONPYCACHEPREFIX set to a fresh empty directory, so both
+sides compile their sources alike whatever ``__pycache__`` a checkout holds.
 The last line a run prints is its result line. The summary is written to
 ``BENCH_<label>.json`` in the current directory: each side's commit, the CPU
-model and count, and for every metric each side's median and quartiles and
-the number of pairs the change won. Whether lower or higher wins comes from
-the change's ``BENCHMARK.json`` (lower when it names no direction). Standard
-library only.
+model and count, how bytecode was handled, and for every metric each side's
+median and quartiles and the number of pairs the change won. Whether lower
+or higher wins comes from the change's ``BENCHMARK.json`` (lower when it
+names no direction). Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -103,10 +106,14 @@ def directions(checkout: Path) -> dict[str, str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+    """One run.py run whose interpreters read and write bytecode only in a fresh
+    empty directory, so a checkout's __pycache__, stale or not, cannot favour a side."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        proc = subprocess.run(
+            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
     if not proc.stdout.strip():
         raise RuntimeError(f"run.py in {checkout} printed nothing: {proc.stderr.strip()[-500:]}")
     return result_line(proc.stdout)
@@ -134,6 +141,10 @@ def main(argv=None) -> int:
             for m in got["base"]["metrics"]), flush=True)
     summary = {"label": args.label, "workload": args.workload, "seeds": parse_seeds(args.seeds),
                "seconds": args.seconds, "machine": machine(),
+               "bytecode": "each run with PYTHONPYCACHEPREFIX set to a fresh empty directory, so "
+                           "its interpreters also compile the standard library they import: "
+                           "setup_s and peak_rss_mb compare between the two sides here, not "
+                           "with runs of perfbench/run.py alone",
                "commits": {"base": commit(base), "change": commit(change)},
                **summarize(pairs, directions(change))}
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(summary, indent=2) + "\n")
