@@ -14,7 +14,6 @@ from fractions import Fraction
 
 __all__ = [
     "GroupSpec",
-    "RootOfUnity",
     "SubgroupInfo",
     "element_order",
     "cyclic_residues",
@@ -80,26 +79,6 @@ class GroupSpec:
 
     def __str__(self) -> str:
         return "x".join(str(n) for n in self.orders)
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The exact root of unity e(num/den) = exp(2*pi*i*num/den), reduced, 0 <= num < den."""
-
-    num: int
-    den: int
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RootOfUnity":
-        q = q - math.floor(q)
-        return cls(q.numerator, q.denominator)
-
-    @property
-    def angle(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.from_fraction(self.angle + other.angle)
 
 
 def element_order(G: GroupSpec, g: tuple[int, ...]) -> int:
@@ -183,12 +162,11 @@ def subgroup_generated(G: GroupSpec, gens) -> SubgroupInfo:
     return SubgroupInfo(G, order, G.order // order, gen_tuple, frozenset(seen))
 
 
-def character_value(G: GroupSpec, chi: tuple[int, ...], g: tuple[int, ...]) -> RootOfUnity:
-    """chi(g) as an exact root of unity."""
+def character_value(G: GroupSpec, chi: tuple[int, ...], g: tuple[int, ...]) -> Fraction:
+    """The exact angle q in [0, 1) with chi(g) = e(q) = exp(2*pi*i*q)."""
     chi = G.element(chi)
     g = G.element(g)
-    angle = sum((Fraction(c * x, n) for c, x, n in zip(chi, g, G.orders)), Fraction(0))
-    return RootOfUnity.from_fraction(angle)
+    return sum((Fraction(c * x, n) for c, x, n in zip(chi, g, G.orders)), Fraction(0)) % 1
 
 
 def parse_group(text: str) -> GroupSpec:

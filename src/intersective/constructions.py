@@ -18,7 +18,6 @@ decided exactly against integer roots of integer powers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction

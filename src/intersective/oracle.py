@@ -73,7 +73,6 @@ __all__ = [
     "exact_avoidance",
     "coset_representatives",
     "lift_block_witness",
-    "verify_clique",
     "DENSE_CAP",
     "MIS_CAP",
 ]
@@ -113,13 +112,6 @@ class CayleyGraph:
         d = tuple(G.sub(a, b) for a, b in zip(u, v))
         Jset = set(self.J)
         return all(x in Jset for x in d) or all(G.neg(x) in Jset for x in d)
-
-    def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for r in self.rows:
-            d = r.bit_count()
-            hist[d] = hist.get(d, 0) + 1
-        return hist
 
 
 def _validated_J(G: GroupSpec, J: Iterable) -> tuple[tuple[int, ...], ...]:
@@ -644,11 +636,3 @@ def lift_block_witness(G: GroupSpec, J: Iterable, N: int, res: AvoidanceResult) 
         for w in res.mis.witness:
             out.append(tuple(G.add(a, b) for a, b in zip(w, shift)))
     return tuple(out)
-
-
-def verify_clique(X: CayleyGraph, C: Iterable) -> bool:
-    """True iff the given vertices are pairwise adjacent in X."""
-    vs = [tuple(X.group.element(x) for x in v) for v in C]
-    if len(set(vs)) != len(vs):
-        return False
-    return all(X.adjacent(u, v) for u, v in itertools.combinations(vs, 2))

@@ -42,7 +42,6 @@ visited.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from collections import Counter
@@ -299,8 +298,8 @@ def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...]) -> ComplexBall:
             raise ValueError(f"weight not symmetric at {x}: f(x)={v}, f(-x)={weights.get(G.neg(x))}")
     acc = ball_exact_int(0)
     for x, v in sorted(weights.items()):
-        root = character_value(G, chi, G.neg(x))
-        root_ball = ball_root_of_unity(root.num, root.den, PRECISION_START)
+        q = character_value(G, chi, G.neg(x))
+        root_ball = ball_root_of_unity(q.numerator, q.denominator, PRECISION_START)
         acc = ball_add(acc, ball_scale_int(root_ball, v))
     return acc
 
@@ -389,18 +388,6 @@ def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
     return out + [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(out[1:n - half + 1])]
 
 
-def _classify_leaf(x, r, p, leaf, ball_cache, h, n):
-    """Class of the multiset leaf (a tuple of residues) from its walked product
-    ball, whose real part is (x +- r) / 2^p: 'above' or 'below' when that
-    clears 1, else the ball tier's verdict."""
-    one = 1 << p
-    if x - r > one:
-        return "above"
-    if x + r < one:
-        return "below"
-    return _classify_multiset_ball(Counter(leaf), ball_cache, h, n)
-
-
 def _classify_multiset_ball(mults, ball_cache, h, n):
     """Ball tier: escalate precision, settling exact ties symbolically."""
     prec = PRECISION_START
@@ -441,7 +428,7 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
     radius > 2^p holds when Z >= (2^p + R + 1) 2^p, and center + radius <
     2^p when Z < (2^p - R) 2^p: the two thresholds decide a leaf as its own
     radius would, from two multiplications. Only a leaf between them
-    computes its own radius and goes to _classify_leaf.
+    computes its own radius, and goes to the ball tier if that leaves it open.
     """
     p = PRECISION_START
     one = 1 << p
@@ -449,7 +436,7 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
     tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
     k, pre = len(live), N - 1
     if not N:  # the empty product is exactly 1
-        tally[_classify_leaf(one, 0, p, (), ball_cache, h, n)] += 1
+        tally[_classify_multiset_ball(Counter(), ball_cache, h, n)] += 1
     if pre < 0 or not k:
         return tally
     VR = max(v[2] for v in vals)
@@ -481,9 +468,15 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
             elif z < lo:
                 below += wt
             else:
-                leaf = tuple(live[i] for i in idx) + (live[j],)
-                tally[_classify_leaf(z >> p, -(-(c * vr + vc * r + r * vr) >> p) + 2,
-                                     p, leaf, ball_cache, h, n)] += wt
+                z >>= p
+                rad = -(-(c * vr + vc * r + r * vr) >> p) + 2
+                if z - rad > one:
+                    above += wt
+                elif z + rad < one:
+                    below += wt
+                else:
+                    leaf = Counter([live[i] for i in idx] + [live[j]])
+                    tally[_classify_multiset_ball(leaf, ball_cache, h, n)] += wt
             wt = wN
         t = pre - 1
         while t >= 0 and idx[t] == k - 1:
@@ -692,25 +685,25 @@ def spectral_upper_bound(G: GroupSpec, a, J: Iterable[tuple[int, ...]], h: IntPo
 
 @dataclass(frozen=True)
 class CliqueBound:
-    """One clique-coclique bound with its generating data and optional witness."""
+    """One clique-coclique bound with its generating data."""
 
     kind: str  # "progression" or "symmetric"
     g: tuple[int, ...]
     m: int
     value: int
-    witness: tuple | None
-
-
-_WITNESS_CAP = 4096
 
 
 def clique_bounds(G: GroupSpec, J: Iterable[tuple[int, ...]], N: int) -> list[CliqueBound]:
     """Upper bounds from arithmetic-progression cliques inside the Cayley graph.
 
-    For g in J with {0, g, ..., mg} inside J and order(g) >= m + 1, a clique of
-    size mN + 1 gives |G|^N / (mN + 1); if additionally -g, ..., -mg lie in J,
-    the product clique {0, g, ..., mg}^N gives (|G| / (m + 1))^N. Values are
-    floored to integers. Witnesses are emitted when they fit the size cap.
+    The Cayley graph X on G^N is vertex-transitive, so alpha(X) * omega(X) <= |X|
+    (the clique-coclique bound). For g in J, one walk over the multiples of g
+    finds the largest m with g, ..., mg in J and m + 1 <= order(g); the
+    staircase i*(g, ..., g) + (0, ..., 0, g, ..., g) with its top (mg, ..., mg)
+    is then a clique of size mN + 1, giving |G|^N / (mN + 1). The prefix of
+    that walk where -g, ..., -kg lie in J too gives m_sym = k, and the product
+    clique {0, g, ..., m_sym g}^N gives (|G| / (m_sym + 1))^N. Values are
+    floored to integers.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -722,51 +715,17 @@ def clique_bounds(G: GroupSpec, J: Iterable[tuple[int, ...]], N: int) -> list[Cl
         if g == G.zero():
             continue
         order = element_order(G, g)
-        m = 0
+        m = m_sym = 0
         x = G.zero()
-        while m + 1 <= order - 1:
+        while m + 1 < order:
             x = G.add(x, g)
             if x not in Jset:
                 break
             m += 1
+            if m_sym == m - 1 and G.neg(x) in Jset:
+                m_sym = m
         if m >= 1:
-            value = G.order**N // (m * N + 1)
-            out.append(CliqueBound("progression", g, m, value, _progression_witness(G, g, m, N)))
-        m_sym = 0
-        x = G.zero()
-        while m_sym + 1 <= order - 1:
-            x = G.add(x, g)
-            if x not in Jset or G.neg(x) not in Jset:
-                break
-            m_sym += 1
+            out.append(CliqueBound("progression", g, m, G.order**N // (m * N + 1)))
         if m_sym >= 1:
-            value = G.order**N // (m_sym + 1) ** N
-            out.append(CliqueBound("symmetric", g, m_sym, value,
-                                   _symmetric_witness(G, g, m_sym, N)))
+            out.append(CliqueBound("symmetric", g, m_sym, G.order**N // (m_sym + 1) ** N))
     return out
-
-
-def _progression_witness(G: GroupSpec, g: tuple[int, ...], m: int, N: int) -> tuple | None:
-    if m * N + 1 > _WITNESS_CAP:
-        return None
-    # prefixes (g..g, 0..0) with k leading copies, shifted by i*(g..g)
-    steps = [tuple(g if j < k else G.zero() for j in range(N)) for k in range(1, N + 1)]
-    diag = tuple(g for _ in range(N))
-    clique = [tuple([G.zero()] * N)]
-    shift = tuple([G.zero()] * N)
-    for _ in range(m):
-        for step in steps:
-            clique.append(tuple(G.add(a, b) for a, b in zip(step, shift)))
-        shift = tuple(G.add(a, b) for a, b in zip(shift, diag))
-    return tuple(clique)
-
-
-def _symmetric_witness(G: GroupSpec, g: tuple[int, ...], m: int, N: int) -> tuple | None:
-    if (m + 1) ** N > _WITNESS_CAP:
-        return None
-    points = [G.zero()]
-    x = G.zero()
-    for _ in range(m):
-        x = G.add(x, g)
-        points.append(x)
-    return tuple(itertools.product(points, repeat=N))

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from intersective.abelian import (GroupSpec, RootOfUnity, character_value,
+from intersective.abelian import (GroupSpec, character_value,
                                   cyclic_residues, element_order, format_element,
                                   parse_element, parse_element_set, parse_group,
                                   subgroup_generated)
 
 
-def _to_complex(w: RootOfUnity) -> complex:
-    return complex(math.cos(2 * math.pi * w.num / w.den), math.sin(2 * math.pi * w.num / w.den))
+def _to_complex(q: Fraction) -> complex:
+    return complex(math.cos(2 * math.pi * q), math.sin(2 * math.pi * q))
 
 
 def _count_character_extensions(G, a, x):
@@ -20,8 +20,7 @@ def _count_character_extensions(G, a, x):
     n = element_order(G, a)
     if not 0 <= x < n:
         raise ValueError(f"need 0 <= x < order(a) = {n}, got {x}")
-    target = RootOfUnity.from_fraction(Fraction(x, n))
-    return sum(character_value(G, chi, a) == target
+    return sum(character_value(G, chi, a) == Fraction(x, n)
                for chi in itertools.product(*[range(m) for m in G.orders]))
 
 
@@ -123,22 +122,13 @@ def test_subgroup_trivial_and_full():
     assert subgroup_generated(G, [(3,)]).order == 7
 
 
-def test_root_of_unity_exact_arithmetic():
-    w = RootOfUnity.from_fraction(Fraction(1, 3))
-    assert w.angle == Fraction(1, 3)
-    assert (w * w).angle == Fraction(2, 3)
-    assert (w * w * w).angle == 0
-    z = _to_complex(w)
-    assert abs(z - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
-
-
 def test_character_value_is_exact_angle():
     G = GroupSpec((6,))
-    # chi_2(5) = e(2*5/6) = e(5/3)
-    assert character_value(G, (2,), (5,)).angle == Fraction(2, 3)
+    # chi_2(5) = e(2*5/6) = e(5/3), an angle reduced into [0, 1)
+    assert character_value(G, (2,), (5,)) == Fraction(2, 3)
     G2 = GroupSpec((2, 4))
     # e(1/2 + 2/4) = e(1)
-    assert character_value(G2, (1, 1), (1, 2)).angle == 0
+    assert character_value(G2, (1, 1), (1, 2)) == 0
 
 
 def test_character_orthogonality_small():

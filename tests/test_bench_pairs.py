@@ -2,7 +2,7 @@
 
 import importlib.util
 import json
-import os
+import subprocess
 import types
 from pathlib import Path
 
@@ -55,17 +55,33 @@ def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
 
 
-def test_each_run_gets_a_fresh_empty_bytecode_directory(monkeypatch, tmp_path):
+def test_each_run_gets_a_fresh_copy_of_the_tracked_files(monkeypatch, tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text("committed\n")
+    (checkout / "gone.txt").write_text("tracked, then deleted\n")
+    real_run = subprocess.run
+    real_run(["git", "init", "-q", str(checkout)], check=True)
+    real_run(["git", "-C", str(checkout), "add", "perfbench/run.py", "gone.txt"], check=True)
+    (checkout / "perfbench" / "run.py").write_text("uncommitted\n")
+    (checkout / "gone.txt").unlink()
+    (checkout / "untracked.txt").write_text("left behind\n")
+    (checkout / "perfbench" / "__pycache__").mkdir()
+    (checkout / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(b"stale")
     seen = []
 
-    def fake_run(argv, cwd, env, **kwargs):
-        pycache = env["PYTHONPYCACHEPREFIX"]
-        seen.append((pycache, os.listdir(pycache), env.get("PATH")))
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":
+            return real_run(argv, **kwargs)
+        cwd = Path(kwargs["cwd"])
+        files = sorted(str(f.relative_to(cwd)) for f in cwd.rglob("*") if f.is_file())
+        seen.append((cwd, files, (cwd / "perfbench" / "run.py").read_text(), kwargs.get("env")))
         return types.SimpleNamespace(stdout=json.dumps(_line(0.05, 20.0)) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     for _ in range(2):
-        assert bench_pairs.run_once(tmp_path, "spectral-z105", 1, 1.0) == _line(0.05, 20.0)
-    (first, listed, path), (second, _, _) = seen
-    assert first != second and listed == [] and path == os.environ.get("PATH")
-    assert not os.path.exists(first) and not os.path.exists(second)  # removed after the run
+        assert bench_pairs.run_once(checkout, "spectral-z105", 1, 1.0) == _line(0.05, 20.0)
+    (first, files, text, env), (second, _, _, _) = seen
+    assert first != second and checkout not in (first, second)
+    assert files == ["perfbench/run.py"] and text == "uncommitted\n" and env is None
+    assert not first.exists() and not second.exists()  # removed after the run

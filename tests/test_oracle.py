@@ -19,8 +19,7 @@ from intersective.abelian import GroupSpec, element_order, subgroup_generated
 from intersective.cyclotomic import cyclotomic
 from intersective.oracle import (AvoidanceResult, OracleInfeasible, _build_on_base,
                                  _subgroup_base, build_cayley, coset_representatives,
-                                 exact_avoidance, lift_block_witness, max_independent_set,
-                                 verify_clique)
+                                 exact_avoidance, lift_block_witness, max_independent_set)
 
 SMALL_GROUPS = [(m,) for m in range(2, 10)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)]
 
@@ -33,7 +32,7 @@ def test_build_cayley_pentagon():
     G = GroupSpec((5,))
     X = build_cayley(G, [(0,), (1,)], 1)
     assert X.n_vertices == 5
-    assert X.degree_histogram() == {2: 5}
+    assert {r.bit_count() for r in X.rows} == {2}
     assert X.adjacent([(0,)], [(1,)])
     assert X.adjacent([(0,)], [(4,)])
     assert not X.adjacent([(0,)], [(2,)])
@@ -44,7 +43,7 @@ def test_build_cayley_product_degrees():
     # connection set {0,1}^2 u {0,4}^2 minus zero has 6 vectors, vertex-transitive
     X = build_cayley(GroupSpec((5,)), [(0,), (1,)], 2)
     assert X.n_vertices == 25
-    assert X.degree_histogram() == {6: 25}
+    assert {r.bit_count() for r in X.rows} == {6}
 
 
 def test_build_cayley_rejects(monkeypatch):
@@ -647,15 +646,7 @@ def test_exact_avoidance_timeout_is_lower_bound():
 
 
 # ---------------------------------------------------------------------------
-# cliques and witnesses
-
-
-def test_verify_clique():
-    X = build_cayley(GroupSpec((7,)), [(0,), (1,)], 1)
-    assert verify_clique(X, [[(0,)], [(1,)]])
-    assert not verify_clique(X, [[(0,)], [(2,)]])
-    assert not verify_clique(X, [[(0,)], [(0,)]])  # duplicates never form a clique
-    assert verify_clique(X, [])
+# witnesses
 
 
 def test_coset_representatives():

@@ -25,7 +25,7 @@ from intersective import spectral
 from intersective.abelian import GroupSpec
 from intersective.cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic,
                                      is_admissible_support)
-from intersective.oracle import build_cayley, verify_clique
+from intersective.oracle import build_cayley
 from intersective.spectral import (ComplexBall, MultisetCapExceeded, SignCount,
                                    WeightFunction, ball_add, ball_exact_int,
                                    ball_mul, ball_pow, ball_root_of_unity, cayley_eigenvalue,
@@ -733,15 +733,50 @@ def test_spectral_upper_bound_involution_divisor():
 # clique bounds
 
 
+def verify_clique(X, C) -> bool:
+    """True iff the given vertices are distinct and pairwise adjacent in X, by X.adjacent."""
+    vs = [tuple(X.group.element(x) for x in v) for v in C]
+    if len(set(vs)) != len(vs):
+        return False
+    return all(X.adjacent(u, v) for u, v in itertools.combinations(vs, 2))
+
+
+def test_verify_clique():
+    X = build_cayley(GroupSpec((7,)), [(0,), (1,)], 1)
+    assert verify_clique(X, [[(0,)], [(1,)]])
+    assert not verify_clique(X, [[(0,)], [(2,)]])
+    assert not verify_clique(X, [[(0,)], [(0,)]])  # duplicates never form a clique
+    assert verify_clique(X, [])
+
+
+def _clique(G, b, N):
+    """The clique behind the bound b, built from its kind, g and m: the staircase
+    i*(g, ..., g) + (0, ..., 0, g, ..., g) with k trailing g's, 0 <= i < m and
+    0 <= k < N, plus (mg, ..., mg) for a progression; {0, g, ..., mg}^N for a
+    symmetric bound."""
+    def mult(k):
+        return G.element(tuple(k * c for c in b.g))
+    if b.kind == "symmetric":
+        return list(itertools.product([mult(k) for k in range(b.m + 1)], repeat=N))
+    return [tuple(mult(i + (j >= N - k)) for j in range(N))
+            for i in range(b.m) for k in range(N)] + [(mult(b.m),) * N]
+
+
+def _assert_clique_behind(G, J, N, b, X=None):
+    """b's clique is a clique of the Cayley graph of (G, J, N), of the size b's value divides by."""
+    C = _clique(G, b, N)
+    assert verify_clique(X or build_cayley(G, J, N), C), (G.orders, J, N, b)
+    assert len(C) == (b.m * N + 1 if b.kind == "progression" else (b.m + 1) ** N), (J, N, b)
+    assert b.value == G.order**N // len(C)
+
+
 def test_clique_bounds_progression():
     G = GroupSpec((7,))
     J = [(0,), (1,), (2,)]
     bounds = {(b.kind, b.g, b.m): b for b in clique_bounds(G, J, 3)}
     b = bounds[("progression", (1,), 2)]
     assert b.value == 7**3 // 7 == 49
-    X = build_cayley(G, J, 3)
-    assert verify_clique(X, b.witness)
-    assert len(b.witness) == 2 * 3 + 1
+    _assert_clique_behind(G, J, 3, b)
 
 
 def test_clique_bounds_involution_half_group():
@@ -750,8 +785,7 @@ def test_clique_bounds_involution_half_group():
     bounds = clique_bounds(G, J, 3)
     sym = [b for b in bounds if b.kind == "symmetric"]
     assert sym and sym[0].value == (4 // 2) ** 3 == 8
-    X = build_cayley(G, J, 3)
-    assert verify_clique(X, sym[0].witness)
+    _assert_clique_behind(G, J, 3, sym[0])
 
 
 def test_clique_bounds_symmetric_pair():
@@ -761,8 +795,7 @@ def test_clique_bounds_symmetric_pair():
     bounds = clique_bounds(G, J, 2)
     sym = [b for b in bounds if b.kind == "symmetric" and b.g == (1,)]
     assert sym[0].value == 7**2 // 4 == 12
-    X = build_cayley(G, J, 2)
-    assert verify_clique(X, sym[0].witness)
+    _assert_clique_behind(G, J, 2, sym[0])
 
 
 def test_clique_bounds_empty_for_trivial_J():
@@ -770,14 +803,15 @@ def test_clique_bounds_empty_for_trivial_J():
 
 
 def test_clique_witnesses_all_verify():
+    # every bound's clique, rebuilt from (kind, g, m, N), is checked in the graph
     for orders, J in [((7,), [(0,), (1,), (2,), (3,)]),
                       ((6,), [(0,), (1,), (2,)]),
-                      ((2, 4), [(0, 0), (0, 1), (1, 0)])]:
+                      ((2, 4), [(0, 0), (0, 1), (1, 0)]),
+                      # -1 and -3 in J but not -2: at g = 1 the symmetric window
+                      # is m = 1, and {0, 1, 2, 3}^2 is no clique
+                      ((11,), [(0,), (1,), (2,), (3,), (10,), (8,)])]:
         G = GroupSpec(orders)
         for N in (1, 2):
             X = build_cayley(G, J, N)
             for b in clique_bounds(G, J, N):
-                assert b.witness is not None
-                assert verify_clique(X, b.witness), (orders, b.kind, b.g, b.m, N)
-                size = b.m * N + 1 if b.kind == "progression" else (b.m + 1) ** N
-                assert len(b.witness) == size
+                _assert_clique_behind(G, J, N, b, X)

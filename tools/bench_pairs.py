@@ -3,12 +3,15 @@
     python3 tools/bench_pairs.py --base PATH --change PATH --workload spectral-z105 \\
         --seeds 701-710 --seconds 10 --label NAME
 
-For each seed, ``perfbench/run.py`` runs once in each checkout (end-to-end
+For each seed, ``perfbench/run.py`` runs once for each checkout (end-to-end
 metrics, ``--trace 0``). The base runs first on the first seed, the change
 on the second, and so on, so drift of the machine falls on both sides alike.
-Each run gets PYTHONPYCACHEPREFIX set to a fresh empty directory, so both
-sides compile their sources alike whatever ``__pycache__`` a checkout holds.
-The last line a run prints is its result line. The summary is written to
+Each run starts in a fresh temporary copy of its checkout's tracked files
+(``git ls-files``, with their working-tree contents, so an uncommitted change
+is measured), which holds no ``__pycache__``, and is removed after the run.
+The environment is left as it is, so a run measures what ``perfbench/run.py``
+measures when started alone in a new checkout. The last line a run prints
+is its result line. The summary is written to
 ``BENCH_<label>.json`` in the current directory: each side's commit, the CPU
 model and count, how bytecode was handled, and for every metric each side's
 median and quartiles and the number of pairs the change won. Whether lower
@@ -22,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -105,15 +109,26 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
 
 
+def copy_tracked(checkout: Path, dest: Path) -> None:
+    """Copy the working-tree contents of checkout's tracked files into dest;
+    a tracked file deleted from the working tree is left out."""
+    listed = subprocess.run(["git", "-C", str(checkout), "ls-files", "-z"], capture_output=True,
+                            text=True, check=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (checkout / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(checkout / name, dest / name)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run.py run whose interpreters read and write bytecode only in a fresh
-    empty directory, so a checkout's __pycache__, stale or not, cannot favour a side."""
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+    """One run.py run in a fresh copy of the checkout's tracked files, so no
+    __pycache__ or other leftover of the checkout can favour a side."""
+    with tempfile.TemporaryDirectory(prefix="bench-checkout-") as copy:
+        copy_tracked(checkout, Path(copy))
         proc = subprocess.run(
-            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+            [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-            cwd=checkout, capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
+            cwd=copy, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise RuntimeError(f"run.py in {checkout} printed nothing: {proc.stderr.strip()[-500:]}")
     return result_line(proc.stdout)
@@ -141,10 +156,10 @@ def main(argv=None) -> int:
             for m in got["base"]["metrics"]), flush=True)
     summary = {"label": args.label, "workload": args.workload, "seeds": parse_seeds(args.seeds),
                "seconds": args.seconds, "machine": machine(),
-               "bytecode": "each run with PYTHONPYCACHEPREFIX set to a fresh empty directory, so "
-                           "its interpreters also compile the standard library they import: "
-                           "setup_s and peak_rss_mb compare between the two sides here, not "
-                           "with runs of perfbench/run.py alone",
+               "bytecode": "each run in a fresh temporary copy of its checkout's tracked files "
+                           "(git ls-files, working-tree contents), so no __pycache__ of the "
+                           "checkout is read, with the environment unchanged: every metric "
+                           "compares with a run of perfbench/run.py alone in a new checkout",
                "commits": {"base": commit(base), "change": commit(change)},
                **summarize(pairs, directions(change))}
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(summary, indent=2) + "\n")
