@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "GroupSpec",
@@ -28,18 +28,22 @@ __all__ = [
 ENUMERATION_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A finite abelian group given as Z_{n_1} x ... x Z_{n_k}, each n_i >= 2."""
-
+class _GroupOrders(NamedTuple):
     orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.orders:
+
+class GroupSpec(_GroupOrders):
+    """A finite abelian group given as Z_{n_1} x ... x Z_{n_k}, each n_i >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, orders: tuple[int, ...]) -> "GroupSpec":
+        if not orders:
             raise ValueError("group needs at least one cyclic factor")
-        for n in self.orders:
+        for n in orders:
             if not isinstance(n, int) or n < 2:
                 raise ValueError(f"cyclic factor orders must be integers >= 2, got {n!r}")
+        return super().__new__(cls, orders)
 
     @property
     def order(self) -> int:
@@ -110,8 +114,7 @@ def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
     return out
 
 
-@dataclass(frozen=True)
-class SubgroupInfo:
+class SubgroupInfo(NamedTuple):
     """Subgroup of G with order, index, generators, and a membership oracle.
 
     members is None on rank-1 G, where the subgroup is <n / order> and

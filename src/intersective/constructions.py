@@ -17,11 +17,9 @@ decided exactly against integer roots of integer powers.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .abelian import GroupSpec
 from .cyclotomic import IntPolynomial, cyclotomic
@@ -209,8 +207,7 @@ def _subset_avoids(masks: list[int]) -> bool:
 # product lower bound
 
 
-@dataclass(frozen=True)
-class ProductBound:
+class ProductBound(NamedTuple):
     """exact-at-N=1 value raised to the N-th power; base_optimal=False flags a timeout."""
 
     value: int
@@ -239,8 +236,7 @@ class ConstructionSearchError(RuntimeError):
     """No verifying instance within the prime-window search budget."""
 
 
-@dataclass(frozen=True)
-class ConstructionInstance:
+class ConstructionInstance(NamedTuple):
     """One member of the Q*r^s family with its symbolic support description.
 
     The weight polynomial is cyclotomic(Q) * cyclotomic(r^s); its support is
@@ -262,14 +258,10 @@ class ConstructionInstance:
     phi_r_support: tuple[int, ...]
 
     def contains(self, j: int) -> bool:
-        """Membership in the support, O(1) via the block decomposition."""
+        """Membership in the support via the block decomposition."""
         if not 0 <= j < self.n:
             return False
-        return j % self.block < self.Q and j // self.block in self._phi_set
-
-    @functools.cached_property
-    def _phi_set(self) -> frozenset:
-        return frozenset(self.phi_r_support)
+        return j % self.block < self.Q and j // self.block in self.phi_r_support
 
     def iter_support(self) -> Iterator[int]:
         """Support elements in increasing order, never materialized."""
@@ -312,7 +304,7 @@ def _build_verified(M: int, epsilon) -> tuple[ConstructionInstance, Construction
     """build_construction's instance with the passing report that accepted it.
 
     The report is returned, never stored on the instance: a copy made with
-    dataclasses.replace would carry it to fields it never checked.
+    _replace would carry it to fields it never checked.
     """
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
@@ -371,15 +363,13 @@ def _assemble(M: int, epsilon: Fraction, primes: tuple[int, ...], s: int) -> Con
     return inst
 
 
-@dataclass(frozen=True)
-class BulletCheck:
+class BulletCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     bullets: tuple[BulletCheck, ...]
     degenerate_epsilon: bool
 

@@ -27,7 +27,6 @@ degree past DENSE_DEGREE_LIMIT is refused before any series is allocated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .numtheory import euler_phi, factorize, radical
 
@@ -49,22 +48,30 @@ class NonExactDivision(ArithmeticError):
     """Raised when polynomial division over Z leaves a remainder."""
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; coeffs[k] is the coefficient of t^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        c = coeffs
         if c and c[-1] == 0:
             last = len(c) - 1
             while last >= 0 and c[last] == 0:
                 last -= 1
             c = c[:last + 1]
-            object.__setattr__(self, "coeffs", c)
         if len(c) > DENSE_DEGREE_LIMIT:
             raise ValueError(f"degree {len(c) - 1} exceeds dense storage limit {DENSE_DEGREE_LIMIT}")
+        self.coeffs = c
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":

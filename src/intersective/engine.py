@@ -12,8 +12,7 @@ upper bound aborts with a dump, since it can only mean a bug in the tower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
                       parse_element, parse_group)
@@ -57,8 +56,7 @@ class InconsistencyError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     value: int
     method: str
     params: tuple[tuple[str, str], ...] = ()
@@ -71,8 +69,7 @@ def _entry(value: int, method: str, **params) -> BoundEntry:
     return BoundEntry(int(value), method, tuple(sorted((k, str(v)) for k, v in params.items())))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     group: GroupSpec
     J: tuple[tuple[int, ...], ...]
     N: int

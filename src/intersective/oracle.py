@@ -58,8 +58,7 @@ import math
 import sys
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .abelian import GroupSpec, SubgroupInfo, element_order, subgroup_generated
 
@@ -85,8 +84,7 @@ class OracleInfeasible(ValueError):
     """Instance exceeds a vertex cap."""
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(NamedTuple):
     """Difference-avoidance graph on base^N for a vertex base closed under J-shifts.
 
     Adjacency: u ~ v iff u - v lies coordinatewise all in J or all in -J, and
@@ -196,8 +194,7 @@ def build_cayley(G: GroupSpec, J: Iterable, N: int) -> CayleyGraph:
     return _build_on_base(G, Jt, N, base, DENSE_CAP)
 
 
-@dataclass(frozen=True)
-class MISResult:
+class MISResult(NamedTuple):
     """Outcome of an independence search; optimal=False means lower bound only."""
 
     value: int
@@ -426,8 +423,7 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     return MISResult(best, witness, not aborted, nodes, time.monotonic() - start)
 
 
-@dataclass(frozen=True)
-class AvoidanceResult:
+class AvoidanceResult(NamedTuple):
     """Exact extremal value via the subgroup reduction value = block_alpha * index^N."""
 
     value: int
@@ -593,7 +589,7 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
         witness = tuple(sorted(tuple(_relabel(G, inverse, x) for x in v)
                                for v in canon.mis.witness))
         _check_avoider(G, H, Jt, N, witness, canon.block_alpha)
-        res = replace(canon, mis=replace(canon.mis, witness=witness))
+        res = canon._replace(mis=canon.mis._replace(witness=witness))
     if res.optimal:
         _closed_results.put(key, res)
     return res

@@ -45,9 +45,8 @@ import functools
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .abelian import (GroupSpec, character_value, cyclic_residues, element_order,
                       subgroup_generated)
@@ -83,8 +82,7 @@ class MultisetCapExceeded(ValueError):
     """Tuple enumeration would exceed MULTISET_CAP multisets."""
 
 
-@dataclass(frozen=True)
-class ComplexBall:
+class ComplexBall(NamedTuple):
     """Closed disk {z : |z - (x + i*y) / 2^p| <= r / 2^p} for integers x, y and r, p >= 0.
 
     re, im and rad read the center and radius as exact dyadic Fractions.
@@ -228,8 +226,7 @@ def ball_pow(a: ComplexBall, k: int) -> ComplexBall:
     return out
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(NamedTuple):
     """Symmetric integer weight on Z_n, stored as sorted (residue, value) pairs."""
 
     n: int
@@ -488,19 +485,24 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
         idx[t:] = [idx[t] + 1] * (pre - t)
 
 
-@dataclass(frozen=True)
-class SignCount:
-    """Eigenvalue sign tallies; zeros appear in both one-sided counts."""
-
+class _SignTallies(NamedTuple):
     n_nonneg: int
     n_nonpos: int
     n_zero: int
     n_ambiguous: int
     total: int
 
-    def __post_init__(self) -> None:
-        if self.n_nonneg + self.n_nonpos - self.n_zero + self.n_ambiguous != self.total:
+
+class SignCount(_SignTallies):
+    """Eigenvalue sign tallies; zeros appear in both one-sided counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_nonneg: int, n_nonpos: int, n_zero: int, n_ambiguous: int,
+                total: int) -> "SignCount":
+        if n_nonneg + n_nonpos - n_zero + n_ambiguous != total:
             raise ValueError("inconsistent sign bookkeeping")
+        return super().__new__(cls, n_nonneg, n_nonpos, n_zero, n_ambiguous, total)
 
 
 def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
@@ -683,8 +685,7 @@ def spectral_upper_bound(G: GroupSpec, a, J: Iterable[tuple[int, ...]], h: IntPo
 # clique bounds
 
 
-@dataclass(frozen=True)
-class CliqueBound:
+class CliqueBound(NamedTuple):
     """One clique-coclique bound with its generating data."""
 
     kind: str  # "progression" or "symmetric"

@@ -50,6 +50,25 @@ def test_summary_honours_direction_and_failures():
     assert s["failed"] == {"base": 0, "change": 1}
 
 
+TIGHT = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.01]
+
+
+@pytest.mark.parametrize("base,change,expected", [
+    (TIGHT, [0.80, 0.81, 0.79, 0.82, 0.80, 0.78, 0.81, 0.80, 0.79, 1.05], "gain"),  # 9/10 wins
+    (TIGHT, [1.30, 1.31, 1.29, 1.32, 1.30, 1.28, 1.31, 1.30, 1.29, 1.31], "worse"),
+    ([0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 0.9, 1.1, 1.0],
+     [1.0, 0.9, 1.1, 1.0, 1.2, 0.8, 1.3, 0.7, 1.0, 1.0], "unresolved"),
+    (TIGHT, [1.05, 1.04, 1.06, 1.05, 1.03, 1.05, 1.04, 1.06, 1.05, 1.04], "no worse"),
+    # a base too wide to resolve, but every change run beats every base run
+    ([1.0] * 5 + [3.0] * 5, [0.9] * 10, "no worse"),
+])
+def test_summary_verdict(base, change, expected):
+    pairs = [(_line(b, 22.0), _line(c, 22.0)) for b, c in zip(base, change)]
+    s = bench_pairs.summarize(pairs, {"query_max_s": "lower"}, {"query_max_s": 0.25})
+    assert s["metrics"]["query_max_s"]["verdict"] == expected
+    assert s["metrics"]["peak_rss_mb"]["verdict"] == "no worse"  # no bound given, all ties
+
+
 @pytest.mark.parametrize("text,seeds", [("701-704", [701, 702, 703, 704]), ("3,5,8", [3, 5, 8])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds

@@ -127,13 +127,6 @@ def test_limit_c_json(capsys):
     assert obj["pairs"] == [[1, 1.0], [2, 0.875]]
 
 
-@pytest.mark.parametrize("argv", [("limit-c", "--n", "5", "--max-N", "0"),
-                                  ("slab", "--n", "5", "--N", "0")])
-def test_N_below_one_rejected(capsys, argv):
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out, err) == (1, "", "error: need N >= 1, got 0\n")
-
-
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -308,6 +301,8 @@ def test_timeout_must_be_nonnegative(capsys, argv, error):
     *[(("construct", "--M", "2", "--eps", eps),
        f"bad fraction '{eps}'; use a/b with integers a, b and b != 0", "")
       for eps in ("1/0", "x/3", "3/")],
+    (("limit-c", "--n", "5", "--max-N", "0"), "need N >= 1, got 0", ""),
+    (("slab", "--n", "5", "--N", "0"), "need N >= 1, got 0", ""),
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
     rc, out, err = run(capsys, *argv)
@@ -324,12 +319,12 @@ def test_help_exits_0(capsys):
     assert (rc, err) == (0, "") and out.startswith("usage: intersective")
 
 
-def test_package_imports_without_numpy():
-    """Importing the package, its CLI and engine leaves numpy and mpmath unloaded, so
-    start-up stays cheap."""
+def test_package_import_footprint():
+    """Importing the package, its CLI and engine leaves numpy, mpmath, dataclasses and
+    inspect unloaded, so start-up stays cheap."""
     src = os.path.dirname(os.path.dirname(intersective.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, intersective, intersective.cli, intersective.engine; "
-            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 """Slab counts, product powering, and the prime-window construction family."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -237,11 +236,11 @@ def test_verify_construction_passes():
 
 def test_verify_construction_catches_tampering():
     inst = build_construction(2, Fraction(3, 5))
-    broken = dataclasses.replace(inst, degree=5)
+    broken = inst._replace(degree=5)
     report = verify_construction(broken)
     assert not report.passed
     assert "degree-dominates" in report.first_failure()
-    composite_q = dataclasses.replace(inst, Q=35 * 35)
+    composite_q = inst._replace(Q=35 * 35)
     assert not verify_construction(composite_q).bullets[0].passed
 
 
@@ -289,10 +288,10 @@ def _tampered(inst, how):
         return inst
     if how.startswith("n@"):  # n - j lands in block 3 for j in the middle of block k
         L, k = inst.phi_r_support, int(how[2:])
-        return dataclasses.replace(inst, n=L[k] * inst.block + inst.Q // 2 + L[3] * inst.block + 1)
+        return inst._replace(n=L[k] * inst.block + inst.Q // 2 + L[3] * inst.block + 1)
     d = inst.degree
-    return dataclasses.replace(inst, degree={"d/3": d // 3, "d/50": d // 50,
-                                             "d-d/40": d - d // 40, "d-5": d - 5}[how])
+    return inst._replace(degree={"d/3": d // 3, "d/50": d // 50,
+                                 "d-d/40": d - d // 40, "d-5": d - 5}[how])
 
 
 @pytest.mark.parametrize("how", ["as-built", "d/3", "d/50", "d-d/40", "d-5", "n@0", "n@1", "n@7"])
@@ -324,7 +323,7 @@ def test_subgroup_index_threshold_is_exact(M, eps, off):
     # the largest gcd in S gets exactly the least passing slack, or one less
     inst = _built(M, eps)
     top_gcd = max(math.gcd(j, inst.n) for j in inst.iter_support() if j)
-    edge = dataclasses.replace(inst, degree=top_gcd + _least_slack(inst) + off)
+    edge = inst._replace(degree=top_gcd + _least_slack(inst) + off)
     _, index = _reference_bullets(edge)
     assert index[0] == (off == 0)
     bullet = verify_construction(edge).bullets[3]
@@ -382,7 +381,7 @@ def test_verify_construction_checks_the_description(field, value):
     # an inflated degree passes every inequality, and would give a smaller
     # (n - degree)^N that nothing has proved
     inst = build_construction(2, Fraction(3, 5))
-    broken = dataclasses.replace(inst, **{field: value(inst)})
+    broken = inst._replace(**{field: value(inst)})
     report = verify_construction(broken)
     assert not report.passed
     with pytest.raises(ValueError, match="unverified instance"):
@@ -399,7 +398,7 @@ def test_verify_construction_checks_the_description(field, value):
 ])
 def test_nonpositive_sizes_fail_a_bullet(eps, field, value, failed):
     inst = _built(2, eps)
-    report = verify_construction(dataclasses.replace(inst, **{field: value(inst)}))
+    report = verify_construction(inst._replace(**{field: value(inst)}))
     assert [b.name for b in report.bullets if not b.passed] == failed
 
 
@@ -430,11 +429,11 @@ def test_ceil_root_at_perfect_powers(k):
 
 def test_degenerate_epsilon_flagged():
     inst = build_construction(2, Fraction(3, 5))
-    degen = dataclasses.replace(inst, epsilon=Fraction(0, 1))
+    degen = inst._replace(epsilon=Fraction(0, 1))
     report = verify_construction(degen)
     assert report.degenerate_epsilon
     with pytest.raises(ValueError, match="outside"):
-        verify_construction(dataclasses.replace(inst, epsilon=Fraction(4)))
+        verify_construction(inst._replace(epsilon=Fraction(4)))
 
 
 def test_support_block_decomposition():
@@ -450,6 +449,17 @@ def test_support_block_decomposition():
     assert all(a < b for a, b in zip(elems, elems[1:]))
 
 
+def test_contains_matches_support_in_gaps_and_missing_blocks():
+    """contains agrees with iter_support on the first three blocks, which hold
+    the gaps x >= Q and a block index outside phi_r_support, and on the last
+    block up to n."""
+    inst = build_construction(2, Fraction(3, 5))
+    support = set(inst.iter_support())
+    assert set(range(3)) - set(inst.phi_r_support)  # a block with no support in range
+    for j in itertools.chain(range(-1, 3 * inst.block), range(inst.n - inst.block, inst.n + 1)):
+        assert inst.contains(j) == (j in support), j
+
+
 def test_support_matches_weight_polynomial():
     inst = build_construction(2, Fraction(3, 5))
     h = inst.weight_polynomial()
@@ -462,7 +472,7 @@ def test_construction_upper_bound():
     inst = build_construction(2, Fraction(3, 5))
     assert construction_upper_bound(inst, 1) == inst.n - inst.degree == 54494089
     assert construction_upper_bound(inst, 2) == 54494089**2
-    broken = dataclasses.replace(inst, degree=5)
+    broken = inst._replace(degree=5)
     with pytest.raises(ValueError):
         construction_upper_bound(broken, 1)
     with pytest.raises(ValueError):

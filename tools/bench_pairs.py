@@ -14,9 +14,10 @@ measures when started alone in a new checkout. The last line a run prints
 is its result line. The summary is written to
 ``BENCH_<label>.json`` in the current directory: each side's commit, the CPU
 model and count, how bytecode was handled, and for every metric each side's
-median and quartiles and the number of pairs the change won. Whether lower
-or higher wins comes from the change's ``BENCHMARK.json`` (lower when it
-names no direction). Standard library only.
+median and quartiles, the number of pairs the change won, and a verdict
+(see ``verdict``). Whether lower or higher wins, and each metric's bound as a
+fraction of the base's median, come from the change's ``BENCHMARK.json``
+(lower, and no bound, when it names none). Standard library only.
 """
 
 from __future__ import annotations
@@ -55,8 +56,35 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread and the pairs the change won, from (base, change) result lines.
+def verdict(b: dict, c: dict, wins: int, lower: bool, bound: float | None) -> str:
+    """One of 'gain', 'worse', 'unresolved' and 'no worse', checked in that order.
+
+    gain: the change won at least 9 in 10 pairs, and its median is better
+    than the base's by more than the base's interquartile range. worse: the
+    change's median is worse than the base's by more than bound times the
+    base's median. unresolved: the base's interquartile range is wider than
+    that same margin, unless every change run beats every base run. A metric
+    without a bound is never worse or unresolved. b and c are the base's
+    and the change's spreads.
+    """
+    sign = 1 if lower else -1
+    iqr = b["q3"] - b["q1"]
+    if 10 * wins >= 9 * len(b["runs"]) and sign * (b["median"] - c["median"]) > iqr:
+        return "gain"
+    if bound is None:
+        return "no worse"
+    margin = bound * abs(b["median"])
+    if sign * (c["median"] - b["median"]) > margin:
+        return "worse"
+    if iqr > margin and not all(sign * (y - x) > 0 for x in c["runs"] for y in b["runs"]):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: each side's spread, the pairs the change won and the
+    verdict, from (base, change) result lines.
 
     A pair counts as a win when the change's value is strictly better, in
     the direction better[name] ('lower' when absent). A side is correct only
@@ -73,10 +101,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         change = [c["metrics"][name]["value"] for _, c in pairs]
         lower = better.get(name, "lower") == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        sides = _spread(base), _spread(change)
         out["metrics"][name] = {"unit": pairs[0][0]["metrics"][name]["unit"],
                                 "better": "lower" if lower else "higher",
-                                "base": _spread(base), "change": _spread(change),
-                                "change_wins": wins}
+                                "base": sides[0], "change": sides[1], "change_wins": wins,
+                                "verdict": verdict(*sides, wins, lower, (bounds or {}).get(name))}
     return out
 
 
@@ -101,12 +130,13 @@ def commit(checkout: Path) -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def end_to_end(checkout: Path) -> dict[str, dict]:
+    """The checkout's BENCHMARK.json end-to-end entries by name; none when it has no such file."""
     try:
         spec = json.loads((checkout / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
         return {}
-    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
 def copy_tracked(checkout: Path, dest: Path) -> None:
@@ -145,6 +175,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     base, change = args.base.resolve(), args.change.resolve()
+    spec = end_to_end(change)
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
         sides = [(base, "base"), (change, "change")]
@@ -161,13 +192,14 @@ def main(argv=None) -> int:
                            "checkout is read, with the environment unchanged: every metric "
                            "compares with a run of perfbench/run.py alone in a new checkout",
                "commits": {"base": commit(base), "change": commit(change)},
-               **summarize(pairs, directions(change))}
+               **summarize(pairs, {n: m.get("better", "lower") for n, m in spec.items()},
+                           {n: m["bound"] for n, m in spec.items() if "bound" in m})}
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(summary, indent=2) + "\n")
     for name, m in summary["metrics"].items():
         print(f"{name:12s} base {m['base']['median']:.4f} [{m['base']['q1']:.4f}, "
               f"{m['base']['q3']:.4f}]  change {m['change']['median']:.4f} "
               f"[{m['change']['q1']:.4f}, {m['change']['q3']:.4f}]  "
-              f"change won {m['change_wins']}/{summary['pairs']}")
+              f"change won {m['change_wins']}/{summary['pairs']}, {m['verdict']}")
     return 0 if all(summary["correct"].values()) else 1
 
 
