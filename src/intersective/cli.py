@@ -213,20 +213,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="intersective",
-        description="Difference-avoidance bounds for powers of finite abelian groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cyclotomic", help="cyclotomic polynomial coefficients and stats")
+def _cyclotomic_arguments(p) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--inverse", action="store_true", help="emit (t^n-1)/Phi_n instead")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_cyclotomic)
 
-    p = sub.add_parser("bound", help="single-method bounds")
+
+def _bound_arguments(p) -> None:
     bsub = p.add_subparsers(dest="method", required=True)
     ps = bsub.add_parser("spectral", help="counting bound for one weight polynomial")
     ps.add_argument("--group", required=True, help="group literal, e.g. '105' or '2x4'")
@@ -236,13 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--N", type=int, required=True)
     ps.set_defaults(func=cmd_bound_spectral)
 
-    p = sub.add_parser("limit-c", help="pair-bound ratio profile count/(n-1)^N")
+
+def _limit_c_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-N", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_limit_c)
 
-    p = sub.add_parser("oracle", help="exact extremal size via independent-set search")
+
+def _oracle_arguments(p) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--J", required=True)
     p.add_argument("--N", type=int, required=True)
@@ -250,20 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", action="store_true", help="emit an extremal set")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("construct", help="prime-window construction instances")
+
+def _construct_arguments(p) -> None:
     p.add_argument("--M", type=int, required=True, help="number of primes in the window")
     p.add_argument("--eps", required=True, help="sparseness parameter as a fraction a/b")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("slab", help="fixed-sum slab lower-bound sizes")
+
+def _slab_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--check", action="store_true", help="verify avoidance by enumeration")
     p.set_defaults(func=cmd_slab)
 
-    p = sub.add_parser("bounds", help="aggregate every applicable bound method")
+
+def _bounds_arguments(p) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--J", required=True)
     p.add_argument("--N", type=int, required=True)
@@ -271,11 +271,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-timeout", type=float, default=10.0)
     p.set_defaults(func=cmd_bounds)
 
+
+def _parser(command) -> argparse.ArgumentParser:
+    """The top-level parser with only the subparser that `command` names, or
+    with every subcommand when it names none (help, no arguments, a typo)."""
+    commands = (
+        ("cyclotomic", "cyclotomic polynomial coefficients and stats", _cyclotomic_arguments),
+        ("bound", "single-method bounds", _bound_arguments),
+        ("limit-c", "pair-bound ratio profile count/(n-1)^N", _limit_c_arguments),
+        ("oracle", "exact extremal size via independent-set search", _oracle_arguments),
+        ("construct", "prime-window construction instances", _construct_arguments),
+        ("slab", "fixed-sum slab lower-bound sizes", _slab_arguments),
+        ("bounds", "aggregate every applicable bound method", _bounds_arguments),
+    )
+    if all(command != name for name, _, _ in commands):
+        command = None
+    parser = _Parser(
+        prog="intersective",
+        description="Difference-avoidance bounds for powers of finite abelian groups.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in commands:
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
+    return _parser(None)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Building the other subcommands' parsers is most of a small command's
+    # cost. After a valid subcommand the top level can only refuse trailing
+    # arguments, and the full tree repeats that error with every subcommand
+    # in its usage line.
+    args, extra = _parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as e:

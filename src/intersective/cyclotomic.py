@@ -18,10 +18,15 @@ degree n - phi(n) < n, and below degree n both 1 - t^n and the d = n term
 1/(1 - t^n) are 1, so Psi_n is -prod_{d | n} (1 - t^d)^(-mu(n/d)) truncated
 at its degree, with no division by a dense polynomial. Only squarefree n are
 computed this way; Phi_n(t) = Phi_r(t^{n/r}) and Psi_n(t) = Psi_r(t^{n/r})
-for the radical r of n. As a runtime self-check, Phi_n must come out monic
-and palindromic and Psi_n monic and anti-palindromic (t^n - 1 is
-anti-palindromic and Phi_n palindromic for n >= 2); a failure raises. A
-degree past DENSE_DEGREE_LIMIT is refused before any series is allocated.
+for the radical r of n. Phi_n is palindromic for n >= 2 and t^n - 1
+anti-palindromic, so Psi_n is anti-palindromic: the series runs only through
+coefficient deg/2 + 1 and the top half is its mirror image. As a runtime
+self-check on the computed half, the coefficient past the middle must equal
+its mirror, the result must be monic, an even-degree Psi_n must have a zero
+middle coefficient, and the values at 1 must hold: Phi_n(1) = p when n = p
+is prime and 1 otherwise, Psi_n'(1) = 1 when n is prime and n otherwise; a
+failure raises. A degree past DENSE_DEGREE_LIMIT is refused before any
+series is allocated.
 """
 
 from __future__ import annotations
@@ -101,6 +106,9 @@ class IntPolynomial:
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    # __getitem__ answers 0 past the degree, so iterating it would never end
+    __iter__ = None
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, c in enumerate(self.coeffs) if c != 0)
@@ -188,22 +196,20 @@ class IntPolynomial:
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                term = f"{mag}t" if k == 1 else f"{mag}t^{k}"
-                parts.append(term if c > 0 else "-" + term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            if c:
+                mag = -c if c < 0 else c
+                if k == 0:
+                    term = str(mag)
+                else:
+                    var = "t" if k == 1 else f"t^{k}"
+                    term = var if mag == 1 else f"{mag}*{var}"
+                parts += (" - " if c < 0 else " + ", term)
+        if not parts:
+            return "0"
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
 
 def _mobius_product(n: int, length: int, sign: int) -> list[int]:
@@ -232,18 +238,33 @@ def _mobius_product(n: int, length: int, sign: int) -> list[int]:
 
 @functools.lru_cache(maxsize=2048)
 def _squarefree_factor(n: int, inverse: bool) -> IntPolynomial:
-    """Phi_n, or Psi_n = (t^n - 1)/Phi_n when inverse, for squarefree n >= 2."""
+    """Phi_n, or Psi_n = (t^n - 1)/Phi_n when inverse, for squarefree n >= 2.
+
+    Only coefficients 0..deg//2 + 1 come from the series; the rest mirror
+    them, since Phi_n is palindromic and Psi_n anti-palindromic.
+    """
     phi = euler_phi(n)
+    deg = n - phi if inverse else phi
+    half = deg // 2 + 2
     if inverse:
-        c = [-x for x in _mobius_product(n, n - phi + 1, -1)]
+        c = [-x for x in _mobius_product(n, half, -1)]
     else:
-        c = _mobius_product(n, phi + 1, 1)
-    # Phi_n (n >= 2) is monic and palindromic, Psi_n monic and anti-palindromic;
-    # a slip anywhere in the truncated series breaks one of the two
+        c = _mobius_product(n, half, 1)
     mirror = -1 if inverse else 1
-    if c[-1] != 1 or any(x != mirror * y for x, y in zip(c, reversed(c))):
+    top = c[-1]
+    c[half - 1:] = [mirror * x for x in reversed(c[:deg + 2 - half])]  # c[k] = mirror * c[deg - k]
+    # Psi_n = (t - 1) prod Phi_d over 1 < d < n, d | n, so Psi_n'(1) = sum k c_k
+    # is prod Phi_d(1), and Phi_d(1) is p for d = p prime, else 1
+    prime = phi == n - 1
+    if inverse:
+        at_one, expected = sum(k * x for k, x in enumerate(c)), 1 if prime else n
+    else:
+        at_one, expected = sum(c), n if prime else 1
+    if top != c[half - 1] or c[-1] != 1 or at_one != expected \
+            or (inverse and deg % 2 == 0 and c[deg // 2]):
         kind = "inverse cyclotomic" if inverse else "cyclotomic"
-        raise RuntimeError(f"{kind} self-check failed at n = {n}: not monic with the expected symmetry")
+        raise RuntimeError(f"{kind} self-check failed at n = {n}: not monic, "
+                           f"not mirrored at the middle, or wrong at t = 1")
     return IntPolynomial(tuple(c))
 
 

@@ -243,23 +243,11 @@ _BOUNDS = ("bounds", "--group", "5", "--J", "0;1", "--N", "2", "--oracle-timeout
 _ORACLE = ("oracle", "--group", "5", "--J", "0;1", "--N", "2", "--timeout")
 
 
-@pytest.mark.parametrize("argv,error", [
-    (_BOUNDS + ("-1",), "oracle timeout must be None or >= 0, got -1.0"),
-    (_BOUNDS + ("nan",), "oracle timeout must be None or >= 0, got nan"),
-    (_ORACLE + ("-1",), "timeout must be None or >= 0, got -1.0"),
-    (_ORACLE + ("nan",), "timeout must be None or >= 0, got nan"),
-    # J = {0} needs no search, and the timeout is still checked
-    (("oracle", "--group", "5", "--J", "0", "--N", "2", "--timeout", "-1"),
-     "timeout must be None or >= 0, got -1.0"),
-    (_BOUNDS + ("0",), None), (_BOUNDS + ("inf",), None),
-    (_ORACLE + ("0",), None), (_ORACLE + ("inf",), None),
-])
-def test_timeout_must_be_nonnegative(capsys, argv, error):
+@pytest.mark.parametrize("argv", [_BOUNDS + ("0",), _BOUNDS + ("inf",),
+                                  _ORACLE + ("0",), _ORACLE + ("inf",)])
+def test_timeout_zero_and_inf_accepted(capsys, argv):
     rc, out, err = run(capsys, *argv)
-    if error is None:
-        assert (rc, err) == (0, "") and out
-    else:
-        assert (rc, out, err) == (1, "", f"error: {error}\n")
+    assert (rc, err) == (0, "") and out
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +291,13 @@ def test_timeout_must_be_nonnegative(capsys, argv, error):
       for eps in ("1/0", "x/3", "3/")],
     (("limit-c", "--n", "5", "--max-N", "0"), "need N >= 1, got 0", ""),
     (("slab", "--n", "5", "--N", "0"), "need N >= 1, got 0", ""),
+    (_BOUNDS + ("-1",), "oracle timeout must be None or >= 0, got -1.0", ""),
+    (_BOUNDS + ("nan",), "oracle timeout must be None or >= 0, got nan", ""),
+    (_ORACLE + ("-1",), "timeout must be None or >= 0, got -1.0", ""),
+    (_ORACLE + ("nan",), "timeout must be None or >= 0, got nan", ""),
+    # J = {0} needs no search, and the timeout is still checked
+    (("oracle", "--group", "5", "--J", "0", "--N", "2", "--timeout", "-1"),
+     "timeout must be None or >= 0, got -1.0", ""),
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
     rc, out, err = run(capsys, *argv)
@@ -317,6 +312,64 @@ def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
 def test_help_exits_0(capsys):
     rc, out, err = run(capsys, "--help")
     assert (rc, err) == (0, "") and out.startswith("usage: intersective")
+
+
+def run_full_parser(capsys, *argv):
+    """What main() did when it always built every subcommand's parser."""
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+        rc = args.func(args)
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("cyclotomic", "-h"), ("bound", "-h"), ("bound", "spectral", "-h"),
+    ("limit-c", "-h"), ("oracle", "-h"), ("construct", "-h"), ("slab", "-h"), ("bounds", "--help"),
+    (), ("frobnicate",), ("bound",), ("bound", "frobnicate"),
+    ("cyclotomic", "15", "--format", "xml"), ("bounds", "--group", "7", "--J", "0;1"),
+    ("bounds", "--group", "7", "--J", "0;1", "--N", "1", "extra"),
+    ("cyclotomic", "15", "extra", "--more"), ("-x", "cyclotomic", "15"),
+    ("cyclotomic", "15"), ("bound", "spectral", "--group", "7", "--J", "0;1", "--N", "2"),
+])
+def test_parse_matches_the_full_parser(capsys, argv):
+    assert run(capsys, *argv) == run_full_parser(capsys, *argv)
+
+
+_TOP_USAGE = ("usage: intersective [-h]\n"
+              "                    {cyclotomic,bound,limit-c,oracle,construct,slab,bounds}\n"
+              "                    ...\n")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("frobnicate",), "argument command: invalid choice: 'frobnicate' (choose from 'cyclotomic', "
+                      "'bound', 'limit-c', 'oracle', 'construct', 'slab', 'bounds')"),
+    ((), "the following arguments are required: command"),
+    (("cyclotomic", "15", "extra"), "unrecognized arguments: extra"),
+])
+def test_top_level_errors_list_every_subcommand(capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (1, "", _TOP_USAGE + f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv,built", [
+    (("cyclotomic", "15"), 2),
+    (("bound", "spectral", "--group", "7", "--J", "0;1", "--N", "2"), 3),
+    (("--help",), 9),
+])
+def test_parsers_built_per_command(capsys, monkeypatch, argv, built):
+    count = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    rc, _, _ = run(capsys, *argv)
+    assert (rc, len(count)) == (0, built)
 
 
 def test_package_import_footprint():

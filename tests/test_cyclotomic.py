@@ -8,7 +8,7 @@ import pytest
 from intersective.cyclotomic import (DENSE_DEGREE_LIMIT, IntPolynomial, NonExactDivision, cyclotomic,
                                      inverse_cyclotomic, is_admissible_support, lam_leung,
                                      support_and_gaps)
-from intersective.numtheory import divisors, euler_phi, is_prime
+from intersective.numtheory import divisors, euler_phi, is_prime, radical
 
 cyclotomic_module = importlib.import_module("intersective.cyclotomic")
 
@@ -144,6 +144,54 @@ def test_self_check_catches_corrupted_product(monkeypatch, inverse):
             (inverse_cyclotomic if inverse else cyclotomic)(105)
     finally:
         cyclotomic_module._squarefree_factor.cache_clear()
+
+
+# Phi_n has even degree for n > 2; Psi_n has odd degree at n = 2 and 105, even at 6 and 30
+@pytest.mark.parametrize("n", [2, 6, 30, 105])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("where", ["c[1]", "middle", "last computed"])
+def test_self_check_catches_each_corrupted_coefficient(monkeypatch, n, inverse, where):
+    real = cyclotomic_module._mobius_product
+    degree = n - euler_phi(n) if inverse else euler_phi(n)
+
+    def corrupted(n, length, sign):
+        assert length == degree // 2 + 2  # through the coefficient past the middle
+        c = real(n, length, sign)
+        c[{"c[1]": 1, "middle": degree // 2, "last computed": length - 1}[where]] += 1
+        return c
+
+    monkeypatch.setattr(cyclotomic_module, "_mobius_product", corrupted)
+    with pytest.raises(RuntimeError, match="self-check"):
+        (inverse_cyclotomic if inverse else cyclotomic)(n)
+
+
+@pytest.mark.parametrize("n,inverse,changes", [
+    # Phi_105(1) is unchanged, since c[0] and c[48] rise and c[1] and c[47] fall; not monic
+    (105, False, {0: 1, 1: -1}),
+    # Psi_30 has degree 22 and sum k c_k is unchanged (11 * 4 = 11 * (13 - 9)); middle not 0
+    (30, True, {11: 4, 9: 11}),
+])
+def test_self_check_catches_what_the_value_at_one_misses(monkeypatch, n, inverse, changes):
+    real = cyclotomic_module._mobius_product
+
+    def corrupted(n, length, sign):
+        c = real(n, length, sign)
+        for k, delta in changes.items():
+            c[k] += delta
+        return c
+
+    monkeypatch.setattr(cyclotomic_module, "_mobius_product", corrupted)
+    with pytest.raises(RuntimeError, match="self-check"):
+        (inverse_cyclotomic if inverse else cyclotomic)(n)
+
+
+def test_half_series_matches_the_full_series():
+    mobius = cyclotomic_module._mobius_product
+    for n in range(2, 2000):
+        if radical(n) == n:
+            phi = euler_phi(n)
+            assert cyclotomic(n).coeffs == tuple(mobius(n, phi + 1, 1)), n
+            assert inverse_cyclotomic(n).coeffs == tuple(-x for x in mobius(n, n - phi + 1, -1)), n
 
 
 def test_degree_guard_refuses_before_allocating(monkeypatch):

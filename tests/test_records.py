@@ -14,6 +14,10 @@ NAMES = {"IntPolynomial": IntPolynomial, "GroupSpec": GroupSpec, "SignCount": Si
 @pytest.mark.parametrize("expr,expected", [
     ("3 * P", TypeError),
     ("len(P)", TypeError),
+    # __getitem__ pads with zeros, so the sequence protocol would never stop
+    ("list(P)", TypeError),
+    ("sum(P)", TypeError),
+    ("5 in P", TypeError),
     ("IntPolynomial((1, 2, 0)) == IntPolynomial((1, 2))", True),
     ("hash(IntPolynomial((1, 2, 0))) == hash(IntPolynomial((1, 2)))", True),
     ("IntPolynomial((1, 2)) == (1, 2)", False),
