@@ -72,7 +72,7 @@ def cmd_cyclotomic(args) -> int:
         print(f"degree: {h.degree}")
         print(f"nonzero count: {len(supp)}")
         print(f"max gap: {gap}")
-        print(f"height: {max(abs(c) for c in h.coeffs)}")
+        print(f"height: {max(max(h.coeffs), -min(h.coeffs))}")
     return 0
 
 

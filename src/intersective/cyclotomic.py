@@ -16,22 +16,36 @@ is exactly Phi_n; factors with d > phi(n) leave the truncated series
 unchanged. The cofactor Psi_n = (t^n - 1)/Phi_n = -(1 - t^n) / Phi_n has
 degree n - phi(n) < n, and below degree n both 1 - t^n and the d = n term
 1/(1 - t^n) are 1, so Psi_n is -prod_{d | n} (1 - t^d)^(-mu(n/d)) truncated
-at its degree, with no division by a dense polynomial. Only squarefree n are
-computed this way; Phi_n(t) = Phi_r(t^{n/r}) and Psi_n(t) = Psi_r(t^{n/r})
-for the radical r of n. Phi_n is palindromic for n >= 2 and t^n - 1
-anti-palindromic, so Psi_n is anti-palindromic: the series runs only through
-coefficient deg/2 + 1 and the top half is its mirror image. As a runtime
-self-check on the computed half, the coefficient past the middle must equal
-its mirror, the result must be monic, an even-degree Psi_n must have a zero
-middle coefficient, and the values at 1 must hold: Phi_n(1) = p when n = p
-is prime and 1 otherwise, Psi_n'(1) = 1 when n is prime and n otherwise; a
-failure raises. A degree past DENSE_DEGREE_LIMIT is refused before any
-series is allocated.
+at its degree, with no division by a dense polynomial. The series runs on
+packed integers (_PackedDigits) in Z[t]/(t^L) at t = 2^B, modulo 2^(BL): times
+1 - t^d is X - (X << dB), and over it is times 1 + t^(2^i d) for 2^i d < L.
+Evaluation at 2^B is a ring homomorphism, so only the final coefficients need
+|c_k| < 2^(B-1). The decoded c is certified exactly: c * prod_divided (1 - t^d)
+= prod_multiplied (1 - t^d) mod t^L. Each factor at most doubles the largest
+coefficient, so with max(#divided, #multiplied) + 1 spare bits per digit both
+sides fit their digits and agree iff their packed values do; prod_divided has
+constant term 1, a unit of Z[[t]], so only the true series passes. A failure
+doubles B, from 16 bits; every |c_k| is at most 2^#multiplied * L^#divided, the
+product of the factors' L1 norms, so a failure at a B that holds it raises.
+Only squarefree n are computed this way; Phi_n(t) = Phi_r(t^{n/r}) and
+Psi_n(t) = Psi_r(t^{n/r}) for the radical r of n. Phi_n is palindromic for
+n >= 2 and t^n - 1 anti-palindromic, so Psi_n is anti-palindromic: the series
+runs only through coefficient deg/2 + 1 and the top half is its mirror image.
+As a runtime self-check on the computed half, the coefficient past the middle
+must equal its mirror, the result must be monic, an even-degree Psi_n must
+have a zero middle coefficient, and the values at 1 must hold: Phi_n(1) = p
+when n = p is prime and 1 otherwise, Psi_n'(1) = 1 when n is prime and n
+otherwise; a failure raises. A degree past DENSE_DEGREE_LIMIT is refused
+before any series is allocated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
+import struct
+import sys
 
 from .numtheory import euler_phi, factorize, radical
 
@@ -58,8 +72,8 @@ class IntPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        c = coeffs
+    def __init__(self, coeffs) -> None:
+        c = tuple(coeffs)
         if c and c[-1] == 0:
             last = len(c) - 1
             while last >= 0 and c[last] == 0:
@@ -111,7 +125,7 @@ class IntPolynomial:
     __iter__ = None
 
     def support(self) -> tuple[int, ...]:
-        return tuple(k for k, c in enumerate(self.coeffs) if c != 0)
+        return tuple(itertools.compress(range(len(self.coeffs)), self.coeffs))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -196,43 +210,104 @@ class IntPolynomial:
         return acc
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                mag = -c if c < 0 else c
-                if k == 0:
-                    term = str(mag)
-                else:
-                    var = "t" if k == 1 else f"t^{k}"
-                    term = var if mag == 1 else f"{mag}*{var}"
-                parts += (" - " if c < 0 else " + ", term)
-        if not parts:
-            return "0"
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+        c = self.coeffs
+        parts = [(" - " if x < 0 else " + ") + (str(abs(x)) if k == 0 else "t" if x in (1, -1)
+                                                else f"{abs(x)}*t") for k, x in enumerate(c[:2]) if x]
+        parts += [f" + t^{k}" if x == 1 else f" - t^{k}" if x == -1 else f" + {x}*t^{k}" if x > 0
+                  else f" - {-x}*t^{k}" for k, x in enumerate(c[2:], 2) if x]
+        text = "".join(parts)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _mobius_product(n: int, length: int, sign: int) -> list[int]:
-    """Coefficients of t^0..t^(length-1) of prod_{d|n} (1 - t^d)^(sign*mu(n/d)).
+class _PackedDigits:
+    """Polynomials of degree < width as the integers P(2^B), B = 8 * nbytes.
 
-    n must be squarefree. Multiplying by (1 - t^d) is a descending in-place
-    update; dividing by it multiplies by 1 + t^d + t^2d + ..., an ascending
-    one. All multiplies run before the divides.
+    This is Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
+    P(2^B) * Q(2^B) = (PQ)(2^B), so a product of packed polynomials is one
+    big-int multiplication. Every coefficient c must satisfy |c| < 2^(B-1).
+    Then c + 2^(B-1) is a digit in [1, 2^B), so P(2^B) + half, with
+    half = sum_k 2^(B-1) * 2^(Bk), holds these digits with no carries, and
+    flipping each top bit gives c in two's complement. B is a whole number of
+    bytes; 1-, 2-, 4- and 8-byte digits pack through struct and decode through
+    memoryview.cast on a little-endian machine, others digit by digit.
     """
+
+    def __init__(self, nbytes: int, width: int):
+        self.nbytes, self.width = nbytes, width
+        B = 8 * nbytes
+        self.every = (1 << B * width) - 1  # all width digits: X & every is X mod t^width
+        ones = self.every // ((1 << B) - 1)  # 1 in every digit
+        self.half = ones << (B - 1)  # 2^(B-1) in every digit
+        self.low = self.half - ones  # 2^(B-1) - 1 in every digit
+        self.format = {1: "b", 2: "h", 4: "i", 8: "q"}.get(nbytes) if sys.byteorder == "little" else None
+
+    def pack(self, coeffs) -> int:
+        """P(2^B) from P's coefficients, len(coeffs) <= width."""
+        raw = struct.pack(f"<{len(coeffs)}{self.format}", *coeffs) if self.format else \
+            b"".join(c.to_bytes(self.nbytes, "little", signed=True) for c in coeffs)
+        offsets = self.half & ((1 << 8 * len(raw)) - 1)  # 2^(B-1) in the len(coeffs) digits
+        return (int.from_bytes(raw, "little") ^ offsets) - offsets
+
+    def unpack(self, X: int) -> list[int]:
+        """P's coefficients, width of them, from X = P(2^B) or X = P(2^B) mod 2^(B * width)."""
+        nb = self.nbytes
+        raw = (((X + self.half) & self.every) ^ self.half).to_bytes(self.width * nb, "little")
+        if self.format:
+            return memoryview(raw).cast(self.format).tolist()
+        return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+
+    def mask(self, exponents) -> int:
+        """The top bit of the digit of each exponent."""
+        raw = bytearray(self.width * self.nbytes)
+        for k in exponents:
+            raw[k * self.nbytes + self.nbytes - 1] = 0x80
+        return int.from_bytes(raw, "little")
+
+    def nonzero(self, X: int) -> int:
+        """The top bit of every digit of X whose coefficient is nonzero.
+
+        The low B - 1 bits of the digit c + 2^(B-1) of X + half are c for
+        c >= 0 and 2^(B-1) + c >= 1 for c < 0, so they are zero iff c is.
+        Adding low sets a digit's top bit iff they are nonzero, and cannot
+        carry out, since 2 * (2^(B-1) - 1) < 2^B.
+        """
+        return (((X + self.half) & self.low) + self.low) & self.half
+
+
+def _packed_series(n: int, length: int, sign: int, nbytes: int) -> list[int] | None:
+    """_mobius_product at nbytes-byte digits, or None if its certificate fails."""
     signed = [(1, 1)]  # (d, mu(d)); for squarefree n, mu(n/d) = mu(n) * mu(d)
     for p, _ in factorize(n):
         signed += [(d * p, -m) for d, m in signed]
-    mu_n = signed[-1][1]
-    c = [0] * length
-    c[0] = 1
-    for d, m in signed:
-        if sign * mu_n * m == 1:
-            for k in range(length - 1, d - 1, -1):
-                c[k] -= c[k - d]
-    for d, m in signed:
-        if sign * mu_n * m == -1:
-            for k in range(d, length):
-                c[k] += c[k - d]
+    # (1 - t^d)^1 and (1 - t^d)^-1 factors; those with d >= length are 1 mod t^length
+    up, down = ([d for d, m in signed if d < length and sign * signed[-1][1] * m == e] for e in (1, -1))
+    X, B, every = 1, 8 * nbytes, (1 << 8 * nbytes * length) - 1
+    for d in up:
+        X = (X - (X << d * B)) & every
+    for d in down:  # 1/(1 - t^d) = prod (1 + t^(2^i d)) mod t^length
+        while d < length:
+            X = (X + (X << d * B)) & every
+            d *= 2
+    c = _PackedDigits(nbytes, length).unpack(X)
+    wide = 2 * nbytes
+    while 8 * wide < B + max(len(up), len(down)) + 1:
+        wide *= 2
+    check = _PackedDigits(wide, length)
+    lhs, rhs, B, every = check.pack(c) & check.every, 1, 8 * wide, check.every
+    for d in down:
+        lhs = (lhs - (lhs << d * B)) & every
+    for d in up:
+        rhs = (rhs - (rhs << d * B)) & every
+    if lhs != rhs and 8 * nbytes > len(up) + len(down) * length.bit_length() + 1:
+        raise RuntimeError(f"Moebius series certificate failed at n = {n} on {8 * nbytes}-bit digits")
+    return c if lhs == rhs else None
+
+
+def _mobius_product(n: int, length: int, sign: int) -> list[int]:
+    """Coefficients of t^0..t^(length-1) of prod_{d|n} (1 - t^d)^(sign*mu(n/d)), n squarefree."""
+    nbytes = 2
+    while (c := _packed_series(n, length, sign, nbytes)) is None:
+        nbytes *= 2
     return c
 
 
@@ -326,8 +401,7 @@ def lam_leung(p: int, q: int) -> IntPolynomial:
 def support_and_gaps(h: IntPolynomial) -> tuple[tuple[int, ...], int]:
     """(support exponents, max gap between consecutive support exponents)."""
     supp = h.support()
-    gap = max((b - a for a, b in zip(supp, supp[1:])), default=0)
-    return supp, gap
+    return supp, max(map(operator.sub, supp[1:], supp), default=0)
 
 
 def is_admissible_support(J, n: int) -> bool:

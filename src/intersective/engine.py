@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple
 
 from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
                       parse_element, parse_group)
-from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, is_admissible_support
+from .cyclotomic import (IntPolynomial, _PackedDigits, cyclotomic, inverse_cyclotomic,
+                         is_admissible_support)
 from .numtheory import divisors, euler_phi
 from .oracle import exact_avoidance
 from .constructions import product_lower_bound, slab_size
@@ -112,56 +113,6 @@ def require_admissible(residues: set[int], n: int) -> None:
         raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
 
 
-class _PackedDigits:
-    """Polynomials of degree < width as the integers P(2^B), B = 8 * nbytes.
-
-    This is Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)):
-    P(2^B) * Q(2^B) = (PQ)(2^B), so a product of packed polynomials is one
-    big-int multiplication. Every coefficient c must satisfy |c| < 2^(B-1).
-    Then c + 2^(B-1) is a digit in [1, 2^B), so P(2^B) + half, with
-    half = sum_k 2^(B-1) * 2^(Bk), holds these digits with no carries. B is
-    a whole number of bytes, so packing and decoding go through int.to_bytes.
-    """
-
-    def __init__(self, nbytes: int, width: int):
-        self.nbytes, self.width = nbytes, width
-        B = 8 * nbytes
-        ones = ((1 << B * width) - 1) // ((1 << B) - 1)  # 1 in every digit
-        self.half = ones << (B - 1)  # 2^(B-1) in every digit
-        self.low = self.half - ones  # 2^(B-1) - 1 in every digit
-
-    def pack(self, coeffs) -> int:
-        """P(2^B) from P's coefficients, each c written as the digit c + 2^(B-1)."""
-        nb, top = self.nbytes, 1 << (8 * self.nbytes - 1)
-        raw = b"".join((c + top).to_bytes(nb, "little") for c in coeffs)
-        offsets = self.half & ((1 << 8 * len(raw)) - 1)  # 2^(B-1) in the len(coeffs) digits
-        return int.from_bytes(raw, "little") - offsets
-
-    def unpack(self, X: int) -> tuple[int, ...]:
-        """P's coefficients, width of them, from X = P(2^B)."""
-        nb, top = self.nbytes, 1 << (8 * self.nbytes - 1)
-        raw = (X + self.half).to_bytes(self.width * nb, "little")
-        return tuple(int.from_bytes(raw[i:i + nb], "little") - top
-                     for i in range(0, len(raw), nb))
-
-    def mask(self, exponents) -> int:
-        """The top bit of the digit of each exponent."""
-        raw = bytearray(self.width * self.nbytes)
-        for k in exponents:
-            raw[k * self.nbytes + self.nbytes - 1] = 0x80
-        return int.from_bytes(raw, "little")
-
-    def nonzero(self, X: int) -> int:
-        """The top bit of every digit of X whose coefficient is nonzero.
-
-        The low B - 1 bits of the digit c + 2^(B-1) of X + half are c for
-        c >= 0 and 2^(B-1) + c >= 1 for c < 0, so they are zero iff c is.
-        Adding low sets a digit's top bit iff they are nonzero, and cannot
-        carry out, since 2 * (2^(B-1) - 1) < 2^B.
-        """
-        return (((X + self.half) & self.low) + self.low) & self.half
-
-
 def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
 
@@ -178,7 +129,7 @@ def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     Returns None when no nonempty subset fits; raises ValueError past
     DIVISOR_SUBSET_CAP visited subsets.
 
-    Each subset's product travels as one packed integer (_PackedDigits), one
+    Each subset's product travels as one packed integer (cyclotomic._PackedDigits), one
     multiplication per step. Digits are wide enough for every coefficient:
     for polynomials |coeff(fg)| <= ||fg||_1 <= ||f||_1 * ||g||_1, and each
     ||Phi_d||_1 >= 1, so every coefficient of every subset product is at

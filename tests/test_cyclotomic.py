@@ -4,11 +4,14 @@ import importlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersective.cyclotomic import (DENSE_DEGREE_LIMIT, IntPolynomial, NonExactDivision, cyclotomic,
                                      inverse_cyclotomic, is_admissible_support, lam_leung,
                                      support_and_gaps)
-from intersective.numtheory import divisors, euler_phi, is_prime, radical
+from intersective.numtheory import divisors, euler_phi, factorize, is_prime, radical
+from intersective.spectral import count_nonneg_tuples
 
 cyclotomic_module = importlib.import_module("intersective.cyclotomic")
 
@@ -185,13 +188,89 @@ def test_self_check_catches_what_the_value_at_one_misses(monkeypatch, n, inverse
         (inverse_cyclotomic if inverse else cyclotomic)(n)
 
 
+def _reference_series(n, length, sign):
+    """The Moebius series of _mobius_product, one list update per coefficient per divisor.
+
+    Multiplying by (1 - t^d) is a descending in-place update; dividing by it
+    multiplies by 1 + t^d + t^2d + ..., an ascending one.
+    """
+    signed = [(1, 1)]  # (d, mu(d)); for squarefree n, mu(n/d) = mu(n) * mu(d)
+    for p, _ in factorize(n):
+        signed += [(d * p, -m) for d, m in signed]
+    mu_n = signed[-1][1]
+    c = [0] * length
+    c[0] = 1
+    for d, m in signed:
+        if sign * mu_n * m == 1:
+            for k in range(length - 1, d - 1, -1):
+                c[k] -= c[k - d]
+    for d, m in signed:
+        if sign * mu_n * m == -1:
+            for k in range(d, length):
+                c[k] += c[k - d]
+    return c
+
+
 def test_half_series_matches_the_full_series():
-    mobius = cyclotomic_module._mobius_product
     for n in range(2, 2000):
         if radical(n) == n:
             phi = euler_phi(n)
-            assert cyclotomic(n).coeffs == tuple(mobius(n, phi + 1, 1)), n
-            assert inverse_cyclotomic(n).coeffs == tuple(-x for x in mobius(n, n - phi + 1, -1)), n
+            assert cyclotomic(n).coeffs == tuple(_reference_series(n, phi + 1, 1)), n
+            psi = _reference_series(n, n - phi + 1, -1)
+            assert inverse_cyclotomic(n).coeffs == tuple(-x for x in psi), n
+
+
+@st.composite
+def _series_queries(draw):
+    n = draw(st.integers(2, 3000).filter(lambda n: radical(n) == n))
+    sign = draw(st.sampled_from((1, -1)))
+    degree = euler_phi(n) if sign == 1 else n - euler_phi(n)
+    return n, draw(st.integers(1, degree + 1)), sign
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_series_queries())
+def test_packed_series_matches_the_reference(query):
+    assert cyclotomic_module._mobius_product(*query) == _reference_series(*query)
+
+
+# Phi_255255 has height 532; its first coefficient past 8-bit digits is c[5268]
+PHI_255255_HALF = euler_phi(255255) // 2 + 2
+
+
+def test_certificate_refuses_digits_too_narrow():
+    packed = cyclotomic_module._packed_series
+    assert packed(255255, PHI_255255_HALF, 1, 1) is None
+    assert packed(255255, 5269, 1, 1) is None
+    assert packed(255255, 5268, 1, 1) == _reference_series(255255, 5268, 1)
+
+
+def test_series_widens_until_certified(monkeypatch):
+    real, widths = cyclotomic_module._packed_series, []
+
+    def from_one_byte(n, length, sign, nbytes):
+        widths.append(nbytes // 2)
+        assert len(widths) <= 2, widths  # fail rather than widen forever
+        return real(n, length, sign, nbytes // 2)
+
+    monkeypatch.setattr(cyclotomic_module, "_packed_series", from_one_byte)
+    assert cyclotomic_module._mobius_product(255255, 5300, 1) == _reference_series(255255, 5300, 1)
+    assert widths == [1, 2]
+
+
+def test_certificate_failure_on_wide_digits_raises(monkeypatch):
+    # a certificate that can never pass stops once the digits hold every coefficient
+    pack, widths = cyclotomic_module._PackedDigits.pack, []
+
+    def off_by_one(self, coeffs):
+        widths.append(self.nbytes)
+        assert len(widths) <= 2, widths  # fail rather than widen forever
+        return pack(self, coeffs) + 1
+
+    monkeypatch.setattr(cyclotomic_module._PackedDigits, "pack", off_by_one)
+    with pytest.raises(RuntimeError, match="certificate failed at n = 105"):
+        cyclotomic(105)
+    assert widths == [4, 8]  # the series at 16 and 32 bits; 32 holds every coefficient
 
 
 def test_degree_guard_refuses_before_allocating(monkeypatch):
@@ -220,3 +299,62 @@ def test_rejects_nonpositive_index():
         cyclotomic(0)
     with pytest.raises(ValueError):
         inverse_cyclotomic(-3)
+
+
+def _reference_str(p):
+    """IntPolynomial.__str__ as one loop over the coefficients."""
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if c:
+            mag = -c if c < 0 else c
+            if k == 0:
+                term = str(mag)
+            else:
+                var = "t" if k == 1 else f"t^{k}"
+                term = var if mag == 1 else f"{mag}*{var}"
+            parts += (" - " if c < 0 else " + ", term)
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("coeffs,text", [
+    ((), "0"),
+    ((1,), "1"),
+    ((-1,), "-1"),
+    ((5,), "5"),
+    ((-5,), "-5"),
+    ((0, 1), "t"),
+    ((0, -1), "-t"),
+    ((0, 2), "2*t"),
+    ((0, -2), "-2*t"),
+    ((0, 0, -1), "-t^2"),
+    ((0, 0, -3, 1), "-3*t^2 + t^3"),
+    ((-1, 1), "-1 + t"),
+    ((2, -1, 0, -4, 1, -1), "2 - t - 4*t^3 + t^4 - t^5"),
+    ((0, 3, -1, 12), "3*t - t^2 + 12*t^3"),
+])
+def test_str_table(coeffs, text):
+    p = IntPolynomial(coeffs)
+    assert str(p) == _reference_str(p) == text
+
+
+def test_str_matches_the_reference_on_cyclotomics():
+    for n in range(1, 500):
+        for p in (cyclotomic(n), inverse_cyclotomic(n)):
+            assert str(p) == _reference_str(p), n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_str_matches_the_reference(coeffs):
+    p = IntPolynomial(coeffs)
+    assert str(p) == _reference_str(p)
+
+
+def test_polynomial_from_list_tuple_or_generator():
+    polys = [IntPolynomial([1, -1]), IntPolynomial((1, -1)), IntPolynomial(c for c in (1, -1, 0))]
+    assert all(p.coeffs == (1, -1) for p in polys)
+    assert len(set(polys)) == 1
+    assert len({count_nonneg_tuples(p, 7, 2) for p in polys}) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from intersective import engine, spectral
 from intersective.abelian import GroupSpec, cyclic_residues, element_order, parse_group
-from intersective.cyclotomic import IntPolynomial, cyclotomic
+from intersective.cyclotomic import IntPolynomial, _PackedDigits, cyclotomic
 from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
                                  best_divisor_polynomial, generic_upper_bound,
                                  pair_upper_bound, report_from_json, report_to_json)
@@ -195,13 +195,15 @@ def test_divisor_search_matches_old_on_planted_products():
 
 def test_packed_support_test_at_the_digit_edge():
     rng = random.Random(8)
-    for nbytes in (1, 2, 5):
+    # 1, 2, 4 and 8 bytes decode through memoryview.cast, the others digit by digit
+    for nbytes in (1, 2, 3, 4, 5, 8, 9):
         edge = (1 << 8 * nbytes - 1) - 1  # the largest |c| a digit holds
-        digits = engine._PackedDigits(nbytes, 40)
+        digits = _PackedDigits(nbytes, 40)
         for _ in range(200):
             coeffs = [rng.choice((0, 0, 1, -1, edge, -edge)) for _ in range(rng.randrange(1, 41))]
             X = digits.pack(coeffs)
-            assert digits.unpack(X)[:len(coeffs)] == tuple(coeffs)
+            assert digits.unpack(X) == coeffs + [0] * (40 - len(coeffs))
+            assert digits.unpack(X & digits.every) == digits.unpack(X)  # X mod 2^(8 * nbytes * 40)
             support = IntPolynomial.from_coeffs(coeffs).support()
             assert digits.nonzero(X) == digits.mask(support)
 
