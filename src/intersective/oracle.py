@@ -14,6 +14,9 @@ and Jimenez, Comput. Oper. Res. 2011): a colour class of the complement is a
 clique of X, so taking a vertex v into the class keeps the candidates in
 X.rows[v], one `&` per vertex. This needs rows without a diagonal bit, which
 every Cayley graph has (a nonzero connection vector never fixes a vertex).
+The search runs on mirrored labels, vertex v at bit n - 1 - v, where the
+lowest remaining vertex is the top bit and needs no negation to find; the
+tree and the witness are those of the original labels.
 With R the clique built so far, a class whose colour k satisfies
 |R| + k <= best at colouring time is not recorded: best only grows, so each
 of its vertices would be pruned when its turn came. Timeouts surface the
@@ -204,42 +207,51 @@ class MISResult(NamedTuple):
     elapsed: float
 
 
-def _greedy_seed(comp: list[int], n: int) -> tuple[int, int]:
-    """Quick clique in the complement (= independent set), largest-degree first."""
-    order = sorted(range(n), key=lambda i: comp[i].bit_count(), reverse=True)
+def _mirror(bitsets: Iterable[int], n: int) -> list[int]:
+    """Each bitset of n bits with bit v moved to bit n - 1 - v, in the same order.
+    Written big-endian with each byte's bits reversed (the table is built by
+    doubling) and read little-endian, it is mirrored over whole bytes, then unpadded."""
+    width = (n + 7) // 8
+    table = bytearray(1)
+    for k in range(7, -1, -1):
+        table += bytes(x | 1 << k for x in table)
+    return [int.from_bytes(x.to_bytes(width, "big").translate(table), "little") >> 8 * width - n
+            for x in bitsets]
+
+
+def _greedy_seed(mrows: list[int], n: int) -> tuple[int, int]:
+    """Quick clique in the complement (= independent set), largest-degree first,
+    ties to the lowest vertex of X; on mirrored labels as in _color_classes."""
     chosen = 0
-    size = 0
     allowed = (1 << n) - 1
-    for v in order:
-        b = 1 << v
+    for v in sorted(range(n, 0, -1), key=lambda u: mrows[u].bit_count()):
+        b = 1 << v - 1
         if allowed & b:
             chosen |= b
-            size += 1
-            allowed &= comp[v]
-    return size, chosen
+            allowed = (allowed ^ b) & ~mrows[v]
+    return chosen.bit_count(), chosen
 
 
-def _color_classes(P: int, rows: tuple[int, ...], kmin: int) -> list[tuple[int, int]]:
+def _color_classes(P: int, mrows: list[int], bit: list[int], kmin: int) -> list[tuple[int, int]]:
     """Greedy colour classes of P in the complement, as (colour, class bitset).
 
-    Each class takes the lowest remaining vertex, then the lowest remaining
-    one adjacent in X to all taken so far, and so on. Only classes with
-    colour >= kmin are returned, in increasing colour.
+    On mirrored labels, mrows[v] the row of the vertex at bit[v] = 1 << v - 1:
+    each class takes the top remaining bit, then the top one adjacent in X to
+    all taken so far, and so on. Only classes with colour >= kmin are built
+    and returned, in increasing colour.
     """
     classes: list[tuple[int, int]] = []
     color = 0
     rem = P
     while rem:
         color += 1
-        cls = 0
-        Q = rem
+        Q = before = rem
         while Q:
-            b = Q & -Q
-            cls |= b
-            Q &= rows[b.bit_length() - 1]
-        rem ^= cls
+            v = Q.bit_length()
+            Q &= mrows[v]
+            rem ^= bit[v]
         if color >= kmin:
-            classes.append((color, cls))
+            classes.append((color, before ^ rem))
     return classes
 
 
@@ -346,7 +358,8 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     base, the largest character kernel that misses S (greedy on a tie). At
     the depth-1 node each returned child takes its whole orbit under
     coordinate permutations and negation about the root vertex out of the
-    candidates (see the module docstring).
+    candidates (see the module docstring). Rows, kernel and distinct orbit
+    masks go to mirrored labels once, and the witness comes back at the end.
     Deterministic: same value and witness for the same graph and budget. On
     timeout the best set found so far comes back with optimal=False. The
     witness, greedy, kernel or searched, is checked to be independent in X
@@ -365,12 +378,11 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
     if not (timeout is None or timeout >= 0):  # NaN compares false, so it is refused too
         raise ValueError(f"timeout must be None or >= 0, got {timeout}")
     n = X.n_vertices
-    rows = X.rows
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
-    full = (1 << n) - 1
-    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
-    best, best_bits = _greedy_seed(comp, n)
+    mrows = _mirror((0, *reversed(X.rows)), n)  # mrows[v]: row of the vertex at bit v - 1
+    bit = [0, *(1 << k for k in range(n))]
+    best, best_bits = _greedy_seed(mrows, n)
     nodes = 0
     aborted = False
     orbits = None
@@ -383,40 +395,43 @@ def max_independent_set(X: CayleyGraph, *, timeout: float | None = None) -> MISR
             return
         if r_size > best:
             best, best_bits = r_size, r_bits
-        classes = _color_classes(P, rows, best - r_size + 1)
+        classes = _color_classes(P, mrows, bit, best - r_size + 1)
         if r_size == 0 and classes:  # the root would branch past the greedy incumbent
             size, bits = _kernel_incumbent(X)
             if size > best:
-                best, best_bits = size, bits
-        searched = None  # at depth 1, the last child whose orbit is still in P
+                best, best_bits = size, _mirror((bits,), n)[0]
+        searched = None  # at depth 1, the last child whose orbit is still in P, in X's labels
         for color, cls in reversed(classes):
             while cls := cls & P:
                 if aborted or r_size + color <= best:
                     return
                 if searched is not None:
                     if orbits is None:
-                        orbits = _orbit_masks(X, r_bits.bit_length() - 1)
+                        masks = _orbit_masks(X, n - r_bits.bit_length())
+                        distinct = set(masks)
+                        mirrored = dict(zip(distinct, _mirror(distinct, n)))
+                        orbits = [mirrored[m] for m in masks]
                     P &= ~orbits[searched]
                     searched = None
                     continue
-                v = cls.bit_length() - 1
-                b = 1 << v
-                cls ^= b
-                expand(r_size + 1, r_bits | b, P & comp[v])
+                b = cls & -cls  # the highest vertex of X in the class
+                v = b.bit_length()
+                expand(r_size + 1, r_bits | b, (P ^ b) & ~mrows[v])
                 if r_size == 0:
                     return  # vertex-transitive: the first branch already reached omega
                 P ^= b
                 if r_size == 1:
-                    searched = v
+                    searched = n - v
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 64))
     try:
-        expand(0, 0, full)
+        expand(0, 0, (1 << n) - 1)
     finally:
         sys.setrecursionlimit(old_limit)
+    best_bits = _mirror((best_bits,), n)[0]
     members = [i for i in range(n) if best_bits >> i & 1]
-    if len(members) != best or any(rows[i] & best_bits for i in members):
+    if len(members) != best or any(X.rows[i] & best_bits for i in members):
         raise RuntimeError(f"search returned {len(members)} vertices as an independent set "
                            f"of size {best}, but they are not one")
     witness = tuple(X.vertices[i] for i in members)

@@ -104,3 +104,17 @@ def test_each_run_gets_a_fresh_copy_of_the_tracked_files(monkeypatch, tmp_path):
     assert first != second and checkout not in (first, second)
     assert files == ["perfbench/run.py"] and text == "uncommitted\n" and env is None
     assert not first.exists() and not second.exists()  # removed after the run
+
+
+@pytest.mark.parametrize("side", ["--base", "--change"])
+def test_a_checkout_outside_git_is_refused_before_any_run(monkeypatch, tmp_path, capsys, side):
+    work_tree, plain = tmp_path / "work_tree", tmp_path / "plain"
+    plain.mkdir()
+    subprocess.run(["git", "init", "-q", str(work_tree)], check=True)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    paths = {"--base": work_tree, "--change": work_tree, side: plain}
+    argv = [a for flag, path in paths.items() for a in (flag, str(path))]
+    assert bench_pairs.main(argv + ["--workload", "oracle-ladder", "--seeds", "1",
+                                    "--label", "refused"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {plain.resolve()} is not a git work tree"]
+    assert not Path("BENCH_refused.json").exists()

@@ -5,8 +5,10 @@ unreduced graph over all of G^N before being frozen.
 """
 
 import functools
+import hashlib
 import itertools
 import math
+import random
 import sys
 
 import networkx as nx
@@ -319,6 +321,16 @@ def test_orbit_masks_partition_and_are_invariant():
     assert checked > 1500
 
 
+# SHA-256 of repr(witness), which is what `oracle --certificate` prints, so a
+# slip in how the seed, the kernel or the orbits are labelled shows even at
+# an unchanged node count
+WITNESS_SHA256 = {
+    ((5,), 4): "4ea360fbaeeaf9491026558d2f1b89d88f048fabd04d8faa80246ea728336728",
+    ((6,), 3): "49db187b0ad3ab2e4aa43e944b0c021e5bd2d442f12e3a617a1d29e011b10a49",
+    ((8,), 3): "a11c471b775e3c5aa31f7023737a516aab660db882097702f48b771a7081c2d1",
+}
+
+
 @pytest.mark.parametrize("orders,J,N,value,nodes", [
     ((5,), [(0,), (1,)], 4, 125, 121),  # 1,414 nodes before the kernel incumbent and orbits
     ((6,), [(0,), (1,), (2,)], 3, 19, 2369),  # 7,271 before
@@ -328,13 +340,34 @@ def test_search_node_counts_pinned(orders, J, N, value, nodes):
     r = exact_avoidance(GroupSpec(orders), J, N)
     assert r.optimal and r.value == value
     assert r.mis.nodes == nodes
+    assert hashlib.sha256(repr(r.mis.witness).encode()).hexdigest() == WITNESS_SHA256[orders, N]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 4096])
+def test_mirror_round_trips(n):
+    rng = random.Random(n)
+    bitsets = [0, 1, 1 << n - 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    mirrored = oracle._mirror(bitsets, n)
+    assert mirrored == [int(format(x, f"0{n}b")[::-1], 2) for x in bitsets]
+    assert oracle._mirror(mirrored, n) == bitsets
+
+
+def test_mirrored_rows_are_the_reversed_base_graph():
+    """Vertex k of base[::-1]^N is vertex n - 1 - k of base^N, so the graph
+    built on the reversed base has the mirrored rows in reverse order."""
+    for G, J, N, X, _ in _reference_grid():
+        base = [X.vertices[k][-1] for k in range(oracle._base_size(X))]
+        Y = _build_on_base(G, J, N, base[::-1], 4096)
+        assert oracle._mirror(reversed(X.rows), X.n_vertices) == list(Y.rows), (G.orders, J, N)
 
 
 @pytest.mark.parametrize("size,bits", [(3, 0b00111), (3, 0b00101)])
 def test_witness_self_check_raises(monkeypatch, size, bits):
     # a planted incumbent above alpha = 2 prunes the whole search and comes
-    # back as the answer: {0, 1, 2} has edges, {0, 2} has the wrong size
-    monkeypatch.setattr(oracle, "_greedy_seed", lambda comp, n: (size, bits))
+    # back as the answer: {0, 1, 2} has edges, {0, 2} has the wrong size.
+    # The seed is on mirrored labels, so the planted bits are mirrored.
+    monkeypatch.setattr(oracle, "_greedy_seed",
+                        lambda mrows, n: (size, oracle._mirror((bits,), n)[0]))
     X = build_cayley(GroupSpec((5,)), [(0,), (1,)], 1)
     with pytest.raises(RuntimeError, match="not one"):
         max_independent_set(X)

@@ -139,6 +139,12 @@ def end_to_end(checkout: Path) -> dict[str, dict]:
     return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
+def is_work_tree(path: Path) -> bool:
+    """True when path lies in a git work tree, so its tracked files can be listed."""
+    return subprocess.run(["git", "-C", str(path), "rev-parse", "--is-inside-work-tree"],
+                          capture_output=True, text=True).stdout.strip() == "true"
+
+
 def copy_tracked(checkout: Path, dest: Path) -> None:
     """Copy the working-tree contents of checkout's tracked files into dest;
     a tracked file deleted from the working tree is left out."""
@@ -175,6 +181,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     base, change = args.base.resolve(), args.change.resolve()
+    for path in (base, change):
+        if not is_work_tree(path):
+            print(f"error: {path} is not a git work tree", file=sys.stderr)
+            return 2
     spec = end_to_end(change)
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
