@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,16 +65,16 @@ class GroupSpec(_GroupOrders):
         tup = (coords,) if isinstance(coords, int) else tuple(coords)
         if len(tup) != len(self.orders):
             raise ValueError(f"element {tup} has {len(tup)} coordinates, group has {len(self.orders)}")
-        return tuple(c % n for c, n in zip(tup, self.orders))
+        return tuple(map(operator.mod, tup, self.orders))
 
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % n for a, b, n in zip(u, v, self.orders))
+        return tuple(map(operator.mod, map(operator.add, u, v), self.orders))
 
     def neg(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-a) % n for a, n in zip(u, self.orders))
+        return tuple(map(operator.mod, map(operator.neg, u), self.orders))
 
     def sub(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a - b) % n for a, b, n in zip(u, v, self.orders))
+        return tuple(map(operator.mod, map(operator.sub, u, v), self.orders))
 
     def elements(self):
         """All elements in mixed-radix order (last coordinate fastest)."""

@@ -11,6 +11,7 @@ upper bound aborts with a dump, since it can only mean a bug in the tower.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple
 
@@ -226,14 +227,21 @@ def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | No
     ("spectral-invcyclo"). Any residues holding {0, 1} get 1 - t
     ("pair-count"), admissible by itself for n >= 3. A divisor search that
     fails leaves its error as the second value; the others still come back.
+    The choice is cached per process; each call gets its own list and error.
     """
+    cands, failure = _weight_candidates(n, frozenset(residues))
+    return list(cands), None if failure is None else ValueError(failure)
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_candidates(n: int, residues: frozenset) -> tuple[tuple, str | None]:
     cands: list[tuple[str, IntPolynomial]] = []
     failure = None
     if is_admissible_support(residues, n):
         try:
             h = best_divisor_polynomial(n, residues)
         except ValueError as e:
-            h, failure = None, e
+            h, failure = None, str(e)
         if h is not None:
             cands.append(("spectral-divisor", h))
         if n - euler_phi(n) in residues:  # Psi_n is monic of degree n - phi(n)
@@ -242,7 +250,7 @@ def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | No
                 cands.append(("spectral-invcyclo", hinv))
     if {0, 1} <= residues:
         cands.append(("pair-count", _PAIR_T))
-    return cands, failure
+    return tuple(cands), failure
 
 
 def _generic(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):

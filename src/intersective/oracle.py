@@ -51,13 +51,17 @@ still open after a minute, while {0, 1} = 3 * {0, 2} closes in 121 nodes.
 So exact_avoidance searches on the smallest sorted image of J under unit
 multiples and swaps of equal-order factors, maps the witness back and checks
 it against J, and keeps closed results per process, so each class and each
-caller's (G, J, N) is paid once.
+caller's (G, J, N) is paid once; the labels of each (G, J) are kept too, for
+every N. The check needs ordered pairs against J^N only, since b - a lies in
+(-J)^N exactly when a - b lies in J^N: one AND of per-coordinate bitsets per member.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 import time
 from collections import OrderedDict
@@ -207,15 +211,16 @@ class MISResult(NamedTuple):
     elapsed: float
 
 
+# byte b with its eight bits in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _mirror(bitsets: Iterable[int], n: int) -> list[int]:
     """Each bitset of n bits with bit v moved to bit n - 1 - v, in the same order.
-    Written big-endian with each byte's bits reversed (the table is built by
-    doubling) and read little-endian, it is mirrored over whole bytes, then unpadded."""
+    Written big-endian with each byte's bits reversed and read little-endian,
+    it is mirrored over whole bytes, then unpadded; the table is built once."""
     width = (n + 7) // 8
-    table = bytearray(1)
-    for k in range(7, -1, -1):
-        table += bytes(x | 1 << k for x in table)
-    return [int.from_bytes(x.to_bytes(width, "big").translate(table), "little") >> 8 * width - n
+    return [int.from_bytes(x.to_bytes(width, "big").translate(_REVERSED), "little") >> 8 * width - n
             for x in bitsets]
 
 
@@ -453,20 +458,20 @@ def _subgroup_base(G: GroupSpec, H: SubgroupInfo) -> tuple:
     return tuple(H.sorted_members())
 
 
-class _ClosedResults:
-    """Closed AvoidanceResults keyed on (orders, sorted J, N), least recently used dropped first."""
+class _Recent:
+    """Values by key, least recently used dropped first past maxsize."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._results: OrderedDict = OrderedDict()
 
-    def get(self, key) -> AvoidanceResult | None:
+    def get(self, key):
         res = self._results.get(key)
         if res is not None:
             self._results.move_to_end(key)
         return res
 
-    def put(self, key, res: AvoidanceResult) -> None:
+    def put(self, key, res) -> None:
         self._results[key] = res
         if len(self._results) > self.maxsize:
             self._results.popitem(last=False)
@@ -475,7 +480,8 @@ class _ClosedResults:
         self._results.clear()
 
 
-_closed_results = _ClosedResults(256)
+_closed_results = _Recent(256)  # closed AvoidanceResults by (orders, sorted J, N)
+_relabellings = _Recent(256)  # (canonical J, phi^-1, its subgroup or None) by (orders, sorted J)
 
 
 def _factor_permutations(orders: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
@@ -538,18 +544,21 @@ def _check_avoider(G: GroupSpec, H: SubgroupInfo, J: tuple, N: int, witness: tup
                    size: int) -> None:
     """Raise RuntimeError unless witness is size distinct vertices of H^N and independent.
 
-    Translate hashing: no a + s, a in the witness and s in S = +-(J^N \\ 0),
-    lies in the witness set. Coordinate sums come from a table over the
-    coordinates the witness uses and +-J.
+    a - b lies in (-J)^N exactly when b - a lies in J^N, so S = +-J^N \\ 0 is
+    covered by ordered pairs against J^N alone. near[i][x] is the bitset of the
+    members whose coordinate i lies in x + J, and the AND of near[i][a_i] over
+    the coordinates, the members b with b - a in J^N, must be a alone.
     """
     W = set(witness)
-    coords = {x for a in W for x in a}
-    minus_J = [G.neg(j) for j in J]
-    plus = {(x, y): G.add(x, y) for x in coords for y in set(J).union(minus_J)}
-    S = set(itertools.product(J, repeat=N)).union(itertools.product(minus_J, repeat=N))
-    S.discard((G.zero(),) * N)
-    if (len(W) != size or not all(H.contains(x) for x in coords)
-            or any(tuple(map(plus.__getitem__, zip(a, s))) in W for a in W for s in S)):
+    at: list[dict] = [{} for _ in range(N)]  # at[i][x]: members with coordinate i equal to x
+    for k, a in enumerate(W):
+        for col, x in zip(at, a):
+            col[x] = col.get(x, 0) | 1 << k
+    near = [{x: functools.reduce(operator.or_, [col.get(G.add(x, j), 0) for j in J]) for x in col}
+            for col in at]
+    if (len(W) != size or not all(H.contains(x) for col in at for x in col)
+            or any(functools.reduce(operator.and_, map(dict.__getitem__, near, a)) != 1 << k
+                   for k, a in enumerate(W))):
         raise RuntimeError(f"relabelled witness of {len(witness)} vertices is not an "
                            f"independent set of size {size} for J = {J}")
 
@@ -573,7 +582,9 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
     (G, sorted J, N), and for their canonical labels, so a kept one answers
     even with timeout=0; mis then describes the search that closed it. When
     the search times out the returned value is still a valid lower bound,
-    optimal=False, and nothing is kept.
+    optimal=False, and no result is kept. The canonical labels of the last
+    256 (G, sorted J) are kept whatever the budget, after the vertex cap is
+    checked.
     Raises OracleInfeasible past MIS_CAP vertices in H^N, ValueError on a timeout < 0 or NaN.
     """
     if N < 1:
@@ -585,19 +596,23 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
     if not gens:
         # J = {0}: every difference condition is vacuous
         return AvoidanceResult(G.order**N, 1, G.order, 1, True, None)
-    H = subgroup_generated(G, gens)
-    _check_cap(H.order**N, MIS_CAP)  # before H's elements are built
     key = (G.orders, tuple(sorted(Jt)), N)
     if (res := _closed_results.get(key)) is not None:
         return res
-    Jc, inverse = _canonical_labels(G, H, Jt)
+    H = subgroup_generated(G, gens)
+    _check_cap(H.order**N, MIS_CAP)  # before H's elements are built or J is relabelled
+    if (labels := _relabellings.get(key[:2])) is None:
+        Jc, inverse = _canonical_labels(G, H, Jt)
+        Hc = None if inverse is None else subgroup_generated(G, [j for j in Jc if any(j)])
+        labels = Jc, inverse, Hc
+        _relabellings.put(key[:2], labels)
+    Jc, inverse, Hc = labels
     if inverse is None:
         res = _block_search(G, H, Jt, N, timeout)
     else:
         canon_key = (G.orders, Jc, N)
         canon = _closed_results.get(canon_key)
         if canon is None:
-            Hc = subgroup_generated(G, [j for j in Jc if any(j)])
             canon = _block_search(G, Hc, Jc, N, timeout)
             if canon.optimal:
                 _closed_results.put(canon_key, canon)

@@ -614,6 +614,7 @@ def _residue_dp_states(n: int) -> Iterator[list[int]]:
         total *= n - 1
 
 
+@functools.lru_cache(maxsize=256)
 def residue_dp_count(n: int, N: int) -> int:
     """Exact count of v in {1..n-1}^N whose coordinate sum lies in the open
     cosine-positive band mod 2n.
@@ -621,7 +622,8 @@ def residue_dp_count(n: int, N: int) -> int:
     This dominates the h = 1 - t tuple count: tuples with a zero coordinate
     contribute a zero product, and Re >= 1 forces the cosine factor of the
     polar form strictly positive. The band has n residues when N is even and
-    n odd, n - 1 otherwise.
+    n odd, n - 1 otherwise. Cached per process, since a sweep asks for the
+    same few (n, N) at every element of every J.
     """
     return residue_dp_profile(n, N)[-1]
 
@@ -704,14 +706,22 @@ def clique_bounds(G: GroupSpec, J: Iterable[tuple[int, ...]], N: int) -> list[Cl
     is then a clique of size mN + 1, giving |G|^N / (mN + 1). The prefix of
     that walk where -g, ..., -kg lie in J too gives m_sym = k, and the product
     clique {0, g, ..., m_sym g}^N gives (|G| / (m_sym + 1))^N. Values are
-    floored to integers.
+    floored to integers. The walks do not depend on N and are cached per process.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    Jset = {G.element(j) for j in J}
+    Jset = frozenset(G.element(j) for j in J)
     if G.zero() not in Jset:
         raise ValueError("J must contain 0")
-    out: list[CliqueBound] = []
+    return [CliqueBound(kind, g, m, G.order**N // (m * N + 1 if kind == "progression"
+                                                    else (m + 1) ** N))
+            for kind, g, m in _clique_walks(G, Jset)]
+
+
+@functools.lru_cache(maxsize=256)
+def _clique_walks(G: GroupSpec, Jset: frozenset) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """(kind, g, m) of each bound of clique_bounds, in its order."""
+    out = []
     for g in sorted(Jset):
         if g == G.zero():
             continue
@@ -726,7 +736,7 @@ def clique_bounds(G: GroupSpec, J: Iterable[tuple[int, ...]], N: int) -> list[Cl
             if m_sym == m - 1 and G.neg(x) in Jset:
                 m_sym = m
         if m >= 1:
-            out.append(CliqueBound("progression", g, m, G.order**N // (m * N + 1)))
+            out.append(("progression", g, m))
         if m_sym >= 1:
-            out.append(CliqueBound("symmetric", g, m_sym, G.order**N // (m_sym + 1) ** N))
-    return out
+            out.append(("symmetric", g, m_sym))
+    return tuple(out)

@@ -2,14 +2,18 @@
 
 import pytest
 
-from intersective import numtheory, oracle, spectral
+from intersective import engine, numtheory, oracle, spectral
 from intersective.cyclotomic import _squarefree_factor
 
 # Every per-process cache in the package; tests/test_caches.py checks the list is complete.
 PER_PROCESS_CACHES = (
     spectral.sign_count_tuples,
     spectral._pi,
+    spectral.residue_dp_count,
+    spectral._clique_walks,
+    engine._weight_candidates,
     oracle._closed_results,
+    oracle._relabellings,
     _squarefree_factor,
     numtheory.factorize,
 )

@@ -6,12 +6,14 @@ import re
 
 import pytest
 
-from intersective import engine, spectral
+from conftest import PER_PROCESS_CACHES
+from intersective import engine, oracle, spectral
 from intersective.abelian import GroupSpec, cyclic_residues, element_order, parse_group
 from intersective.cyclotomic import IntPolynomial, _PackedDigits, cyclotomic
 from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
                                  best_divisor_polynomial, generic_upper_bound,
-                                 pair_upper_bound, report_from_json, report_to_json)
+                                 pair_upper_bound, report_from_json, report_to_json,
+                                 weight_candidates)
 from intersective.numtheory import divisors, euler_phi
 from intersective.oracle import AvoidanceResult
 from intersective.spectral import count_nonneg_tuples, residue_dp_count, sign_count_tuples
@@ -290,6 +292,51 @@ def test_pair_count_once_per_distinct_order(z105_report):
                    for n in (element_order(G, a) for a in r.J if a != G.zero())]
     assert r.method_value("pair-count") == min(per_element) == 4350
     assert [e.params_dict() for e in r.upper if e.method == "pair-count"] == [{"a": "5"}]
+
+
+def test_per_g_j_work_once_on_the_z7_sweep(monkeypatch):
+    """Over Z_7's sweep queries at N = 1 and N = 2, the canonical labels run once
+    per (G, sorted J) and the pair DP once per (n, N)."""
+    labelled, profiled = [], []
+    labels, profile = oracle._canonical_labels, spectral.residue_dp_profile
+    monkeypatch.setattr(oracle, "_canonical_labels",
+                        lambda G, H, J: labelled.append((G, tuple(sorted(J)))) or labels(G, H, J))
+    monkeypatch.setattr(spectral, "residue_dp_profile",
+                        lambda n, N: profiled.append((n, N)) or profile(n, N))
+    G = GroupSpec((7,))
+    nonzero = [(k,) for k in range(1, 7)]
+    Js = [[(0,)] + list(S) for k in range(1, 7) for S in itertools.combinations(nonzero, k)]
+    for N in (1, 2):
+        for J in Js:  # N = 2 lists J backwards, the same set
+            assert best_bounds(G, J if N == 1 else J[::-1], N, oracle_timeout=None).exact is not None
+    assert sorted(labelled) == sorted(set(labelled)) and len(labelled) == len(Js) == 63
+    assert sorted(profiled) == [(7, 1), (7, 2)]
+
+
+def test_timed_out_query_then_closed_query_closes():
+    """No per-process cache keeps what a timed-out search saw: the closed query after
+    it reports what it reports on fresh caches. {0, 3} is relabelled to {0, 1}."""
+    G, J = GroupSpec((7,)), [(0,), (3,)]
+    fresh = report_to_json(best_bounds(G, J, 2, oracle_timeout=None))
+    for cache in PER_PROCESS_CACHES:
+        cache.cache_clear()
+    partial = best_bounds(G, J, 2, oracle_timeout=0.0)
+    assert partial.exact is None and partial.method_value("oracle-partial") is not None
+    closed = best_bounds(G, J, 2, oracle_timeout=None)
+    assert closed.exact == 14 and report_to_json(closed) == fresh
+
+
+def test_weight_candidates_returns_a_fresh_list_and_error(monkeypatch):
+    first, _ = weight_candidates(7, {0, 1, 3})
+    kept = list(first)
+    first.clear()
+    second, _ = weight_candidates(7, {0, 1, 3})
+    assert second == kept and [m for m, _ in kept] == ["spectral-invcyclo", "pair-count"]
+    assert engine._weight_candidates.cache_info().hits == 1
+    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 1)
+    first, second = (weight_candidates(15, {0, 1, 2, 4})[1] for _ in range(2))
+    assert first is not second
+    assert str(first) == str(second) == "divisor-subset search exceeded cap 1"
 
 
 def test_second_query_reuses_pair_counts():

@@ -501,10 +501,12 @@ def test_exact_avoidance_rejects(monkeypatch):
 
 
 def test_exact_avoidance_checks_cap_before_building_subgroup(monkeypatch):
-    def refuse(G, H):
-        raise AssertionError("subgroup elements built before the cap check")
+    def refuse(*args):
+        raise AssertionError("subgroup elements built or J relabelled before the cap check")
 
     monkeypatch.setattr(oracle, "_subgroup_base", refuse)
+    # relabelling runs over 2^21 units here, so it must wait for the cap too
+    monkeypatch.setattr(oracle, "_canonical_labels", refuse)
     with pytest.raises(OracleInfeasible, match="4194304 vertices exceed cap 4096"):
         exact_avoidance(GroupSpec((1 << 22,)), [(0,), (1,)], 1)
 
@@ -564,7 +566,9 @@ def _per_element_canonical_labels(G, J):
     return best, (pow(u, -1, e), tuple(inverse))
 
 
-def test_canonical_labels_match_the_per_element_loop():
+def _canonical_label_grid():
+    """(G, J) of the criterion 11 sweep but J = {0}, Z_105 with supp Phi_105, and
+    the Z_3^2 triples and Z_2 x Z_4 x Z_2 and Z_4 x Z_2 x Z_4 pairs, whose winners swap factors."""
     cases = []
     for G in [GroupSpec((m,)) for m in range(2, 8)] + [GroupSpec((2, 2))]:
         # criterion 11 but J = {0}, which exact_avoidance answers without labels
@@ -576,8 +580,12 @@ def test_canonical_labels_match_the_per_element_loop():
         G = GroupSpec(orders)
         nonzero = [g for g in G.elements() if any(g)]
         cases += [(G, (G.zero(),) + S) for S in itertools.combinations(nonzero, size)]
+    return cases
+
+
+def test_canonical_labels_match_the_per_element_loop():
     relabelled = 0
-    for G, J in cases:
+    for G, J in _canonical_label_grid():
         want = _per_element_canonical_labels(G, J)
         assert oracle._canonical_labels(G, subgroup_generated(G, J), J) == want, (G, J)
         relabelled += want[1] is not None and want[1][1] != tuple(range(len(G.orders)))
@@ -628,6 +636,60 @@ def test_tampered_inverse_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_canonical_labels", identity_inverse)
     with pytest.raises(RuntimeError, match="not an independent set"):
         exact_avoidance(GroupSpec((5,)), [(0,), (2,)], 2)
+
+
+def _reference_check_avoider(G, H, J, N, witness, size):
+    """The translate-hash check: True iff witness is size distinct vertices of H^N
+    and no a + s, a in the witness and s in S = +-(J^N \\ 0), lies in the witness."""
+    W = set(witness)
+    coords = {x for a in W for x in a}
+    minus_J = [G.neg(j) for j in J]
+    plus = {(x, y): G.add(x, y) for x in coords for y in set(J).union(minus_J)}
+    S = set(itertools.product(J, repeat=N)).union(itertools.product(minus_J, repeat=N))
+    S.discard((G.zero(),) * N)
+    return not (len(W) != size or not all(H.contains(x) for x in coords)
+                or any(tuple(map(plus.__getitem__, zip(a, s))) in W for a in W for s in S))
+
+
+def _accepts(G, H, J, N, witness, size):
+    try:
+        oracle._check_avoider(G, H, J, N, witness, size)
+    except RuntimeError:
+        return False
+    return True
+
+
+def test_witness_check_matches_the_translate_hash_check():
+    """Every relabelled witness of the label grid, and each with a swapped vertex, a
+    duplicate and a coordinate outside H planted, is accepted or refused by both."""
+    rng = random.Random(26)
+    witnesses = faults = refused = 0
+    for G, J in _canonical_label_grid():
+        H = subgroup_generated(G, [j for j in J if any(j)])
+        outside = [g for g in G.elements() if not H.contains(g)]
+        for N in (1, 2):
+            if H.order**N > 81 or oracle._canonical_labels(G, H, J)[1] is None:
+                continue
+            r = exact_avoidance(G, J, N)
+            W, size = list(r.mis.witness), r.block_alpha
+            assert _accepts(G, H, J, N, W, size) and _reference_check_avoider(G, H, J, N, W, size)
+            witnesses += 1
+            k = rng.randrange(size)
+            others = [v for v in itertools.product(H.sorted_members(), repeat=N) if v not in W]
+            planted = [W[:k] + [W[k - 1]] + W[k + 1:]] if size > 1 else []  # a duplicate
+            if others:  # a swapped vertex, independent or not
+                planted.append(W[:k] + [rng.choice(others)] + W[k + 1:])
+            if outside:
+                i = rng.randrange(N)
+                v = W[k][:i] + (rng.choice(outside),) + W[k][i + 1:]
+                planted.append(W[:k] + [v] + W[k + 1:])
+            for bad in planted:
+                want = _reference_check_avoider(G, H, J, N, bad, size)
+                assert _accepts(G, H, J, N, bad, size) == want, (G, J, N, bad)
+                faults += 1
+                refused += not want
+    # 868 witnesses and 2,319 faults; the 69 accepted are swaps that stayed independent
+    assert witnesses > 800 and refused > 2000 and faults > refused
 
 
 def test_memo_answers_closed_queries_once(monkeypatch):
