@@ -28,15 +28,15 @@ from .spectral import residue_dp_profile, spectral_upper_bound
 def _parse_weight(text: str, n: int) -> IntPolynomial:
     """Weight literal: comma coefficients '1,-1', or 'phi:M' / 'ninv:M'."""
     text = text.strip()
-    if text.startswith("phi:"):
-        return cyclotomic(int(text[4:]))
-    if text.startswith("ninv:"):
-        return inverse_cyclotomic(int(text[5:])).scale(-1)
+    kind, _, index = text.partition(":")
     try:
-        return IntPolynomial.from_coeffs(int(p) for p in text.split(","))
+        if kind not in ("phi", "ninv"):
+            return IntPolynomial.from_coeffs(int(p) for p in text.split(","))
+        m = int(index)
     except ValueError:
         raise ValueError(f"bad weight literal {text!r}; use 'auto', coefficients "
                          f"like '1,-1', 'phi:M', or 'ninv:M'") from None
+    return cyclotomic(m) if kind == "phi" else inverse_cyclotomic(m).scale(-1)
 
 
 def _spectral_generator(G: GroupSpec, J) -> tuple[int, ...]:
@@ -82,11 +82,11 @@ def cmd_bound_spectral(args) -> int:
     a = _spectral_generator(G, J)
     n = element_order(G, a)
     if args.h == "auto":
-        res = set(cyclic_residues(G, a, J).values())
+        res = frozenset(cyclic_residues(G, a, J).values())
         require_admissible(res, n)
         cands, failure = weight_candidates(n, res)
         if failure is not None:
-            raise failure
+            raise ValueError(failure)
         if res == {0}:
             cands = [("trivial", IntPolynomial.one())]  # J = {0} constrains nothing
         if not cands:

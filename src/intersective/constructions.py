@@ -39,7 +39,6 @@ __all__ = [
     "BulletCheck",
     "ConstructionReport",
     "verify_construction",
-    "construction_upper_bound",
     "SLAB_ENUM_CAP",
     "EPSILON_DENOMINATOR_CAP",
 ]
@@ -133,15 +132,18 @@ def slab_is_valid(n: int, N: int) -> bool:
     plus a nonzero step e in {0,1}^N is again a member. Members have entries
     at most top = min(n - 2, T), so their codes sum a_i * base^(N-1-i) with
     base = top + 2 take a + e to code(a) + code(e) without a carry, and the
-    members are checked as codes (see _codes_avoid_steps). When top <= 1
-    (always for n = 3) the members are 0/1 rows, coded in base 2 as
+    members are checked as codes on a bitset (see _translate_avoids). When
+    top <= 1 (always for n = 3) the members are 0/1 rows, coded in base 2 as
     bitmasks, and b - a lies in {0,1}^N exactly when mask(a) lies inside
-    mask(b). Refuses more than SLAB_ENUM_CAP tuples in {0..n-2}^N.
+    mask(b) (see _subset_avoids). Equal members differ by the zero vector, so
+    duplicates fail too. Refuses more than SLAB_ENUM_CAP tuples in {0..n-2}^N.
     """
     _check_enumerable(n, N)
     top = min(n - 2, _slab_target(n, N))
-    base = 2 if top <= 1 else top + 2
-    return _codes_avoid_steps(_slab_codes(n, N, base), base, N)
+    if top <= 1:
+        return _subset_avoids(_slab_codes(n, N, 2))
+    base = top + 2
+    return _translate_avoids(_slab_codes(n, N, base), base, N)
 
 
 def _slab_codes(n: int, N: int, base: int) -> list[int]:
@@ -152,20 +154,6 @@ def _slab_codes(n: int, N: int, base: int) -> list[int]:
         return [step + t for t in tails]
 
     return _slab_dp(n, N, 0, prepend)
-
-
-def _codes_avoid_steps(codes: list[int], base: int, N: int) -> bool:
-    """True iff no two coded rows differ by a {0,1}- or {0,-1}-vector.
-
-    codes are sum r_i * base^(N-1-i) over rows r of length N. With base 2 the rows
-    are 0/1 and codes are their bitmasks (see _subset_avoids); otherwise every
-    entry is at most base - 2 and the codes go on a bitset (see
-    _translate_avoids). Equal rows differ by the zero vector, so duplicates
-    fail too.
-    """
-    if base == 2:
-        return _subset_avoids(codes)
-    return _translate_avoids(codes, base, N)
 
 
 def _translate_avoids(codes: list[int], base: int, N: int) -> bool:
@@ -505,17 +493,3 @@ def _first_collision(inst: ConstructionInstance) -> int | None:
             k += 1
     return None
 
-
-def construction_upper_bound(inst: ConstructionInstance, N: int) -> int:
-    """(n - degree)^N for a verified instance.
-
-    Valid because the weight polynomial divides t^n - 1 (Q and r^s are
-    coprime, so the two cyclotomic factors are distinct divisors), which
-    turns the tuple count into the closed root-count form.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    report = verify_construction(inst)
-    if not report.passed:
-        raise ValueError(f"unverified instance: {report.first_failure()}")
-    return (inst.n - inst.degree) ** N

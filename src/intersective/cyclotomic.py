@@ -47,7 +47,7 @@ import operator
 import struct
 import sys
 
-from .numtheory import euler_phi, factorize, radical
+from .numtheory import euler_phi, factorize, is_prime, radical
 
 __all__ = [
     "IntPolynomial",
@@ -380,8 +380,6 @@ def lam_leung(p: int, q: int) -> IntPolynomial:
     p*x + q*y for 0 <= x < pb, 0 <= y < qb; coefficient -1 at p*x + q*y - pq
     for pb <= x < q, qb <= y < p. Nonzero count is 2*pb*qb - 1.
     """
-    from .numtheory import is_prime
-
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"need primes, got {p}, {q}")
     if not p < q:

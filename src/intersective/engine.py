@@ -219,22 +219,17 @@ def pair_upper_bound(G: GroupSpec, a, N: int) -> int:
 _PAIR_T = IntPolynomial.from_coeffs([1, -1])
 
 
-def weight_candidates(n: int, residues: set[int]) -> tuple[list, ValueError | None]:
-    """(method, weight) pairs on Z_n with support inside residues, and a failed search's error.
+@functools.lru_cache(maxsize=256)
+def weight_candidates(n: int, residues: frozenset) -> tuple[tuple, str | None]:
+    """(method, weight) pairs on Z_n with support inside residues, and a failed search's message.
 
     Admissible residues get the best cyclotomic divisor of t^n - 1
     ("spectral-divisor") and the negated cofactor -Psi_n if it fits
     ("spectral-invcyclo"). Any residues holding {0, 1} get 1 - t
     ("pair-count"), admissible by itself for n >= 3. A divisor search that
-    fails leaves its error as the second value; the others still come back.
-    The choice is cached per process; each call gets its own list and error.
+    fails leaves its error message as the second value; the others still
+    come back. The choice is cached per process, as immutable tuples.
     """
-    cands, failure = _weight_candidates(n, frozenset(residues))
-    return list(cands), None if failure is None else ValueError(failure)
-
-
-@functools.lru_cache(maxsize=256)
-def _weight_candidates(n: int, residues: frozenset) -> tuple[tuple, str | None]:
     cands: list[tuple[str, IntPolynomial]] = []
     failure = None
     if is_admissible_support(residues, n):
@@ -271,10 +266,10 @@ def _spectral(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
         if n_a < 3:
             continue  # self-inverse elements are covered by the symmetric clique
         index = G.order // n_a
-        cands, failure = weight_candidates(n_a, set(cyclic_residues(G, a, Jt).values()))
+        cands, failure = weight_candidates(n_a, frozenset(cyclic_residues(G, a, Jt).values()))
         if failure is not None:
             yield "note", f"divisor search at {format_element(a)}: {failure}"
-        for method, h in [("pair-dp", None)] + cands:
+        for method, h in (("pair-dp", None), *cands):
             if method == "pair-dp":
                 v = pair_upper_bound(G, a, N)
             elif method != "pair-count":

@@ -24,7 +24,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; rejects n beyond the proven witness range."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:

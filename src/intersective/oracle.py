@@ -481,7 +481,6 @@ class _Recent:
 
 
 _closed_results = _Recent(256)  # closed AvoidanceResults by (orders, sorted J, N)
-_relabellings = _Recent(256)  # (canonical J, phi^-1, its subgroup or None) by (orders, sorted J)
 
 
 def _factor_permutations(orders: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
@@ -511,10 +510,10 @@ def _relabel(G: GroupSpec, auto: tuple[int, tuple[int, ...]], x: tuple) -> tuple
     return tuple(u * x[k] % n for k, n in zip(perm, G.orders))
 
 
-def _canonical_labels(G: GroupSpec, H: SubgroupInfo, J: tuple) -> tuple[tuple, tuple | None]:
+def _canonical_labels(G: GroupSpec, J: tuple) -> tuple[tuple, tuple | None]:
     """(sorted phi(J), phi^-1) for the first phi with the smallest sorted image of J.
 
-    phi runs over x -> u * pi(x), u a unit modulo the exponent e of H and pi
+    phi runs over x -> u * pi(x), u a unit modulo the exponent e of H = <J> and pi
     a permutation of equal-order factors of G. Applied coordinatewise, each
     maps the graph of J on H^N onto the graph of phi(J) on phi(H)^N, since
     u is invertible on H and pi on G. The identity comes first, so phi^-1 is
@@ -538,6 +537,13 @@ def _canonical_labels(G: GroupSpec, H: SubgroupInfo, J: tuple) -> tuple[tuple, t
     for i, src in enumerate(perm):
         inverse[src] = i
     return best, (pow(u, -1, e), tuple(inverse))
+
+
+@functools.lru_cache(maxsize=256)
+def _labels(G: GroupSpec, J: tuple) -> tuple[tuple, tuple | None, SubgroupInfo]:
+    """(canonical J, phi^-1, the subgroup canonical J generates) for a sorted J."""
+    Jc, inverse = _canonical_labels(G, J)
+    return Jc, inverse, subgroup_generated(G, [j for j in Jc if any(j)])
 
 
 def _check_avoider(G: GroupSpec, H: SubgroupInfo, J: tuple, N: int, witness: tuple,
@@ -601,27 +607,18 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
         return res
     H = subgroup_generated(G, gens)
     _check_cap(H.order**N, MIS_CAP)  # before H's elements are built or J is relabelled
-    if (labels := _relabellings.get(key[:2])) is None:
-        Jc, inverse = _canonical_labels(G, H, Jt)
-        Hc = None if inverse is None else subgroup_generated(G, [j for j in Jc if any(j)])
-        labels = Jc, inverse, Hc
-        _relabellings.put(key[:2], labels)
-    Jc, inverse, Hc = labels
-    if inverse is None:
-        res = _block_search(G, H, Jt, N, timeout)
-    else:
-        canon_key = (G.orders, Jc, N)
-        canon = _closed_results.get(canon_key)
-        if canon is None:
-            canon = _block_search(G, Hc, Jc, N, timeout)
-            if canon.optimal:
-                _closed_results.put(canon_key, canon)
-        witness = tuple(sorted(tuple(_relabel(G, inverse, x) for x in v)
-                               for v in canon.mis.witness))
-        _check_avoider(G, H, Jt, N, witness, canon.block_alpha)
-        res = canon._replace(mis=canon.mis._replace(witness=witness))
-    if res.optimal:
-        _closed_results.put(key, res)
+    Jc, inverse, Hc = _labels(G, key[1])
+    canon_key = (G.orders, Jc, N)
+    if (res := _closed_results.get(canon_key)) is None:
+        res = _block_search(G, Hc, Jc, N, timeout)
+        if res.optimal:
+            _closed_results.put(canon_key, res)
+    if inverse is not None:
+        witness = tuple(sorted(tuple(_relabel(G, inverse, x) for x in v) for v in res.mis.witness))
+        _check_avoider(G, H, Jt, N, witness, res.block_alpha)
+        res = res._replace(mis=res.mis._replace(witness=witness))
+        if res.optimal:
+            _closed_results.put(key, res)
     return res
 
 

@@ -46,7 +46,7 @@ import math
 import warnings
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .abelian import (GroupSpec, character_value, cyclic_residues, element_order,
                       subgroup_generated)
@@ -232,14 +232,6 @@ class WeightFunction(NamedTuple):
     n: int
     items: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_dict(cls, n: int, mapping: Mapping[int, int]) -> "WeightFunction":
-        items = tuple(sorted((k % n, int(v)) for k, v in mapping.items() if v != 0))
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("weight mapping has colliding residues")
-        return cls(n, items)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
@@ -270,7 +262,7 @@ def weight_from_polynomial(h: IntPolynomial, n: int) -> WeightFunction:
         if k != 0:
             mapping[k] = h[k]
             mapping[(-k) % n] = h[k]
-    return WeightFunction.from_dict(n, mapping)
+    return WeightFunction(n, tuple(sorted(mapping.items())))
 
 
 def cayley_eigenvalue(G: GroupSpec, f, chi: tuple[int, ...]) -> ComplexBall:

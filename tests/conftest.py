@@ -11,9 +11,9 @@ PER_PROCESS_CACHES = (
     spectral._pi,
     spectral.residue_dp_count,
     spectral._clique_walks,
-    engine._weight_candidates,
+    engine.weight_candidates,
     oracle._closed_results,
-    oracle._relabellings,
+    oracle._labels,
     _squarefree_factor,
     numtheory.factorize,
 )

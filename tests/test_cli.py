@@ -298,6 +298,10 @@ def test_timeout_zero_and_inf_accepted(capsys, argv):
     # J = {0} needs no search, and the timeout is still checked
     (("oracle", "--group", "5", "--J", "0", "--N", "2", "--timeout", "-1"),
      "timeout must be None or >= 0, got -1.0", ""),
+    # malformed index weights name the literal and the accepted forms
+    *[(("bound", "spectral", "--group", "7", "--J", "0;1", "--h", h, "--N", "1"),
+       f"bad weight literal '{h}'; use 'auto'", "")
+      for h in ("phi:x", "ninv:x", "ninv:", "phi:3.5")],
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
     rc, out, err = run(capsys, *argv)

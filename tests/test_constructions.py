@@ -11,9 +11,8 @@ import pytest
 from intersective import constructions
 from intersective.abelian import GroupSpec
 from intersective.constructions import (ConstructionSearchError, build_construction,
-                                        construction_upper_bound, product_lower_bound,
-                                        slab_is_valid, slab_members, slab_size,
-                                        slab_sizes_upto, verify_construction)
+                                        product_lower_bound, slab_is_valid, slab_members,
+                                        slab_size, slab_sizes_upto, verify_construction)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +129,6 @@ def test_slab_members_not_valid_when_tampered():
     for planted in ((1, 0, 1), (0, -1, -1)):
         bad_rows = rows + [tuple(2 + x for x in planted)]
         bad = _codes(bad_rows, 6)
-        assert not constructions._codes_avoid_steps(bad, 6, 3), planted
         assert not constructions._translate_avoids(bad, 6, 3), planted
         assert not _rows_avoid_steps(bad_rows), planted
     # n = 3: 0/1 rows take the bitmask path; plant a member plus an up-step
@@ -141,7 +139,6 @@ def test_slab_members_not_valid_when_tampered():
     assert member == (1, 1, 1, 0, 0, 0)
     for step in ((0, 0, 0, 1, 0, 1), (-1, 0, -1, 0, 0, 0), (0,) * 6):
         bad = binary + [tuple(x + e for x, e in zip(member, step))]
-        assert not constructions._codes_avoid_steps(_codes(bad, 2), 2, 6), step
         assert not constructions._subset_avoids(_codes(bad, 2)), step
         assert not _rows_avoid_steps(bad), step
 
@@ -157,12 +154,10 @@ def test_translate_and_pairwise_paths_agree():
         base = max(map(max, rows)) + 2
         pairwise = _rows_avoid_steps(rows)
         assert constructions._translate_avoids(_codes(rows, base), base, N) == pairwise, rows
-        assert constructions._codes_avoid_steps(_codes(rows, base), base, N) == pairwise, rows
         outcomes.add(pairwise)
         binary = [tuple(rng.randrange(2) for _ in range(N + 2)) for _ in range(rng.randint(2, 11))]
         pairwise = _rows_avoid_steps(binary)
         assert constructions._subset_avoids(_codes(binary, 2)) == pairwise, binary
-        assert constructions._codes_avoid_steps(_codes(binary, 2), 2, N + 2) == pairwise, binary
         binary_outcomes.add(pairwise)
     assert outcomes == binary_outcomes == {True, False}
 
@@ -384,8 +379,6 @@ def test_verify_construction_checks_the_description(field, value):
     broken = inst._replace(**{field: value(inst)})
     report = verify_construction(broken)
     assert not report.passed
-    with pytest.raises(ValueError, match="unverified instance"):
-        construction_upper_bound(broken, 1)
 
 
 @pytest.mark.parametrize("eps", ["3/5", "3/4"])  # odd and even 3b: (-x)^(3b) > 0 for the latter
@@ -466,17 +459,6 @@ def test_support_matches_weight_polynomial():
     assert h.degree == inst.degree
     assert h.support() == tuple(inst.iter_support())
     assert h[0] == 1
-
-
-def test_construction_upper_bound():
-    inst = build_construction(2, Fraction(3, 5))
-    assert construction_upper_bound(inst, 1) == inst.n - inst.degree == 54494089
-    assert construction_upper_bound(inst, 2) == 54494089**2
-    broken = inst._replace(degree=5)
-    with pytest.raises(ValueError):
-        construction_upper_bound(broken, 1)
-    with pytest.raises(ValueError):
-        construction_upper_bound(inst, 0)
 
 
 def test_build_construction_rejects():

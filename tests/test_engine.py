@@ -300,7 +300,7 @@ def test_per_g_j_work_once_on_the_z7_sweep(monkeypatch):
     labelled, profiled = [], []
     labels, profile = oracle._canonical_labels, spectral.residue_dp_profile
     monkeypatch.setattr(oracle, "_canonical_labels",
-                        lambda G, H, J: labelled.append((G, tuple(sorted(J)))) or labels(G, H, J))
+                        lambda G, J: labelled.append((G, tuple(sorted(J)))) or labels(G, J))
     monkeypatch.setattr(spectral, "residue_dp_profile",
                         lambda n, N: profiled.append((n, N)) or profile(n, N))
     G = GroupSpec((7,))
@@ -326,17 +326,16 @@ def test_timed_out_query_then_closed_query_closes():
     assert closed.exact == 14 and report_to_json(closed) == fresh
 
 
-def test_weight_candidates_returns_a_fresh_list_and_error(monkeypatch):
-    first, _ = weight_candidates(7, {0, 1, 3})
-    kept = list(first)
-    first.clear()
-    second, _ = weight_candidates(7, {0, 1, 3})
-    assert second == kept and [m for m, _ in kept] == ["spectral-invcyclo", "pair-count"]
-    assert engine._weight_candidates.cache_info().hits == 1
+def test_weight_candidates_are_cached_immutable_tuples(monkeypatch):
+    first = weight_candidates(7, frozenset({0, 1, 3}))
+    second = weight_candidates(7, frozenset({0, 1, 3}))
+    assert second is first and weight_candidates.cache_info().hits == 1
+    assert isinstance(first[0], tuple) and first[1] is None
+    assert [m for m, _ in first[0]] == ["spectral-invcyclo", "pair-count"]
     monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 1)
-    first, second = (weight_candidates(15, {0, 1, 2, 4})[1] for _ in range(2))
-    assert first is not second
-    assert str(first) == str(second) == "divisor-subset search exceeded cap 1"
+    cands, failure = weight_candidates(15, frozenset({0, 1, 2, 4}))
+    assert failure == "divisor-subset search exceeded cap 1"
+    assert [m for m, _ in cands] == ["pair-count"]
 
 
 def test_second_query_reuses_pair_counts():
@@ -375,7 +374,7 @@ def test_invcyclo_needs_its_degree_in_the_residues(monkeypatch):
         raise AssertionError(f"Psi_{n} built")
 
     monkeypatch.setattr(engine, "inverse_cyclotomic", dense)
-    cands, failure = engine.weight_candidates(10**6, {0, 1})
+    cands, failure = engine.weight_candidates(10**6, frozenset({0, 1}))
     assert [m for m, _ in cands] == ["spectral-divisor", "pair-count"] and failure is None
 
 
