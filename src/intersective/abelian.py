@@ -67,6 +67,13 @@ class GroupSpec(_GroupOrders):
             raise ValueError(f"element {tup} has {len(tup)} coordinates, group has {len(self.orders)}")
         return tuple(map(operator.mod, tup, self.orders))
 
+    def subset_with_zero(self, J) -> tuple[tuple[int, ...], ...]:
+        """The distinct elements of J in first-seen order; raises ValueError unless 0 is one."""
+        Jt = tuple(dict.fromkeys(map(self.element, J)))
+        if self.zero() not in Jt:
+            raise ValueError("J must contain 0")
+        return Jt
+
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(operator.mod, map(operator.add, u, v), self.orders))
 
@@ -116,7 +123,7 @@ def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
 
 
 class SubgroupInfo(NamedTuple):
-    """Subgroup of G with order, index, generators, and a membership oracle.
+    """Subgroup of G with order, index, and a membership oracle.
 
     members is None on rank-1 G, where the subgroup is <n / order> and
     membership is a divisibility test; contains() and sorted_members() work
@@ -126,7 +133,6 @@ class SubgroupInfo(NamedTuple):
     group: GroupSpec
     order: int
     index: int
-    generators: tuple[tuple[int, ...], ...]
     members: frozenset | None
 
     def contains(self, g: tuple[int, ...]) -> bool:
@@ -150,7 +156,7 @@ def subgroup_generated(G: GroupSpec, gens) -> SubgroupInfo:
     gen_tuple = tuple(G.element(g) for g in gens)
     if G.rank == 1:
         d = math.gcd(G.orders[0], *[g[0] for g in gen_tuple])
-        return SubgroupInfo(G, G.order // d, d, gen_tuple, None)
+        return SubgroupInfo(G, G.order // d, d, None)
     if G.order > ENUMERATION_CAP:
         raise ValueError(f"cannot enumerate subgroup of {G} (order {G.order} over cap)")
     seen = {G.zero()}
@@ -163,7 +169,7 @@ def subgroup_generated(G: GroupSpec, gens) -> SubgroupInfo:
                 seen.add(v)
                 frontier.append(v)
     order = len(seen)
-    return SubgroupInfo(G, order, G.order // order, gen_tuple, frozenset(seen))
+    return SubgroupInfo(G, order, G.order // order, frozenset(seen))
 
 
 def character_value(G: GroupSpec, chi: tuple[int, ...], g: tuple[int, ...]) -> Fraction:

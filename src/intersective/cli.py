@@ -17,15 +17,15 @@ from fractions import Fraction
 
 from .abelian import (GroupSpec, cyclic_residues, element_order, format_element,
                       parse_element_set, parse_group, subgroup_generated)
-from .cyclotomic import IntPolynomial, cyclotomic, inverse_cyclotomic, support_and_gaps
-from .engine import (InconsistencyError, best_bounds, report_to_json, require_admissible,
-                     weight_candidates)
-from .oracle import OracleInfeasible, exact_avoidance, lift_block_witness
+from .cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic, require_admissible,
+                         support_and_gaps)
+from .engine import InconsistencyError, best_bounds, report_to_json, weight_candidates
+from .oracle import exact_avoidance, lift_block_witness
 from .constructions import _build_verified, slab_is_valid, slab_size
 from .spectral import residue_dp_profile, spectral_upper_bound
 
 
-def _parse_weight(text: str, n: int) -> IntPolynomial:
+def _parse_weight(text: str) -> IntPolynomial:
     """Weight literal: comma coefficients '1,-1', or 'phi:M' / 'ninv:M'."""
     text = text.strip()
     kind, _, index = text.partition(":")
@@ -83,7 +83,8 @@ def cmd_bound_spectral(args) -> int:
     n = element_order(G, a)
     if args.h == "auto":
         res = frozenset(cyclic_residues(G, a, J).values())
-        require_admissible(res, n)
+        if 0 not in res or any(2 * k % n for k in res):  # self-inverse ones take the divisor route
+            require_admissible(res, n)
         cands, failure = weight_candidates(n, res)
         if failure is not None:
             raise ValueError(failure)
@@ -95,7 +96,7 @@ def cmd_bound_spectral(args) -> int:
                          for i, (_, hc) in enumerate(cands))
         h = cands[idx][1]
     else:
-        h = _parse_weight(args.h, n)
+        h = _parse_weight(args.h)
         value = spectral_upper_bound(G, a, J, h, args.N)
     print(f"h: {h} (degree {h.degree})")
     print(f"subgroup: generator {format_element(a)}, order {n}, index {G.order // n}")
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OracleInfeasible, RuntimeError) as e:
+    except (ValueError, RuntimeError) as e:  # OracleInfeasible is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -119,13 +119,6 @@ class CayleyGraph(NamedTuple):
         return all(x in Jset for x in d) or all(G.neg(x) in Jset for x in d)
 
 
-def _validated_J(G: GroupSpec, J: Iterable) -> tuple[tuple[int, ...], ...]:
-    Jt = tuple(dict.fromkeys(G.element(j) for j in J))
-    if G.zero() not in Jt:
-        raise ValueError("J must contain 0")
-    return Jt
-
-
 def _check_cap(n_vertices: int, cap: int) -> None:
     if n_vertices > cap:
         raise OracleInfeasible(f"{n_vertices} vertices exceed cap {cap}")
@@ -196,7 +189,7 @@ def build_cayley(G: GroupSpec, J: Iterable, N: int) -> CayleyGraph:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    Jt = _validated_J(G, J)
+    Jt = G.subset_with_zero(J)
     base = tuple(G.elements())
     return _build_on_base(G, Jt, N, base, DENSE_CAP)
 
@@ -225,11 +218,12 @@ def _mirror(bitsets: Iterable[int], n: int) -> list[int]:
 
 
 def _greedy_seed(mrows: list[int], n: int) -> tuple[int, int]:
-    """Quick clique in the complement (= independent set), largest-degree first,
-    ties to the lowest vertex of X; on mirrored labels as in _color_classes."""
+    """Quick clique in the complement (= independent set), lowest vertex of X
+    first; on mirrored labels as in _color_classes. Every row of a Cayley
+    graph has the same degree, so no degree order is needed."""
     chosen = 0
     allowed = (1 << n) - 1
-    for v in sorted(range(n, 0, -1), key=lambda u: mrows[u].bit_count()):
+    for v in range(n, 0, -1):
         b = 1 << v - 1
         if allowed & b:
             chosen |= b
@@ -454,7 +448,7 @@ class AvoidanceResult(NamedTuple):
     mis: MISResult | None
 
 
-def _subgroup_base(G: GroupSpec, H: SubgroupInfo) -> tuple:
+def _subgroup_base(H: SubgroupInfo) -> tuple:
     return tuple(H.sorted_members())
 
 
@@ -571,7 +565,7 @@ def _check_avoider(G: GroupSpec, H: SubgroupInfo, J: tuple, N: int, witness: tup
 
 def _block_search(G: GroupSpec, H: SubgroupInfo, J: tuple, N: int,
                   timeout: float | None) -> AvoidanceResult:
-    X = _build_on_base(G, J, N, _subgroup_base(G, H), MIS_CAP)
+    X = _build_on_base(G, J, N, _subgroup_base(H), MIS_CAP)
     mis = max_independent_set(X, timeout=timeout)
     return AvoidanceResult(mis.value * H.index**N, H.order, H.index, mis.value, mis.optimal, mis)
 
@@ -597,7 +591,7 @@ def exact_avoidance(G: GroupSpec, J: Iterable, N: int, *,
         raise ValueError(f"need N >= 1, got {N}")
     if not (timeout is None or timeout >= 0):
         raise ValueError(f"timeout must be None or >= 0, got {timeout}")
-    Jt = _validated_J(G, J)
+    Jt = G.subset_with_zero(J)
     gens = [j for j in Jt if j != G.zero()]
     if not gens:
         # J = {0}: every difference condition is vacuous
@@ -649,7 +643,7 @@ def lift_block_witness(G: GroupSpec, J: Iterable, N: int, res: AvoidanceResult) 
         return None
     if res.index == 1:
         return res.mis.witness
-    Jt = _validated_J(G, J)
+    Jt = G.subset_with_zero(J)
     H = subgroup_generated(G, [j for j in Jt if j != G.zero()])
     if H.index != res.index:
         raise ValueError(f"subgroup index {H.index} does not match result index {res.index}")

@@ -702,9 +702,7 @@ def clique_bounds(G: GroupSpec, J: Iterable[tuple[int, ...]], N: int) -> list[Cl
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    Jset = frozenset(G.element(j) for j in J)
-    if G.zero() not in Jset:
-        raise ValueError("J must contain 0")
+    Jset = frozenset(G.subset_with_zero(J))
     return [CliqueBound(kind, g, m, G.order**N // (m * N + 1 if kind == "progression"
                                                     else (m + 1) ** N))
             for kind, g, m in _clique_walks(G, Jset)]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 
 import intersective
 from intersective import cli, constructions
+from intersective.abelian import GroupSpec, format_element
 from intersective.cli import main
 from intersective.cyclotomic import cyclotomic
 from intersective.engine import InconsistencyError
+from intersective.oracle import exact_avoidance
 
 
 def run(capsys, *argv):
@@ -83,11 +86,36 @@ def test_bound_spectral_auto_divisor(capsys):
     ("7", "0", "1 (degree 0)", "1, order 7, index 1", 49),  # J = {0}: |G|^N
     ("2x4", "0,0", "1 (degree 0)", "1,1, order 4, index 2", 64),
     ("4194304", "0;1", "1 + t (degree 1)", "1, order 4194304, index 1", 17592177655809),
+    # residues {0, 1} mod 2 meet their negation, but 1 - t divides t^2 - 1
+    ("6", "0;3", "1 - t (degree 1)", "3, order 2, index 3", 9),
+    ("8", "0;4", "1 - t (degree 1)", "4, order 2, index 4", 16),
+    ("2x4", "0,0;1,0", "1 - t (degree 1)", "1,0, order 2, index 4", 16),
 ])
 def test_bound_spectral_auto_branches(capsys, group, J, h, generator, bound):
     rc, out, _ = run(capsys, "bound", "spectral", "--group", group, "--J", J, "--N", "2")
     assert rc == 0
     assert out == f"h: {h}\nsubgroup: generator {generator}\nbound: {bound}\n"
+
+
+def test_bound_spectral_auto_on_involutions_is_sound(capsys):
+    """Every J of 0 and one or two involutions that --h auto answers is bounded
+    by at least the exact value; the others lie in no cyclic span."""
+    accepted = 0
+    for orders in [(m,) for m in range(2, 13, 2)] + [(2, 2), (2, 4), (2, 6), (4, 4), (2, 2, 2)]:
+        G = GroupSpec(orders)
+        invs = [g for g in G.elements() if any(g) and not any(G.add(g, g))]
+        for S in [(g,) for g in invs] + list(itertools.combinations(invs, 2)):
+            J = (G.zero(),) + S
+            for N in (1, 2):
+                rc, out, err = run(capsys, "bound", "spectral", "--group", str(G),
+                                   "--J", ";".join(map(format_element, J)), "--N", str(N))
+                if rc != 0:
+                    assert len(S) == 2 and "span of any single element" in err, (G, J, err)
+                    continue
+                bound = int(out.splitlines()[-1].removeprefix("bound: "))
+                assert bound >= exact_avoidance(G, J, N).value, (G, J, N)
+                accepted += 1
+    assert accepted == 50
 
 
 def test_bound_spectral_explicit_pair(capsys):
@@ -302,6 +330,8 @@ def test_timeout_zero_and_inf_accepted(capsys, argv):
     *[(("bound", "spectral", "--group", "7", "--J", "0;1", "--h", h, "--N", "1"),
        f"bad weight literal '{h}'; use 'auto'", "")
       for h in ("phi:x", "ninv:x", "ninv:", "phi:3.5")],
+    (("bound", "spectral", "--group", "7", "--J", "0;1;6", "--N", "2"),
+     "support [0, 1, 6] collides with its negation mod 7", ""),
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv, fragment, stdout):
     rc, out, err = run(capsys, *argv)

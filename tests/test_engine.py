@@ -1,5 +1,6 @@
 """Bound orchestration: candidate methods, consistency policing, serialization."""
 
+import importlib
 import itertools
 import random
 import re
@@ -9,14 +10,16 @@ import pytest
 from conftest import PER_PROCESS_CACHES
 from intersective import engine, oracle, spectral
 from intersective.abelian import GroupSpec, cyclic_residues, element_order, parse_group
-from intersective.cyclotomic import IntPolynomial, _PackedDigits, cyclotomic
-from intersective.engine import (BoundEntry, InconsistencyError, best_bounds,
-                                 best_divisor_polynomial, generic_upper_bound,
-                                 pair_upper_bound, report_from_json, report_to_json,
-                                 weight_candidates)
+from intersective.cyclotomic import (IntPolynomial, _PackedDigits, best_divisor_polynomial,
+                                     cyclotomic, require_admissible)
+from intersective.engine import (BoundEntry, InconsistencyError, best_bounds, report_from_json,
+                                 report_to_json, weight_candidates)
 from intersective.numtheory import divisors, euler_phi
 from intersective.oracle import AvoidanceResult
 from intersective.spectral import count_nonneg_tuples, residue_dp_count, sign_count_tuples
+
+# the package exports the function cyclotomic under the module's name
+cyclotomic_module = importlib.import_module("intersective.cyclotomic")
 
 
 # ---------------------------------------------------------------------------
@@ -24,19 +27,24 @@ from intersective.spectral import count_nonneg_tuples, residue_dp_count, sign_co
 
 
 def test_generic_upper_bound():
-    G = GroupSpec((105,))
+    # (|G| - |J| + 1)^N, with J counted once per distinct element
     J = [(k,) for k in cyclotomic(105).support()]
-    assert generic_upper_bound(G, J, 2) == (105 - 33 + 1) ** 2 == 5329
-    assert generic_upper_bound(GroupSpec((5,)), [(0,), (1,)], 3) == 4**3
+    r = best_bounds(GroupSpec((105,)), J, 2, oracle_timeout=0)
+    assert r.method_value("generic") == (105 - 33 + 1) ** 2 == 5329
+    r = best_bounds(GroupSpec((5,)), [(0,), (1,), (6,), (0,)], 3, oracle_timeout=None)
+    assert r.J == ((0,), (1,)) and r.method_value("generic") == 4**3
 
 
 def test_generic_upper_bound_rejects():
-    with pytest.raises(ValueError):
-        generic_upper_bound(GroupSpec((2, 2)), [(0, 0), (1, 0)], 1)
-    with pytest.raises(ValueError):
-        generic_upper_bound(GroupSpec((5,)), [(1,)], 1)
-    with pytest.raises(ValueError):
-        generic_upper_bound(GroupSpec((5,)), [(0,)], 0)
+    for orders, J in (((2, 2), [(0, 0), (1, 0)]), ((2,), [(0,), (1,)])):
+        r = best_bounds(GroupSpec(orders), J, 1, oracle_timeout=None)
+        assert r.method_value("generic") is None
+        assert [n for n in r.notes if n.startswith("generic:")] == [
+            f"generic: generic bound needs a cyclic group of order >= 3, got {r.group}"]
+    with pytest.raises(ValueError, match="^J must contain 0$"):
+        best_bounds(GroupSpec((5,)), [(1,)], 1)
+    with pytest.raises(ValueError, match="need N >= 1, got 0"):
+        best_bounds(GroupSpec((5,)), [(0,)], 0)
 
 
 def test_divisor_search_recovers_planted_factor():
@@ -67,7 +75,7 @@ def test_divisor_search_rejects(monkeypatch):
         best_divisor_polynomial(9, {1, 2})  # missing 0
     with pytest.raises(ValueError):
         best_divisor_polynomial(9, {0, 1, 8})  # 1 and -1 collide
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 5)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 5)
     with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
         best_divisor_polynomial(105, set(cyclotomic(105).support()))
 
@@ -76,7 +84,7 @@ def test_divisor_search_repeats_answer_and_cap_error(monkeypatch):
     J = set(cyclotomic(105).support())
     first = best_divisor_polynomial(105, J)
     assert best_divisor_polynomial(105, J) == first == cyclotomic(105)
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 5)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 5)
     for _ in range(2):
         with pytest.raises(ValueError, match="divisor-subset search exceeded cap 5"):
             best_divisor_polynomial(105, J)
@@ -88,9 +96,9 @@ def _old_divisor_search(n, J, products):
     products keeps (prod Phi_d, its support) per subset across calls, as the
     old search kept its products per process.
     """
-    cap = engine.DIVISOR_SUBSET_CAP
+    cap = cyclotomic_module.DIVISOR_SUBSET_CAP
     Jset = {j % n for j in J}
-    engine.require_admissible(Jset, n)
+    require_admissible(Jset, n)
     max_j = max(Jset)
     if max_j == 0:
         return None, 0
@@ -215,9 +223,9 @@ def test_divisor_search_cap_is_the_subset_count(monkeypatch):
     # degree and are pruned
     J = set(cyclotomic(105).support())
     assert _old_divisor_search(105, J, {})[1] == 60
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 51)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 51)
     assert best_divisor_polynomial(105, J) == cyclotomic(105)
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 50)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 50)
     with pytest.raises(ValueError, match="divisor-subset search exceeded cap 50$"):
         best_divisor_polynomial(105, J)
     _assert_same_as_old([(9, {0, 1, 8})])  # an inadmissible J
@@ -228,22 +236,26 @@ def test_divisor_search_prunes_degrees_it_cannot_reach(monkeypatch):
     # search passes 2^20 subsets; only degree 6667 could beat 1 + t, and the
     # search enters a subset only when some subset below it can reach it
     J = {0, 1, 6667}
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 10586)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 10586)
     assert best_divisor_polynomial(10000, J) == IntPolynomial.from_coeffs([1, 1])
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 10585)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 10585)
     with pytest.raises(ValueError, match="divisor-subset search exceeded cap 10585$"):
         best_divisor_polynomial(10000, J)
 
 
 def test_pair_upper_bound():
-    assert pair_upper_bound(GroupSpec((3,)), (1,), 2) == residue_dp_count(3, 2) == 4
+    r = best_bounds(GroupSpec((3,)), [(0,), (1,)], 2, oracle_timeout=None)
+    assert r.method_value("pair-dp") == residue_dp_count(3, 2) == 4
     # <(0,1)> has order 4 and index 2 in Z_2 x Z_4
-    assert pair_upper_bound(GroupSpec((2, 4)), (0, 1), 1) == 2 * residue_dp_count(4, 1) == 6
+    r = best_bounds(GroupSpec((2, 4)), [(0, 0), (0, 1)], 1, oracle_timeout=None)
+    assert r.method_value("pair-dp") == 2 * residue_dp_count(4, 1) == 6
 
 
 def test_pair_upper_bound_rejects_involution():
-    with pytest.raises(ValueError):
-        pair_upper_bound(GroupSpec((2, 4)), (1, 0), 1)
+    # an involution equals its own negation: the symmetric clique covers it, no pair DP runs
+    r = best_bounds(GroupSpec((2, 4)), [(0, 0), (1, 0)], 1, oracle_timeout=None)
+    assert r.method_value("pair-dp") is None and r.method_value("clique-symmetric") == 4
+    assert not any(n.startswith("spectral:") for n in r.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +344,7 @@ def test_weight_candidates_are_cached_immutable_tuples(monkeypatch):
     assert second is first and weight_candidates.cache_info().hits == 1
     assert isinstance(first[0], tuple) and first[1] is None
     assert [m for m, _ in first[0]] == ["spectral-invcyclo", "pair-count"]
-    monkeypatch.setattr(engine, "DIVISOR_SUBSET_CAP", 1)
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", 1)
     cands, failure = weight_candidates(15, frozenset({0, 1, 2, 4}))
     assert failure == "divisor-subset search exceeded cap 1"
     assert [m for m, _ in cands] == ["pair-count"]

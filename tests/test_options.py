@@ -5,7 +5,8 @@ The only values a caller can pass to change a budget are the four oracle
 timeouts; ``cli.main`` takes its argument vector. The package's runtime
 checks are explicit raises, never ``assert``, which ``python -O`` strips.
 Every public function has a reader: code in the package, the package's
-exports, or README.
+exports, or README. No module imports another module's private names, but
+for the one exception the test names.
 """
 
 import ast
@@ -97,3 +98,18 @@ def test_spectral_has_no_float():
                 or isinstance(node, ast.Call) and _is_float_call(node.func)):
             found.append(f"spectral.py:{node.lineno}")
     assert found == []
+
+
+def test_private_names_stay_in_their_module():
+    # a private name imported by a sibling module means one concept lives in two
+    # places; the CLI's use of the verified construction builder is the one exception
+    imported: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                    "intersective")):
+                source = (node.module or "").removeprefix("intersective.")
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        imported.setdefault(path.stem, set()).add(f"{source}.{alias.name}")
+    assert imported == {"cli": {"constructions._build_verified"}}

@@ -87,7 +87,7 @@ def _builder_grid():
         for k in (1, 2):
             for S in itertools.combinations(nonzero, k):
                 J = (G.zero(),) + S
-                sub = _subgroup_base(G, subgroup_generated(G, S))
+                sub = _subgroup_base(subgroup_generated(G, S))
                 for N in (1, 2, 3):
                     for base in (tuple(G.elements()), sub):
                         if len(base) ** N <= 81 and not (N == 3 and k == 2):
@@ -115,7 +115,7 @@ def test_builder_matches_reference():
 ])
 def test_builder_matches_reference_on_larger_graphs(orders, J, N):
     G = GroupSpec(orders)
-    for base in dict.fromkeys((tuple(G.elements()), _subgroup_base(G, subgroup_generated(G, J)))):
+    for base in dict.fromkeys((tuple(G.elements()), _subgroup_base(subgroup_generated(G, J)))):
         assert _build_on_base(G, tuple(J), N, base, 4096).rows == _reference_rows(G, J, N, base)
 
 
@@ -359,6 +359,28 @@ def test_mirrored_rows_are_the_reversed_base_graph():
         base = [X.vertices[k][-1] for k in range(oracle._base_size(X))]
         Y = _build_on_base(G, J, N, base[::-1], 4096)
         assert oracle._mirror(reversed(X.rows), X.n_vertices) == list(Y.rows), (G.orders, J, N)
+
+
+def test_every_built_graph_is_regular():
+    """_greedy_seed takes vertices in label order with no degree sort: every
+    graph the builders make is a Cayley graph, so all rows have one popcount.
+    Checked on the soundness-sweep groups (Z_2..Z_7, Z_2^2), every J, N <= 3,
+    on G^N and on the subgroup bases exact_avoidance searches."""
+    graphs = 0
+    for orders in [(m,) for m in range(2, 8)] + [(2, 2)]:
+        G = GroupSpec(orders)
+        nonzero = [e for e in G.elements() if any(e)]
+        for k in range(len(nonzero) + 1):
+            for S in itertools.combinations(nonzero, k):
+                J = (G.zero(),) + S
+                Jc, _, Hc = oracle._labels(G, J) if S else (J, None, subgroup_generated(G, S))
+                for N in (1, 2, 3):
+                    for X in (build_cayley(G, J, N),
+                              _build_on_base(G, J, N, _subgroup_base(subgroup_generated(G, S)), 4096),
+                              _build_on_base(G, Jc, N, _subgroup_base(Hc), 4096)):
+                        assert len({row.bit_count() for row in X.rows}) == 1, (orders, J, N)
+                        graphs += 1
+    assert graphs == 1206
 
 
 @pytest.mark.parametrize("size,bits", [(3, 0b00111), (3, 0b00101)])
@@ -607,7 +629,7 @@ def test_relabelled_search_matches_direct_search():
                     r = exact_avoidance(G, J, N)
                     direct = oracle._block_search(G, H, J, N, None)
                     assert r.optimal and r.value == direct.value, (orders, J, N)
-                    X = _build_on_base(G, J, N, _subgroup_base(G, H), 4096)
+                    X = _build_on_base(G, J, N, _subgroup_base(H), 4096)
                     members = [X.vertices.index(v) for v in r.mis.witness]
                     assert len(set(members)) == r.block_alpha
                     assert not any(X.rows[i] >> j & 1 for i in members for j in members)
