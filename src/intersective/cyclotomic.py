@@ -76,6 +76,9 @@ DIVISOR_SUBSET_CAP = 1 << 20
 # not. Its cost is on the Z_105 query's searches, whose dense J pass most
 # products on to the full test: 3.4 ms against 3.1 ms with no low test.
 _LOW_DIGITS = 32
+# Low products a divisor table memoises: the Z_105 query needs up to 63 (at most
+# 3 of 7 factors); 32 tables of 256 stay near 3 MB with digits up to 8 bytes.
+_LOW_MEMO_CAP = 256
 
 
 class NonExactDivision(ArithmeticError):
@@ -257,10 +260,10 @@ class _PackedDigits:
         self.format = {1: "b", 2: "h", 4: "i", 8: "q"}.get(nbytes) if sys.byteorder == "little" else None
 
     def pack(self, coeffs) -> int:
-        """P(2^B) from P's coefficients, len(coeffs) <= width."""
+        """P(2^B) from P's coefficients, any number of them."""
         raw = struct.pack(f"<{len(coeffs)}{self.format}", *coeffs) if self.format else \
             b"".join(c.to_bytes(self.nbytes, "little", signed=True) for c in coeffs)
-        offsets = self.half & ((1 << 8 * len(raw)) - 1)  # 2^(B-1) in the len(coeffs) digits
+        offsets = int.from_bytes((bytes(self.nbytes - 1) + b"\x80") * len(coeffs), "little")
         return (int.from_bytes(raw, "little") ^ offsets) - offsets
 
     def unpack(self, X: int) -> list[int]:
@@ -270,6 +273,10 @@ class _PackedDigits:
         if self.format:
             return memoryview(raw).cast(self.format).tolist()
         return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+
+    def truncate(self, X: int) -> int:
+        """The packed polynomial X mod t^width, for X = P(2^B)."""
+        return ((X + self.half) & self.every) - self.half
 
     def mask(self, exponents) -> int:
         """The top bit of the digit of each exponent."""
@@ -435,6 +442,23 @@ def require_admissible(residues: set[int], n: int) -> None:
         raise ValueError(f"support {sorted(residues)} collides with its negation mod {n}")
 
 
+@functools.lru_cache(maxsize=32)
+def _divisor_table(divs: tuple[int, ...]) -> tuple:
+    """best_divisor_polynomial's set-up for the factors Phi_d, d in divs: digits of
+    width _LOW_DIGITS, the factors packed and mod t^_LOW_DIGITS, their degrees,
+    reach (bit s of reach[i] set iff some subset of factors[i:] has degree s),
+    and a memo of subset products mod t^_LOW_DIGITS keyed on the subset's bitmask."""
+    factors = [cyclotomic(d) for d in divs]
+    degrees = [f.degree for f in factors]
+    low = _PackedDigits(math.prod(sum(map(abs, f.coeffs)) for f in factors).bit_length() // 8 + 1,
+                        _LOW_DIGITS)
+    packed = [low.pack(f.coeffs) for f in factors]
+    reach = [1] * (len(factors) + 1)
+    for i in range(len(factors) - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << degrees[i]
+    return low, packed, [low.truncate(P) for P in packed], degrees, reach, {}
+
+
 def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     """Highest-degree product of cyclotomic factors of t^n - 1 supported inside J.
 
@@ -458,63 +482,51 @@ def best_divisor_polynomial(n: int, J: Iterable[int]) -> IntPolynomial | None:
     most L = prod ||Phi_d||_1 over all candidate d in absolute value, and a
     digit of B >= bitlength(L) + 1 bits (a sign bit) holds it. The support
     test is then a constant number of big-int operations, and only the
-    winner's coefficients are decoded. When max(J) >= _LOW_DIGITS, products
-    travel mod t^_LOW_DIGITS, as the low digits of the packed product: the
-    truncations multiply to the truncated product, within the same digit
-    bound. A subset with a low coefficient outside J is rejected from them;
-    one that passes multiplies its full factors for the exact test.
+    winner's coefficients are decoded. Products travel mod t^_LOW_DIGITS,
+    as the low digits of the packed product: the truncations multiply to
+    the truncated product, within the same digit bound. When max(J) <
+    _LOW_DIGITS that is the whole product; otherwise a subset with a low
+    coefficient outside J is rejected from them, and one that passes
+    multiplies its full factors for the exact test. All but J's mask and
+    bitset comes from _divisor_table, kept per process per candidate set; its
+    memo holds the low products of the subsets of at most 3 factors, where
+    every search over those factors starts, up to _LOW_MEMO_CAP of them.
     """
     Jset = {j % n for j in J}
     require_admissible(Jset, n)
     max_j = max(Jset)
     if max_j == 0:
         return None
-    factors = [cyclotomic(d) for d in divisors(n) if d > 1 and euler_phi(d) <= max_j]
-    bound = math.prod(sum(map(abs, f.coeffs)) for f in factors)
-    digits = _PackedDigits(bound.bit_length() // 8 + 1, max_j + 1)
-    packed = [digits.pack(f.coeffs) for f in factors]
-    degrees = [f.degree for f in factors]
+    lows, packed, packed_low, degrees, reach, memo = _divisor_table(
+        tuple(d for d in divisors(n) if d > 1 and euler_phi(d) <= max_j))
+    exact = max_j < _LOW_DIGITS  # then the products mod t^_LOW_DIGITS are whole
+    digits = lows if exact else _PackedDigits(lows.nbytes, max_j + 1)
     outside = digits.half ^ digits.mask(Jset)
-    # reach[i]: bit s set iff some subset of factors[i:] has degree s <= max_j
-    reach = [1] * (len(factors) + 1)
-    below = (2 << max_j) - 1
-    for i in range(len(factors) - 1, -1, -1):
-        reach[i] = (reach[i + 1] | reach[i + 1] << degrees[i]) & below
     j_bits = sum(1 << j for j in Jset)
-    # products travel mod t^low; unless that is all of them, the low test only filters
-    low = min(max_j + 1, _LOW_DIGITS)
-    low_mask = (1 << 8 * digits.nbytes * low) - 1
-    low_half = digits.half & low_mask
-
-    def low_digits(X: int) -> int:
-        """The packed polynomial X mod t^low."""
-        return ((X + low_half) & low_mask) - low_half
-
-    packed_low = [low_digits(P) for P in packed]
     best_deg, best = 0, None
     wanted = j_bits & -2  # degrees in J above best_deg
     visited = 0
 
     def rec(i: int, parent: int, factor: int, deg: int, chosen: int) -> None:
         """Visit the subset chosen (a bitset of factor indices) whose product
-        mod t^low is parent * factor, multiplied only when needed."""
+        mod t^_LOW_DIGITS is parent * factor, or the memo's."""
         nonlocal best_deg, best, wanted, visited
         visited += 1
         if visited > DIVISOR_SUBSET_CAP:
             raise ValueError(f"divisor-subset search exceeded cap {DIVISOR_SUBSET_CAP}")
-        X = None
-        if deg > best_deg and deg in Jset:
-            X = low_digits(parent * factor)
-            if not digits.nonzero(X) & outside:
-                full = X if low > max_j else math.prod(P for k, P in enumerate(packed) if chosen >> k & 1)
-                if not digits.nonzero(full) & outside:
-                    best_deg, best = deg, full
-                    wanted = j_bits & -(2 << deg)
-        for k in range(i, len(factors)):
+        X = memo.get(chosen)
+        if X is None:
+            X = lows.truncate(parent * factor)
+            if chosen.bit_count() <= 3 and len(memo) < _LOW_MEMO_CAP:
+                memo[chosen] = X
+        if deg > best_deg and deg in Jset and not digits.nonzero(X) & outside:
+            full = X if exact else math.prod(P for k, P in enumerate(packed) if chosen >> k & 1)
+            if not digits.nonzero(full) & outside:
+                best_deg, best = deg, full
+                wanted = j_bits & -(2 << deg)
+        for k in range(i, len(degrees)):
             nd = deg + degrees[k]
             if reach[k + 1] << nd & wanted:
-                if X is None:
-                    X = low_digits(parent * factor)
                 rec(k + 1, X, packed_low[k], nd, chosen | 1 << k)
 
     rec(0, 1, 1, 0, 0)

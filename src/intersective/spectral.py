@@ -36,11 +36,14 @@ prefix, which gives each prefix one pair of thresholds on the unshifted
 real center: a leaf past one of them is decided by two multiplications and
 one comparison, and only a leaf between them computes its own radius.
 Tuples with a coordinate v where h(e_n(v)) = 0 are counted at once, not
-visited.
+visited. As h has integer coefficients, h(e_n(-v)) is the conjugate of
+h(e_n(v)), so a multiset and its negation have the same real part: the walk
+decides one multiset of each such pair and counts it for both.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -402,7 +405,16 @@ def _classify_multiset_ball(mults, ball_cache, h, n):
 
 def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
     """Tally of the classes of the multisets of N residues from live, each
-    weighted by its number of orderings, from a depth-first walk.
+    weighted by its number of orderings, from a depth-first walk over one
+    multiset of each conjugate pair.
+
+    live is closed under negation and lists its f self-conjugate residues
+    (2v = 0 mod n) first, then the others ascending, so negation fixes the
+    indices below f and maps index i >= f to S - i, S = len(live) - 1 + f.
+    A multiset whose indices >= f, b_1 <= ... <= b_m, are lexicographically
+    at most S - b_m, ..., S - b_1, its mirror's, is visited and counts twice,
+    or once if it is its own mirror. As that needs b_1 + b_m <= S, the
+    odometer never sets an index past S - b_1, nor a first b_1 past S // 2.
 
     idx holds the first N - 1 positions as nondecreasing indices into live.
     state[d] = (x, y, r, orderings, run) for the prefix of length d: its
@@ -430,6 +442,8 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
         return tally
     VR = max(v[2] for v in vals)
     VC = max(v[3] for v in vals)
+    f = sum(2 * v % n == 0 for v in live)
+    S = k - 1 + f
     idx = [0] * pre
     state = [(one, 0, 0, 1, 0)] + [None] * pre
     t = above = below = 0
@@ -448,27 +462,39 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
         hi, lo = (one + R + 1) << p, (one - R) << p
         first = idx[-1] if pre else 0
         wN = w * N
-        wt = wN // (run + 1)
-        for j in range(first, k):
-            vx, vy, vr, vc = vals[j]
-            z = x * vx - y * vy
-            if z >= hi:
-                above += wt
-            elif z < lo:
-                below += wt
-            else:
-                z >>= p
-                rad = -(-(c * vr + vc * r + r * vr) >> p) + 2
-                if z - rad > one:
+        i0 = bisect.bisect_left(idx, f)  # the position of b_1, if the prefix has one
+        if i0 < pre:
+            # the leaves run up to b_m = S - b_1; there the prefix's indices
+            # past b_1 decide against their mirror: below counts 2, equal 1
+            top, g, a, b = S - idx[i0], 1, i0 + 1, pre - 1
+            while g == 1 and a <= b:  # the first pair from both ends off S decides
+                g = 1 if idx[a] + idx[b] == S else 2 if idx[a] + idx[b] < S else 0
+                a, b = a + 1, b - 1
+            runs = ((first, top + 1, 2),) if g == 2 else ((first, top, 2), (top, top + g, 1))
+        else:  # a fixed leaf keeps M its own mirror; a first b_1 stops at S // 2
+            runs = ((first, f, 1), (max(first, f), S // 2 + 1, 2))
+        for j0, j1, times in runs:
+            wt, wm = times * (wN // (run + 1) if j0 == first else wN), times * wN
+            for j in range(j0, j1):
+                vx, vy, vr, vc = vals[j]
+                z = x * vx - y * vy
+                if z >= hi:
                     above += wt
-                elif z + rad < one:
+                elif z < lo:
                     below += wt
                 else:
-                    leaf = Counter([live[i] for i in idx] + [live[j]])
-                    tally[_classify_multiset_ball(leaf, ball_cache, h, n)] += wt
-            wt = wN
+                    z >>= p
+                    rad = -(-(c * vr + vc * r + r * vr) >> p) + 2
+                    if z - rad > one:
+                        above += wt
+                    elif z + rad < one:
+                        below += wt
+                    else:
+                        leaf = Counter([live[i] for i in idx] + [live[j]])
+                        tally[_classify_multiset_ball(leaf, ball_cache, h, n)] += wt
+                wt = wm
         t = pre - 1
-        while t >= 0 and idx[t] == k - 1:
+        while t >= 0 and idx[t] >= (S - idx[i0] if i0 < t else S // 2):
             t -= 1
         if t < 0:
             tally["above"] += above
@@ -501,7 +527,9 @@ def count_nonneg_tuples(h: IntPolynomial, n: int, N: int) -> int:
     """Number of tuples v in Z_n^N with Re(prod_j h(e_n(v_j))) >= 1.
 
     Enumerates value multisets with multinomial weights instead of all n^N
-    tuples. Values exactly on the threshold count (the condition is >=); values
+    tuples, one of each pair M, -M: the residues that are not roots of h are
+    closed under negation, which reverses them past 0 and n/2 when those come
+    first. Values exactly on the threshold count (the condition is >=); values
     still ambiguous at the precision cap count too, keeping the result a valid
     upper-bound ingredient. The ambiguity warning runs on every call, also
     when sign_count_tuples answers from its cache; the closed-form check
@@ -531,7 +559,7 @@ def sign_count_tuples(h: IntPolynomial, n: int, N: int) -> SignCount:
         raise MultisetCapExceeded(
             f"{n_multisets} multisets exceed cap {MULTISET_CAP} for n={n}, N={N}")
     roots = _root_residues(h, n)
-    live = [v for v in range(n) if v not in roots]
+    live = sorted((v for v in range(n) if v not in roots), key=lambda v: 2 * v % n != 0)
     ball_cache = {PRECISION_START: _ball_values(h, n, PRECISION_START)}
     tally = _walk(live, N, ball_cache, h, n)
     equal, ambiguous = tally["equal"], tally["ambiguous"]

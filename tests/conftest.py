@@ -3,7 +3,7 @@
 import pytest
 
 from intersective import engine, numtheory, oracle, spectral
-from intersective.cyclotomic import _squarefree_factor
+from intersective.cyclotomic import _divisor_table, _squarefree_factor
 
 # Every per-process cache in the package; tests/test_caches.py checks the list is complete.
 PER_PROCESS_CACHES = (
@@ -15,6 +15,7 @@ PER_PROCESS_CACHES = (
     oracle._closed_results,
     oracle._labels,
     _squarefree_factor,
+    _divisor_table,
     numtheory.factorize,
 )
 

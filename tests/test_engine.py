@@ -157,31 +157,42 @@ def test_divisor_search_matches_old_on_every_small_group():
     _assert_same_as_old(cases)
 
 
-def test_divisor_search_matches_old_on_random_sets():
-    # n <= 200 with at most 12 divisors: the five with more (120, 144, 168,
-    # 180, 192) make the old search's dense products too slow for this suite
+def _random_set_cases(count):
+    """count random admissible (n, J) with n <= 200 and at most 12 divisors:
+    the five n with more (120, 144, 168, 180, 192) make the old search's
+    dense products too slow for this suite."""
     rng = random.Random(2000)
     orders = [n for n in range(3, 201) if len(divisors(n)) <= 12]
     cases = []
-    for _ in range(2000):
+    for _ in range(count):
         n = rng.choice(orders)
         J = {0}
         for j in range(1, (n + 1) // 2):
             J |= set(rng.choice(((), (j,), (n - j,))))
         cases.append((n, J))
-    _assert_same_as_old(cases)
+    return cases
+
+
+def test_divisor_search_matches_old_on_random_sets():
+    _assert_same_as_old(_random_set_cases(2000))
+
+
+def _z105_residue_cases():
+    """The (order, residues) of every search of the Z_105 query on J = supp Phi_105."""
+    G = parse_group("105")
+    J = [(k,) for k in cyclotomic(105).support()]
+    return [(element_order(G, a), set(cyclic_residues(G, a, J).values()))
+            for a in J if a != G.zero()]
 
 
 def test_divisor_search_matches_old_on_z105_residues():
-    G = parse_group("105")
-    J = [(k,) for k in cyclotomic(105).support()]
-    cases = [(element_order(G, a), set(cyclic_residues(G, a, J).values()))
-             for a in J if a != G.zero()]
+    cases = _z105_residue_cases()
     assert len(cases) == 32
     _assert_same_as_old(cases)
 
 
-def test_divisor_search_matches_old_on_planted_products():
+def _planted_cases():
+    """(small, odd, the planted (n, h)): products of Phi_d to recover from their supports."""
     def product(*ds):
         h = IntPolynomial.one()
         for d in ds:
@@ -190,9 +201,7 @@ def test_divisor_search_matches_old_on_planted_products():
 
     small = product(2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
     odd = product(3, 5, 7, 9, 15, 21, 35, 45, 63, 105)
-    assert max(map(abs, small.coeffs)) == 165
-    assert max(map(abs, (odd * odd).coeffs)) == 753
-    planted = [
+    return small, odd, [
         (105, product(3, 5, 7, 15)),
         (105, product(3, 5, 7, 15, 3, 5, 7, 15)),  # squared support: more subsets fit
         (126, product(2, 9, 14)),
@@ -200,7 +209,40 @@ def test_divisor_search_matches_old_on_planted_products():
         (2520, small),
         (945, odd * odd),
     ]
+
+
+def test_divisor_search_matches_old_on_planted_products():
+    small, odd, planted = _planted_cases()
+    assert max(map(abs, small.coeffs)) == 165
+    assert max(map(abs, (odd * odd).coeffs)) == 753
     _assert_same_as_old([(n, set(h.support())) for n, h in planted])
+
+
+@pytest.mark.parametrize("cap", [cyclotomic_module.DIVISOR_SUBSET_CAP, 40])
+def test_divisor_search_on_warm_tables_answers_as_on_fresh_ones(monkeypatch, cap):
+    # the per-(factors, low width) tables and their memos of low products
+    # carry over from one search to the next; run on fresh caches, then twice
+    # more without clearing them, forward and in reverse, every search must
+    # return the same polynomial or raise the same cap error
+    monkeypatch.setattr(cyclotomic_module, "DIVISOR_SUBSET_CAP", cap)
+    cases = ([(n, J) for n in range(1, 13) for J in _admissible_sets(n)] + _z105_residue_cases()
+             + _random_set_cases(300) + [(n, set(h.support())) for n, h in _planted_cases()[2]])
+
+    def answer(n, J):
+        try:
+            return best_divisor_polynomial(n, J)
+        except ValueError as e:
+            return str(e)
+
+    fresh = []
+    for n, J in cases:
+        for c in PER_PROCESS_CACHES:
+            c.cache_clear()
+        fresh.append(answer(n, J))
+    if cap == 40:
+        assert fresh.count(f"divisor-subset search exceeded cap {cap}") == 105
+    assert [answer(n, J) for n, J in cases] == fresh
+    assert [answer(n, J) for n, J in reversed(cases)] == fresh[::-1]
 
 
 def test_packed_support_test_at_the_digit_edge():

@@ -180,23 +180,51 @@ def _own_ball_classes(live, N, vals):
     return classes
 
 
-def _weighted_tally(classes):
-    """Tally of {leaf: class}, each leaf weighted by its number of orderings."""
+def _weighted_tally(classes, times=None):
+    """Tally of {leaf: class}, each leaf weighted by its number of orderings,
+    and by times[leaf] when times is given."""
     tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
     for leaf, cls in classes.items():
         orderings = math.factorial(len(leaf))
         for m in Counter(leaf).values():
             orderings //= math.factorial(m)
-        tally[cls] += orderings
+        tally[cls] += orderings * (times[leaf] if times else 1)
     return tally
 
 
+def _mirror_order(residues, n):
+    """residues in the order the walk takes them: the self-conjugate ones
+    (2v = 0 mod n) first, then the others ascending."""
+    return sorted(residues, key=lambda v: (2 * v % n != 0, v))
+
+
+def _canonical_leaves(live, N, n):
+    """{leaf: 2 or 1} for the leaves of live the walk visits: those whose
+    indices in live are at most those of the mirror leaf -leaf, 1 when the
+    leaf is its own mirror, in the walk's order."""
+    rank = {v: i for i, v in enumerate(live)}
+    out = {}
+    for leaf in itertools.combinations_with_replacement(live, N):
+        mirror = tuple(sorted(((-v) % n for v in leaf), key=rank.__getitem__))
+        if [rank[v] for v in leaf] <= [rank[v] for v in mirror]:
+            out[leaf] = 1 if leaf == mirror else 2
+    return out
+
+
+def _conjugate_layout(head, n):
+    """Values on Z_n laid out as _ball_values lays them out, from head[v] for
+    v = 0..n//2: real at the self-conjugate v, and vals[n - v] = (x, -y, r)."""
+    head = [b._replace(y=0) if 2 * v % n == 0 else b for v, b in enumerate(head)]
+    return head + [b._replace(y=-b.y) for b in reversed(head[1:(n + 1) // 2])]
+
+
 def _walk_to_ball_tier(live, N, vals, h, n, ball_tier):
-    """The walk's tally, and the leaves it hands to the ball tier, answered by ball_tier(leaf)."""
+    """The walk's tally, and the leaves it hands to the ball tier, answered by
+    ball_tier(leaf); a leaf lists its residues in the order of live."""
     opened = []
 
     def record(mults, *rest):
-        opened.append(tuple(sorted(mults.elements())))
+        opened.append(tuple(mults.elements()))
         return ball_tier(opened[-1])
 
     with pytest.MonkeyPatch.context() as m:
@@ -206,29 +234,38 @@ def _walk_to_ball_tier(live, N, vals, h, n, ball_tier):
 
 
 def _assert_walk_is_per_leaf(live, N, vals):
-    """The walk classifies every leaf as its own product ball does, and hands
-    the ball tier exactly the leaves that ball leaves open."""
+    """The walk classifies every leaf it visits as the leaf's own product ball
+    does, counts it for its mirror too unless it is its own, and hands the
+    ball tier exactly the visited leaves that ball leaves open."""
     own = _own_ball_classes(live, N, vals)
+    canonical = _canonical_leaves(live, N, len(vals))
     tally, opened = _walk_to_ball_tier(live, N, vals, ONE_MINUS_T, len(vals),
                                        lambda leaf: "ambiguous")
-    assert opened == [leaf for leaf, cls in own.items() if cls is None], (vals, N)
-    assert tally == _weighted_tally({leaf: cls or "ambiguous" for leaf, cls in own.items()}), (
-        vals, N)
+    assert opened == [leaf for leaf in canonical if own[leaf] is None], (vals, N)
+    assert tally == _weighted_tally({leaf: own[leaf] or "ambiguous" for leaf in canonical},
+                                    canonical), (vals, N)
     return own
+
+
+def _closed_live(n, rng):
+    """A random nonempty set of residues closed under negation, in the walk's order."""
+    kept = [v for v in range(n // 2 + 1) if rng.random() < 0.8] or [rng.randrange(n // 2 + 1)]
+    return _mirror_order({w % n for v in kept for w in (v, -v)}, n)
 
 
 def test_walk_leaf_balls_contain_products_of_points():
     # each leaf's product ball (x +- r) / 2^p must hold Re of any product of
-    # points of the value balls, and the walk must decide each leaf as that
-    # ball does; exact (r = 0) and tiny values make every floor count
+    # points of the value balls, and the walk must decide each leaf it visits
+    # as that ball does; exact (r = 0) and tiny values make every floor count
     rng = random.Random(16)
     p = spectral.PRECISION_START
     for _ in range(20):
-        vals = []
-        for _ in range(5):
+        head = []
+        for _ in range(3):
             bits = p + rng.choice([-40, -4, 0, 4])
             x, y = (rng.randrange(-(1 << bits), 1 << bits) for _ in range(2))
-            vals.append(ComplexBall(x, y, rng.choice([0, 0, rng.randrange(1 << 8)]), p))
+            head.append(ComplexBall(x, y, rng.choice([0, 0, rng.randrange(1 << 8)]), p))
+        vals = _conjugate_layout(head, 5)
         own = _assert_walk_is_per_leaf(list(range(5)), 3, vals)
         assert len(own) == math.comb(7, 3)
         for leaf in own:
@@ -247,16 +284,20 @@ def test_walk_thresholds_decide_leaves_near_one_as_their_own_balls():
     p = spectral.PRECISION_START
     one = 1 << p
     # N = 1 from exact 1: leaf radius vr + 2, so with the largest vr = 3 the
-    # centers one +- 5 touch 1 (open) and one +- 6 clear it
-    edge = [ComplexBall(one + d, 0, 3, p) for d in (5, -5, 6, -6)] + [ComplexBall(one, 0, 0, p)]
-    own = _assert_walk_is_per_leaf(list(range(5)), 1, edge)
-    assert list(own.values()) == [None, None, "above", "below", None]
+    # centers one +- 5 touch 1 (open) and one +- 6 clear it; on Z_9 the walk
+    # visits residues 0..4, each counted for its mirror too but 0
+    edge = _conjugate_layout([ComplexBall(one, 0, 0, p)]
+                             + [ComplexBall(one + d, 0, 3, p) for d in (5, -5, 6, -6)], 9)
+    own = _assert_walk_is_per_leaf(list(range(9)), 1, edge)
+    assert [own[(v,)] for v in range(5)] == [None, None, None, "above", "below"]
     rng = random.Random(18)
     for _ in range(300):
-        vals = [ComplexBall((rng.choice((one, one, 2 * one, one // 2)) + rng.randint(-12, 12)),
+        n = rng.randint(2, 11)
+        head = [ComplexBall((rng.choice((one, one, 2 * one, one // 2)) + rng.randint(-12, 12)),
                             rng.randint(-3, 3), rng.choice((0, 1, 2, 3, 5)), p)
-                for _ in range(rng.randint(2, 6))]
-        _assert_walk_is_per_leaf(list(range(len(vals))), rng.randint(1, 3), vals)
+                for _ in range(n // 2 + 1)]
+        vals = _conjugate_layout(head, n)
+        _assert_walk_is_per_leaf(_closed_live(n, rng), rng.randint(1, 3), vals)
 
 
 def test_ball_values_at_large_n_are_tight():
@@ -481,13 +522,16 @@ def _weighted_queries(draw):
 @example((cyclotomic(5), 15, 2))
 @example((inverse_cyclotomic(15).scale(-1), 15, 2))
 @example((cyclotomic(2) * cyclotomic(3), 12, 3))
+@example((IntPolynomial.from_coeffs([1, 1, 0, -1]), 10, 3))  # 0 and 5 both live
+@example((IntPolynomial.from_coeffs([1, 1, 0, 1]), 8, 4))  # 0 and 4 both live
 def test_walk_agrees_with_ball_tier(query):
-    # the leaves are exactly the multisets of residues that are not roots of h,
-    # each with the ball tier's class, and only those its own ball leaves open
-    # reach the ball tier
+    # the walk visits one leaf of each conjugate pair of multisets of the
+    # residues that are not roots of h, and its tally, each visited leaf
+    # counted for its mirror too, is that of every leaf with the ball tier's
+    # class; only the visited leaves its own ball leaves open reach the ball tier
     h, n, N = query
     start = spectral.PRECISION_START
-    live = [v for v in range(n) if v not in spectral._root_residues(h, n)]
+    live = _mirror_order([v for v in range(n) if v not in spectral._root_residues(h, n)], n)
     vals = spectral._ball_values(h, n, start)
     cache = {}
     with warnings.catch_warnings():
@@ -497,7 +541,8 @@ def test_walk_agrees_with_ball_tier(query):
         tally, opened = _walk_to_ball_tier(live, N, vals, h, n, classes.__getitem__)
     own = _own_ball_classes(live, N, vals)
     assert all(cls in (None, classes[leaf]) for leaf, cls in own.items()), (str(h), n, N)
-    assert opened == [leaf for leaf, cls in own.items() if cls is None], (str(h), n, N)
+    assert opened == [leaf for leaf in _canonical_leaves(live, N, n) if own[leaf] is None], (
+        str(h), n, N)
     assert tally == _weighted_tally(classes), (str(h), n, N)
 
 
@@ -510,10 +555,95 @@ def test_walk_leaves_exact_tie_to_symbolic_path():
         return _walk_to_ball_tier(live, 2, vals, ONE_MINUS_T, 6,
                                   lambda leaf: ball_tier(Counter(leaf), cache, ONE_MINUS_T, 6))
 
-    tally, opened = walk([1, 5])
-    assert opened == [(1, 5)] and tally["equal"] == 2  # (1 - e(1/6))(1 - e(-1/6)) = 1
-    assert walk([1])[0]["below"] == 1  # (1 - e(1/6))^2 = e(-1/3), without the ball tier
-    assert walk([2, 3]) == ({"above": 4, "below": 0, "equal": 0, "ambiguous": 0}, [])
+    # (1 - e(1/6))(1 - e(-1/6)) = 1 is its own mirror; (1 - e(1/6))^2 = e(-1/3)
+    # is decided without the ball tier and counted for (5, 5) too
+    assert walk([1, 5]) == ({"above": 0, "below": 2, "equal": 2, "ambiguous": 0}, [(1, 5)])
+    assert walk([3, 2, 4]) == ({"above": 9, "below": 0, "equal": 0, "ambiguous": 0}, [])
+
+
+def _full_walk(live, N, ball_cache, h, n):
+    """The walk before it paired conjugate multisets: every multiset of live,
+    each decided on its own. A reference for spectral._walk."""
+    p = spectral.PRECISION_START
+    one = 1 << p
+    vals = [(b.x, b.y, b.r, abs(b.x) + abs(b.y)) for b in (ball_cache[p][v] for v in live)]
+    tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
+    k, pre = len(live), N - 1
+    if not N:  # the empty product is exactly 1
+        tally[spectral._classify_multiset_ball(Counter(), ball_cache, h, n)] += 1
+    if pre < 0 or not k:
+        return tally
+    VR = max(v[2] for v in vals)
+    VC = max(v[3] for v in vals)
+    idx = [0] * pre
+    state = [(one, 0, 0, 1, 0)] + [None] * pre
+    t = above = below = 0
+    while True:
+        for d in range(t, pre):  # redo the prefix products past the advanced position
+            x, y, r, w, run = state[d]
+            j = idx[d]
+            run = run + 1 if d and idx[d - 1] == j else 1
+            vx, vy, vr, vc = vals[j]
+            state[d + 1] = ((x * vx - y * vy) >> p, (x * vy + y * vx) >> p,
+                            -(-((abs(x) + abs(y)) * vr + vc * r + r * vr) >> p) + 2,
+                            w * (d + 1) // run, run)
+        x, y, r, w, run = state[pre]
+        c = abs(x) + abs(y)
+        R = -(-(c * VR + VC * r + r * VR) >> p) + 2
+        hi, lo = (one + R + 1) << p, (one - R) << p
+        first = idx[-1] if pre else 0
+        wN = w * N
+        wt = wN // (run + 1)
+        for j in range(first, k):
+            vx, vy, vr, vc = vals[j]
+            z = x * vx - y * vy
+            if z >= hi:
+                above += wt
+            elif z < lo:
+                below += wt
+            else:
+                z >>= p
+                rad = -(-(c * vr + vc * r + r * vr) >> p) + 2
+                if z - rad > one:
+                    above += wt
+                elif z + rad < one:
+                    below += wt
+                else:
+                    leaf = Counter([live[i] for i in idx] + [live[j]])
+                    tally[spectral._classify_multiset_ball(leaf, ball_cache, h, n)] += wt
+            wt = wN
+        t = pre - 1
+        while t >= 0 and idx[t] == k - 1:
+            t -= 1
+        if t < 0:
+            tally["above"] += above
+            tally["below"] += below
+            return tally
+        idx[t:] = [idx[t] + 1] * (pre - t)
+
+
+def _random_weight(n, rng, half_live):
+    """A random admissible h on Z_n with h(1) != 0, so 0 is live, and with
+    h(-1) != 0 too when half_live, so n/2 is live for even n."""
+    while True:
+        h = IntPolynomial.from_coeffs([1] + [rng.randint(-3, 3) for _ in range((n - 1) // 2)])
+        if h.degree > 0 and h.evaluate(1) and not (half_live and h.evaluate(-1) == 0):
+            return h
+
+
+def test_walk_matches_full_walk():
+    # the paired walk's tallies are those of the walk over every multiset
+    rng = random.Random(30)
+    cases = [(ONE_MINUS_T, n, N) for n in range(3, 40) for N in range(5)]
+    for n in range(3, 26):
+        for half_live in (False, True):
+            h = _random_weight(n, rng, half_live)
+            cases += [(h, n, N) for N in range(6 if n <= 14 else 4)]
+    for h, n, N in cases:
+        live = _mirror_order([v for v in range(n) if v not in spectral._root_residues(h, n)], n)
+        vals = spectral._ball_values(h, n, spectral.PRECISION_START)
+        assert spectral._walk(live, N, {spectral.PRECISION_START: vals}, h, n) == _full_walk(
+            live, N, {spectral.PRECISION_START: vals}, h, n), (str(h), n, N)
 
 
 @pytest.mark.parametrize("h,n,N", [
