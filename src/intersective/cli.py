@@ -106,9 +106,7 @@ def cmd_bound_spectral(args) -> int:
 
 def cmd_limit_c(args) -> int:
     counts = residue_dp_profile(args.n, args.max_N)
-    pairs = []
-    for N, count in enumerate(counts, start=1):
-        pairs.append((N, float(Fraction(count, (args.n - 1) ** N))))
+    pairs = [(N, float(Fraction(count, (args.n - 1) ** N))) for N, count in enumerate(counts, 1)]
     if args.format == "json":
         print(json.dumps({"n": args.n, "pairs": [[N, r] for N, r in pairs]}))
         return 0
@@ -214,103 +212,99 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _cyclotomic_arguments(p) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("--inverse", action="store_true", help="emit (t^n-1)/Phi_n instead")
-    p.add_argument("--stats", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cyclotomic)
+# Every subcommand once: name -> (help, handler, options), bound's handler being a
+# table of its methods. An option is (flag or positional name, kind, default, help):
+# kind is a type, bool (a store_true flag) or a tuple of choices; default ... is required.
+_COMMANDS = {
+    "cyclotomic": ("cyclotomic polynomial coefficients and stats", cmd_cyclotomic, (
+        ("n", int, ..., None),
+        ("--inverse", bool, False, "emit (t^n-1)/Phi_n instead"),
+        ("--stats", bool, False, None), ("--format", ("text", "json"), "text", None))),
+    "bound": ("single-method bounds", {
+        "spectral": ("counting bound for one weight polynomial", cmd_bound_spectral, (
+            ("--group", str, ..., "group literal, e.g. '105' or '2x4'"),
+            ("--J", str, ..., "semicolon-separated elements, e.g. '0;1;6'"),
+            ("--h", str, "auto", "'auto', coefficients '1,-1', 'phi:M', or 'ninv:M'"),
+            ("--N", int, ..., None)))}, ()),
+    "limit-c": ("pair-bound ratio profile count/(n-1)^N", cmd_limit_c, (
+        ("--n", int, ..., None), ("--max-N", int, ..., None),
+        ("--format", ("csv", "json"), "csv", None))),
+    "oracle": ("exact extremal size via independent-set search", cmd_oracle, (
+        ("--group", str, ..., None), ("--J", str, ..., None), ("--N", int, ..., None),
+        ("--timeout", float, None, "budget in seconds"),
+        ("--certificate", bool, False, "emit an extremal set"))),
+    "construct": ("prime-window construction instances", cmd_construct, (
+        ("--M", int, ..., "number of primes in the window"),
+        ("--eps", str, ..., "sparseness parameter as a fraction a/b"),
+        ("--verify", bool, False, None), ("--json", bool, False, None))),
+    "slab": ("fixed-sum slab lower-bound sizes", cmd_slab, (
+        ("--n", int, ..., None), ("--N", int, ..., None),
+        ("--check", bool, False, "verify avoidance by enumeration"))),
+    "bounds": ("aggregate every applicable bound method", cmd_bounds, (
+        ("--group", str, ..., None), ("--J", str, ..., None), ("--N", int, ..., None),
+        ("--format", ("text", "json"), "text", None), ("--oracle-timeout", float, 10.0, None))),
+}
 
 
-def _bound_arguments(p) -> None:
-    bsub = p.add_subparsers(dest="method", required=True)
-    ps = bsub.add_parser("spectral", help="counting bound for one weight polynomial")
-    ps.add_argument("--group", required=True, help="group literal, e.g. '105' or '2x4'")
-    ps.add_argument("--J", required=True, help="semicolon-separated elements, e.g. '0;1;6'")
-    ps.add_argument("--h", default="auto",
-                    help="'auto', coefficients '1,-1', 'phi:M', or 'ninv:M'")
-    ps.add_argument("--N", type=int, required=True)
-    ps.set_defaults(func=cmd_bound_spectral)
-
-
-def _limit_c_arguments(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-N", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_limit_c)
-
-
-def _oracle_arguments(p) -> None:
-    p.add_argument("--group", required=True)
-    p.add_argument("--J", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--timeout", type=float, default=None, help="budget in seconds")
-    p.add_argument("--certificate", action="store_true", help="emit an extremal set")
-    p.set_defaults(func=cmd_oracle)
-
-
-def _construct_arguments(p) -> None:
-    p.add_argument("--M", type=int, required=True, help="number of primes in the window")
-    p.add_argument("--eps", required=True, help="sparseness parameter as a fraction a/b")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-
-def _slab_arguments(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="verify avoidance by enumeration")
-    p.set_defaults(func=cmd_slab)
-
-
-def _bounds_arguments(p) -> None:
-    p.add_argument("--group", required=True)
-    p.add_argument("--J", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--oracle-timeout", type=float, default=10.0)
-    p.set_defaults(func=cmd_bounds)
-
-
-def _parser(command) -> argparse.ArgumentParser:
-    """The top-level parser with only the subparser that `command` names, or
-    with every subcommand when it names none (help, no arguments, a typo)."""
-    commands = (
-        ("cyclotomic", "cyclotomic polynomial coefficients and stats", _cyclotomic_arguments),
-        ("bound", "single-method bounds", _bound_arguments),
-        ("limit-c", "pair-bound ratio profile count/(n-1)^N", _limit_c_arguments),
-        ("oracle", "exact extremal size via independent-set search", _oracle_arguments),
-        ("construct", "prime-window construction instances", _construct_arguments),
-        ("slab", "fixed-sum slab lower-bound sizes", _slab_arguments),
-        ("bounds", "aggregate every applicable bound method", _bounds_arguments),
-    )
-    if all(command != name for name, _, _ in commands):
-        command = None
-    parser = _Parser(
-        prog="intersective",
-        description="Difference-avoidance bounds for powers of finite abelian groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in commands:
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+def _add_commands(parser, dest: str, commands: dict) -> argparse.ArgumentParser:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, handler, options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(handler, dict):
+            _add_commands(p, "method", handler)
+            continue
+        for flag, kind, default, help_text in options:
+            kwargs = {"action": "store_true"} if kind is bool else {
+                "choices" if isinstance(kind, tuple) else "type": kind}
+            if default is ... and flag.startswith("-"):  # argparse refuses it on a positional
+                kwargs["required"] = True
+            p.add_argument(flag, default=default, help=help_text, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand."""
-    return _parser(None)
+    parser = _Parser(prog="intersective",
+                     description="Difference-avoidance bounds for powers of finite abelian groups.")
+    return _add_commands(parser, "command", _COMMANDS)
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) if argv is plain, else None. Plain: exact option
+    names, each once, no value starting with '-', valid types and choices, every required
+    option and no extra positional; help, '--opt=value', '--' and errors are argparse's."""
+    rest, handler, args = list(argv), _COMMANDS, {}
+    for dest in ("command", "method"):
+        if isinstance(handler, dict):
+            if not rest or rest[0] not in handler:
+                return None
+            args[dest] = rest.pop(0)
+            _, handler, options = handler[args[dest]]
+    args["func"], pending = handler, {}
+    for flag, kind, default, _ in options:
+        dest = flag.lstrip("-").replace("-", "_")
+        args[dest], pending[flag] = default, (dest, kind)
+    tokens = iter(rest)
+    for token in tokens:
+        positional = not token.startswith("-")
+        flag = next((f for f in pending if f[0] != "-"), None) if positional else token
+        if flag not in pending:
+            return None
+        dest, kind = pending.pop(flag)
+        # a store_true flag takes no value; a missing value reads as one starting with '-'
+        value = "" if kind is bool else token if positional else next(tokens, "-")
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        try:
+            args[dest] = True if kind is bool else value if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            return None
+    return None if ... in args.values() else argparse.Namespace(**args)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Building the other subcommands' parsers is most of a small command's
-    # cost. After a valid subcommand the top level can only refuse trailing
-    # arguments, and the full tree repeats that error with every subcommand
-    # in its usage line.
-    args, extra = _parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as e:

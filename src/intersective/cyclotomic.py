@@ -245,9 +245,9 @@ class _PackedDigits:
     big-int multiplication. Every coefficient c must satisfy |c| < 2^(B-1).
     Then c + 2^(B-1) is a digit in [1, 2^B), so P(2^B) + half, with
     half = sum_k 2^(B-1) * 2^(Bk), holds these digits with no carries, and
-    flipping each top bit gives c in two's complement. B is a whole number of
-    bytes; 1-, 2-, 4- and 8-byte digits pack through struct and decode through
-    memoryview.cast on a little-endian machine, others digit by digit.
+    flipping each top bit gives c in two's complement. B is a whole number of bytes;
+    on a little-endian machine 1-, 2-, 4- and 8-byte digits pack through struct, digits of
+    up to 8 bytes decode sign-extended to the next of those through memoryview.cast.
     """
 
     def __init__(self, nbytes: int, width: int):
@@ -257,22 +257,28 @@ class _PackedDigits:
         ones = self.every // ((1 << B) - 1)  # 1 in every digit
         self.half = ones << (B - 1)  # 2^(B-1) in every digit
         self.low = self.half - ones  # 2^(B-1) - 1 in every digit
-        self.format = {1: "b", 2: "h", 4: "i", 8: "q"}.get(nbytes) if sys.byteorder == "little" else None
+        wide = next((w for w in (1, 2, 4, 8) if w >= nbytes), 0) if sys.byteorder == "little" else 0
+        self.wide, self.format = wide, {1: "b", 2: "h", 4: "i", 8: "q"}.get(wide)
 
     def pack(self, coeffs) -> int:
         """P(2^B) from P's coefficients, any number of them."""
-        raw = struct.pack(f"<{len(coeffs)}{self.format}", *coeffs) if self.format else \
+        raw = struct.pack(f"<{len(coeffs)}{self.format}", *coeffs) if self.wide == self.nbytes else \
             b"".join(c.to_bytes(self.nbytes, "little", signed=True) for c in coeffs)
         offsets = int.from_bytes((bytes(self.nbytes - 1) + b"\x80") * len(coeffs), "little")
         return (int.from_bytes(raw, "little") ^ offsets) - offsets
 
     def unpack(self, X: int) -> list[int]:
         """P's coefficients, width of them, from X = P(2^B) or X = P(2^B) mod 2^(B * width)."""
-        nb = self.nbytes
+        nb, wide = self.nbytes, self.wide
         raw = (((X + self.half) & self.every) ^ self.half).to_bytes(self.width * nb, "little")
-        if self.format:
-            return memoryview(raw).cast(self.format).tolist()
-        return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+        if not wide:
+            return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+        if wide > nb:  # each digit's top byte, sign-extended, fills its widened high bytes
+            sign = raw[nb - 1::nb].translate(bytes(128) + b"\xff" * 128)
+            raw, digits = bytearray(self.width * wide), raw
+            for i in range(wide):
+                raw[i::wide] = digits[i::nb] if i < nb else sign
+        return memoryview(raw).cast(self.format).tolist()
 
     def truncate(self, X: int) -> int:
         """The packed polynomial X mod t^width, for X = P(2^B)."""

@@ -28,8 +28,8 @@ Tuple counts walk the value multisets depth first, carrying each prefix's
 product as a ball at PRECISION_START: it starts at exactly 1, and each step
 is one complex multiplication under ball_mul's radius rule, so every leaf
 ball encloses its product. A leaf whose real part clears 1 either way is
-decided there; every other leaf goes to the ball tier above, which
-recomputes the product at rising precision and breaks exact ties. Since
+decided there; every other leaf goes to the ball tier above, which breaks
+exact ties and recomputes the rest at rising precision. Since
 ball_mul's radius grows with the radius and size of the value multiplied,
 the largest of them over all values bound the radius of every leaf of a
 prefix, which gives each prefix one pair of thresholds on the unshifted
@@ -381,9 +381,11 @@ def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
 
 
 def _classify_multiset_ball(mults, ball_cache, h, n):
-    """Ball tier: escalate precision, settling exact ties symbolically."""
-    prec = PRECISION_START
-    exact_checked = False
+    """Ball tier for a multiset left open at PRECISION_START: settle an exact
+    tie symbolically, else escalate the precision from twice that."""
+    if _real_part_is_exactly_one(mults, h, n):
+        return "equal"
+    prec = 2 * PRECISION_START
     while prec <= PRECISION_CAP:
         if prec not in ball_cache:
             ball_cache[prec] = _ball_values(h, n, prec)
@@ -396,9 +398,6 @@ def _classify_multiset_ball(mults, ball_cache, h, n):
             return "above"
         if prod.x + prod.r < one:
             return "below"
-        if not exact_checked and _real_part_is_exactly_one(mults, h, n):
-            return "equal"
-        exact_checked = True
         prec *= 2
     return "ambiguous"
 
@@ -437,7 +436,7 @@ def _walk(live: list[int], N: int, ball_cache, h, n) -> dict[str, int]:
     tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
     k, pre = len(live), N - 1
     if not N:  # the empty product is exactly 1
-        tally[_classify_multiset_ball(Counter(), ball_cache, h, n)] += 1
+        tally["equal"] += 1
     if pre < 0 or not k:
         return tally
     VR = max(v[2] for v in vals)

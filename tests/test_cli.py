@@ -1,13 +1,19 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import contextlib
+import importlib.util
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import intersective
 from intersective import cli, constructions
@@ -389,8 +395,8 @@ def test_top_level_errors_list_every_subcommand(capsys, monkeypatch, argv, error
 
 
 @pytest.mark.parametrize("argv,built", [
-    (("cyclotomic", "15"), 2),
-    (("bound", "spectral", "--group", "7", "--J", "0;1", "--N", "2"), 3),
+    (("cyclotomic", "15"), 0),
+    (("bound", "spectral", "--group", "7", "--J", "0;1", "--N", "2"), 0),
     (("--help",), 9),
 ])
 def test_parsers_built_per_command(capsys, monkeypatch, argv, built):
@@ -406,12 +412,104 @@ def test_parsers_built_per_command(capsys, monkeypatch, argv, built):
     assert (rc, len(count)) == (0, built)
 
 
+def _fresh_interpreter(code: str) -> str:
+    """Stripped stdout of code run by a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(intersective.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
 def test_package_import_footprint():
     """Importing the package, its CLI and engine leaves numpy, mpmath, dataclasses and
     inspect unloaded, so start-up stays cheap."""
-    src = os.path.dirname(os.path.dirname(intersective.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, intersective, intersective.cli, intersective.engine; "
-            "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(
+        "import sys, intersective, intersective.cli, intersective.engine; "
+        "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))") == "[]"
+
+
+def test_plain_command_line_leaves_locale_unimported():
+    # argparse's first gettext call imports locale; a plain line builds no parser
+    assert _fresh_interpreter(
+        "import contextlib, io, sys; from intersective.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()): rc = main(['cyclotomic', '15'])\n"
+        "print(rc, 'locale' in sys.modules)") == "0 False"
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_W = _workloads()
+
+
+def _full_parse(argv):
+    """vars() of build_parser().parse_args(argv), or None where it exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(list(argv)))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("argv", _W.README_COMMANDS + _W.HEAVY_COMMANDS, ids=" ".join)
+def test_plain_args_accepts_the_tour_and_the_heavy_commands(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None and vars(plain) == _full_parse(argv)
+
+
+# (valid, invalid) values of each kind; and command-line pieces that are not plain
+# (help, abbreviations, '=' forms, '--', negative numbers, unknown flags, stray
+# positionals, flags that repeat one the line may already have, a missing value).
+_VALUES = {int: (("0", "2", "15", " 7"), ("-1", "x", "1.5", "")),
+           float: (("0", "2.5", "inf", "nan"), ("-1", "soon")),
+           str: (("7", "0;1", "2x4", "3/5", "", "phi:5"), ("-x", "--N"))}
+_HOSTILE = (("-h",), ("--help",), ("--max", "5"), ("--oracle", "1"), ("--gr", "7"), ("--N=2",),
+            ("--",), ("-1",), ("-x",), ("extra",), ("15",), ("--N",), ("--N", "2"), ("--J", "0;1"),
+            ("--stats",), ("--format", "json"), ("--check",), ("--n", "5"), ("spectral",))
+_PATHS = (tuple((name,) for name in cli._COMMANDS if name != "bound") + (("bound", "spectral"),),
+          (("bound",), ("bound", "frobnicate"), ("spectral",), ("frobnicate",), ()))
+
+
+@st.composite
+def _command_lines(draw):
+    path = draw(st.sampled_from(_PATHS[draw(st.integers(0, 4)) == 0]))
+    entry = cli._COMMANDS.get(path[0]) if path else None
+    if entry is not None and isinstance(entry[1], dict):
+        entry = entry[1].get(path[1]) if len(path) > 1 else None
+    pieces = []
+    for flag, kind, default, _ in entry[2] if entry else ():
+        if draw(st.integers(0, 9)) < (9 if default is ... else 4):
+            bad = draw(st.integers(0, 4)) == 0
+            values = ((kind, ("xml",)) if isinstance(kind, tuple) else _VALUES.get(kind))
+            value = [draw(st.sampled_from(values[bad]))] if values else []
+            pieces.append(([flag] if flag.startswith("-") else []) + value)
+    pieces = draw(st.permutations(pieces))
+    for hostile in draw(st.lists(st.sampled_from(_HOSTILE), max_size=2)) if draw(st.booleans()) else ():
+        pieces.insert(draw(st.integers(0, len(pieces))), list(hostile))
+    rest = [token for piece in pieces for token in piece]
+    if rest and draw(st.integers(0, 5)) == 0:  # a token lost, or the order shuffled
+        rest = (draw(st.permutations(rest)) if draw(st.booleans())
+                else rest[:-1] if draw(st.booleans()) else rest[1:])
+    return [*path, *rest]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_command_lines())
+@example(["limit-c", "--n", "5", "--max", "3"])  # argparse takes the abbreviation
+@example(["oracle", "--group", "5", "--J", "0;1", "--N=2"])
+@example(["slab", "--n", "5", "--N", "3", "--N", "4"])  # argparse keeps the last
+@example(["bounds", "--group", "7", "--J", "0;1", "--N", "-1"])  # argparse takes -1 as a value
+@example(["cyclotomic", "--", "15"])
+@example(["cyclotomic", "15", "--format", "xml"])
+@example(["construct", "--M", "2", "--eps", "3/5", "extra"])
+@example(["cyclotomic", "15", "16"])
+@example(["oracle", "--group", "5", "--N", "2", "--J"])
+def test_plain_args_match_the_full_parser(argv):
+    # whenever the fast path accepts a command line, argparse builds the same Namespace
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == _full_parse(argv), argv

@@ -247,12 +247,14 @@ def test_divisor_search_on_warm_tables_answers_as_on_fresh_ones(monkeypatch, cap
 
 def test_packed_support_test_at_the_digit_edge():
     rng = random.Random(8)
-    # 1, 2, 4 and 8 bytes decode through memoryview.cast, the others digit by digit
-    for nbytes in (1, 2, 3, 4, 5, 8, 9):
+    # up to 8 bytes decode through memoryview.cast, 3, 5, 6 and 7 sign-extended
+    # to 4 or 8 bytes first; 9 bytes decode digit by digit
+    for nbytes in range(1, 10):
         edge = (1 << 8 * nbytes - 1) - 1  # the largest |c| a digit holds
         digits = _PackedDigits(nbytes, 40)
         for _ in range(200):
-            coeffs = [rng.choice((0, 0, 1, -1, edge, -edge)) for _ in range(rng.randrange(1, 41))]
+            coeffs = [rng.choice((0, 0, 1, -1, edge, -edge, rng.randint(-edge, edge)))
+                      for _ in range(rng.randrange(1, 41))]
             X = digits.pack(coeffs)
             assert digits.unpack(X) == coeffs + [0] * (40 - len(coeffs))
             assert digits.unpack(X & digits.every) == digits.unpack(X)  # X mod 2^(8 * nbytes * 40)

@@ -561,16 +561,40 @@ def test_walk_leaves_exact_tie_to_symbolic_path():
     assert walk([3, 2, 4]) == ({"above": 9, "below": 0, "equal": 0, "ambiguous": 0}, [])
 
 
+def _ball_tier_ball_first(mults, ball_cache, h, n):
+    """The ball tier before it tried the exact tie first: every precision from
+    PRECISION_START up, with the symbolic check after the first open ball."""
+    prec = spectral.PRECISION_START
+    exact_checked = False
+    while prec <= spectral.PRECISION_CAP:
+        if prec not in ball_cache:
+            ball_cache[prec] = spectral._ball_values(h, n, prec)
+        prod = spectral.ball_exact_int(1)
+        for v, m in mults.items():
+            prod = spectral.ball_mul(prod, spectral.ball_pow(ball_cache[prec][v], m))
+        one = 1 << prod.p
+        if prod.x - prod.r > one:
+            return "above"
+        if prod.x + prod.r < one:
+            return "below"
+        if not exact_checked and spectral._real_part_is_exactly_one(mults, h, n):
+            return "equal"
+        exact_checked = True
+        prec *= 2
+    return "ambiguous"
+
+
 def _full_walk(live, N, ball_cache, h, n):
     """The walk before it paired conjugate multisets: every multiset of live,
-    each decided on its own. A reference for spectral._walk."""
+    each decided on its own, open ones by the ball tier of that time. A
+    reference for spectral._walk and spectral._classify_multiset_ball."""
     p = spectral.PRECISION_START
     one = 1 << p
     vals = [(b.x, b.y, b.r, abs(b.x) + abs(b.y)) for b in (ball_cache[p][v] for v in live)]
     tally = dict.fromkeys(("above", "below", "equal", "ambiguous"), 0)
     k, pre = len(live), N - 1
     if not N:  # the empty product is exactly 1
-        tally[spectral._classify_multiset_ball(Counter(), ball_cache, h, n)] += 1
+        tally[_ball_tier_ball_first(Counter(), ball_cache, h, n)] += 1
     if pre < 0 or not k:
         return tally
     VR = max(v[2] for v in vals)
@@ -610,7 +634,7 @@ def _full_walk(live, N, ball_cache, h, n):
                     below += wt
                 else:
                     leaf = Counter([live[i] for i in idx] + [live[j]])
-                    tally[spectral._classify_multiset_ball(leaf, ball_cache, h, n)] += wt
+                    tally[_ball_tier_ball_first(leaf, ball_cache, h, n)] += wt
             wt = wN
         t = pre - 1
         while t >= 0 and idx[t] == k - 1:
@@ -632,7 +656,8 @@ def _random_weight(n, rng, half_live):
 
 
 def test_walk_matches_full_walk():
-    # the paired walk's tallies are those of the walk over every multiset
+    # the paired walk's tallies are those of the walk over every multiset,
+    # whose ball tier checks ties only after the ball at PRECISION_START
     rng = random.Random(30)
     cases = [(ONE_MINUS_T, n, N) for n in range(3, 40) for N in range(5)]
     for n in range(3, 26):
