@@ -104,15 +104,17 @@ def cyclic_residues(G: GroupSpec, a, J) -> dict[tuple[int, ...], int]:
 
     Elements of J outside <a> are left out; callers decide whether that is an error.
     On cyclic G = Z_n, j lies in <a> iff g = gcd(a, n) divides j, and then
-    k = (j / g) * (a / g)^-1 mod n / g; other groups walk <a>.
+    k = (j / g) * (a / g)^-1 mod n / g; other groups walk <a>. On rank 1 a
+    bare int of J is reduced as it is, with no tuple built for it.
     """
     a = G.element(a)
-    wanted = {G.element(j) for j in J}
     if G.rank == 1:
         n = G.orders[0]
         g = math.gcd(a[0], n)
         inv = pow(a[0] // g, -1, n // g)
-        return {j: j[0] // g * inv % (n // g) for j in wanted if j[0] % g == 0}
+        wanted = {j % n if type(j) is int else G.element(j)[0] for j in J}
+        return {(j,): j // g * inv % (n // g) for j in wanted if j % g == 0}
+    wanted = {G.element(j) for j in J}
     out = {}
     x = G.zero()
     for k in range(element_order(G, a)):

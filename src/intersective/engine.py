@@ -129,12 +129,13 @@ def _spectral(G: GroupSpec, Jt: tuple, N: int, timeout: float | None):
     """The best pair-dp, pair-count, spectral-divisor and spectral-invcyclo over every a in J."""
     best: dict[str, tuple] = {}  # method -> (value, a, h), the first a on ties
     skipped: set[int] = set()  # orders whose pair count is over ENGINE_MULTISET_CAP
+    raw = [j for (j,) in Jt] if G.rank == 1 else Jt  # bare ints are read without coercion
     for a in sorted(j for j in Jt if j != G.zero()):
         n_a = element_order(G, a)
         if n_a < 3:
             continue  # self-inverse elements are covered by the symmetric clique
         index = G.order // n_a
-        cands, failure = weight_candidates(n_a, frozenset(cyclic_residues(G, a, Jt).values()))
+        cands, failure = weight_candidates(n_a, frozenset(cyclic_residues(G, a, raw).values()))
         if failure is not None:
             yield "note", f"divisor search at {format_element(a)}: {failure}"
         for method, h in (("pair-dp", None), *cands):

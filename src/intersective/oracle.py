@@ -108,16 +108,6 @@ class CayleyGraph(NamedTuple):
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def adjacent(self, u, v) -> bool:
-        G = self.group
-        u = tuple(G.element(x) for x in u)
-        v = tuple(G.element(x) for x in v)
-        if u == v:
-            return False
-        d = tuple(G.sub(a, b) for a, b in zip(u, v))
-        Jset = set(self.J)
-        return all(x in Jset for x in d) or all(G.neg(x) in Jset for x in d)
-
 
 def _check_cap(n_vertices: int, cap: int) -> None:
     if n_vertices > cap:
@@ -129,25 +119,34 @@ def _build_on_base(G: GroupSpec, J, N: int, base, vertex_cap: int) -> CayleyGrap
 
     Closure makes base^N a group on which the connection set acts by
     translation, so the graph is vertex-transitive, which the search uses.
+    plus[d] and minus[d] are the bitsets of d + J and d - J over base
+    indices. On a rank-1 base laid out as k * step, J inside <step>, they
+    are the rotations of J's and -J's masks by d; other bases look up every
+    sum, and the first element of base that leaves it names the error.
     """
     base = tuple(base)
-    _check_cap(len(base) ** N, vertex_cap)
-    index = {e: i for i, e in enumerate(base)}
+    m = len(base)
+    _check_cap(m ** N, vertex_cap)
     negJ = tuple(G.neg(j) for j in J)
-    shifts = tuple(dict.fromkeys(J + negJ))  # J u -J, each sum e + s computed once
-    at = {s: k for k, s in enumerate(shifts)}
-    up, down = [at[j] for j in J], [at[j] for j in negJ]
-    columns = list(zip(*base))
-    moved = []  # moved[k][i]: index of base[i] + shifts[k], None outside base
-    for s in shifts:
-        shifted = [[(x + c) % m for x in col] for col, c, m in zip(columns, s, G.orders)]
-        moved.append(list(map(index.get, zip(*shifted))))
-    if any(None in w for w in moved):
-        i = min(w.index(None) for w in moved if None in w)
-        s = next(s for s, w in zip(shifts, moved) if w[i] is None)
-        raise ValueError(f"vertex base is not closed under shifts by J and -J: {base[i]} + {s}")
-    plus = list(zip(*[moved[k] for k in up]))
-    minus = list(zip(*[moved[k] for k in down]))
+    step = G.order // m
+    if G.rank == 1 and base == tuple(zip(range(0, G.order, step))) and all(
+            j % step == 0 for (j,) in J):
+        full = (1 << m) - 1
+        plus, minus = ([(mask << d | mask >> m - d) & full for d in range(m)]
+                       for mask in (sum({1 << j // step for (j,) in S}) for S in (J, negJ)))
+    else:
+        index = {e: i for i, e in enumerate(base)}
+        columns = list(zip(*base))
+        moved = {}  # moved[s][i]: index of base[i] + s, None outside base; J u -J in order
+        for s in dict.fromkeys(J + negJ):
+            shifted = [[(x + c) % n for x in col] for col, c, n in zip(columns, s, G.orders)]
+            moved[s] = list(map(index.get, zip(*shifted)))
+        if any(None in w for w in moved.values()):
+            i = min(w.index(None) for w in moved.values() if None in w)
+            s = next(s for s, w in moved.items() if w[i] is None)
+            raise ValueError(f"vertex base is not closed under shifts by J and -J: {base[i]} + {s}")
+        plus, minus = ([sum(1 << k for k in ks) for ks in zip(*[moved[s] for s in dict.fromkeys(S)])]
+                       for S in (J, negJ))
     vertices = tuple(itertools.product(base, repeat=N))
     return CayleyGraph(G, tuple(J), N, vertices, _bitset_rows(plus, minus, N))
 
@@ -160,8 +159,8 @@ def _shifted(bits: int, offsets: list[int], w: int) -> int:
     return out
 
 
-def _bitset_rows(plus: list[list[int]], minus: list[list[int]], N: int) -> tuple[int, ...]:
-    """Bitset rows of base^N from the index tables plus[d] = (d + J) and minus[d] = (d - J).
+def _bitset_rows(plus: list[int], minus: list[int], N: int) -> tuple[int, ...]:
+    """Bitset rows of base^N from the masks plus[d] of d + J and minus[d] of d - J.
 
     Codes are mixed-radix base indices, last coordinate fastest as in
     itertools.product, so coordinate i has weight m^(N-1-i). The codes of
@@ -169,16 +168,21 @@ def _bitset_rows(plus: list[list[int]], minus: list[list[int]], N: int) -> tuple
     plus[v_i], so its bitset grows depth first over the coordinates: the
     prefix bitset of v_0..v_(i-1) is shifted by a * m^(N-1-i) for each a in
     plus[v_i], and prefixes are shared by every vertex that extends them.
-    row(v) is the union of v + J^N and v - J^N without v itself.
+    On the last coordinate the shifted union is the product prefix *
+    plus[v_(N-1)] (Kronecker substitution): the prefix's bits are multiples
+    of m apart and the mask is below 2^m, so no two shifted copies overlap
+    and the sum carries nowhere. row(v) is the union of v + J^N and v - J^N
+    without v itself.
     """
     m = len(plus)
+    offsets = [[[a for a in range(m) if mask >> a & 1] for mask in pair]
+               for pair in zip(plus, minus)] if N > 1 else []
     prefixes = [(1, 1)]
     for i in range(N - 1):
         w = m ** (N - 1 - i)
         prefixes = [(_shifted(up, pu, w), _shifted(down, pd, w))
-                    for up, down in prefixes for pu, pd in zip(plus, minus)]
-    rows = (_shifted(up, pu, 1) | _shifted(down, pd, 1)
-            for up, down in prefixes for pu, pd in zip(plus, minus))
+                    for up, down in prefixes for pu, pd in offsets]
+    rows = (up * pu | down * pd for up, down in prefixes for pu, pd in zip(plus, minus))
     return tuple(row & ~(1 << v) for v, row in enumerate(rows))
 
 

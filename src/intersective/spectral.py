@@ -357,15 +357,27 @@ def _root_residues(h: IntPolynomial, n: int) -> set[int]:
     return {n // d * u for d in _circle_factors(h, n) for u in range(d) if math.gcd(u, d) == 1}
 
 
+@functools.lru_cache(maxsize=4096)
+def _root_of_unity(num: int, den: int, prec: int) -> ComplexBall:
+    """ball_root_of_unity for num/den in lowest terms, kept per process.
+
+    ball_root_of_unity(k num, k den, prec) is the same ball: scaling num and
+    den by k scales r by k and leaves the quarter turn o and the floored
+    angle pi r / (2 den) as they are. So e(j/n) is computed once for all n.
+    """
+    return ball_root_of_unity(num, den, prec)
+
+
 def _ball_values(h: IntPolynomial, n: int, prec: int) -> list[ComplexBall]:
     """h(e_n(v)) for v = 0..n-1 at the given precision.
 
     Roots and values are computed for j, v <= n/2 only. The rest are exact
     conjugates (x, -y, r, p): e_n(-j) is the conjugate of e_n(j), and since h
     has integer coefficients, h(e_n(-v)) is the conjugate of h(e_n(v)).
+    Roots come from one table shared by every n (_root_of_unity).
     """
     half = n // 2 + 1
-    roots = [ball_root_of_unity(j, n, prec) for j in range(half)]
+    roots = [_root_of_unity(j // (g := math.gcd(j, n)), n // g, prec) for j in range(half)]
     roots += [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(roots[1:n - half + 1])]
     terms = [(k, h[k]) for k in h.support()]
     out = []

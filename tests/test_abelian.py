@@ -90,6 +90,24 @@ def test_cyclic_residues_match_walk():
                 assert cyclic_residues(G, (a,), J) == _walked_residues(G, (a,), J), (n, a, J)
 
 
+def test_cyclic_residues_read_raw_elements():
+    """Bare ints, unreduced values, bools and lists give the dict of the reduced tuples."""
+    for n in range(2, 40):
+        G = GroupSpec((n,))
+        J = [0, 1, n // 2, n - 1, 2 * n + 3, -5, True]
+        reduced = [(j % n,) for j in J]
+        for a in [*range(n), -1, n + 2, [3], (n + 1,)]:
+            want = _walked_residues(G, G.element(a), reduced)
+            assert cyclic_residues(G, a, reduced) == want, (n, a)
+            assert cyclic_residues(G, a, J) == want, (n, a)
+            assert cyclic_residues(G, a, [[j] for j in J]) == want, (n, a)
+    G = GroupSpec((2, 6))
+    assert cyclic_residues(G, [1, 2], [[0, 0], (3, 4), [1, 8], (1, 1)]) == {(0, 0): 0, (1, 2): 1,
+                                                                          (1, 4): 5}
+    with pytest.raises(ValueError, match="has 2 coordinates, group has 1"):
+        cyclic_residues(GroupSpec((5,)), 1, [0, (1, 2)])
+
+
 def test_subgroup_generated():
     G = GroupSpec((12,))
     H = subgroup_generated(G, [(4,)])

@@ -1,7 +1,9 @@
 """Bound orchestration: candidate methods, consistency policing, serialization."""
 
+import hashlib
 import importlib
 import itertools
+import json
 import random
 import re
 
@@ -331,6 +333,16 @@ def test_z105_lower_and_notes(z105_report):
     assert r.method_value("product") == 36   # exact N=1 value is 6
     assert r.best_lower == 36
     assert any("oracle" in note and "cap" in note for note in r.notes)
+
+
+def test_report_bytes_are_pinned(z105_report):
+    # the Z_105 report and the README's bounds query, serialised with sorted keys
+    G = parse_group("7")
+    readme = best_bounds(G, [(0,), (1,)], 2)
+    digests = [hashlib.sha256(json.dumps(report_to_json(r), sort_keys=True).encode()).hexdigest()
+               for r in (z105_report, readme)]
+    assert digests == ["96607cdd2173159bbaf09da2838e7324272539abd1c0bec16ae31d56f7a59fe1",
+                       "db4fa47c940dde7dba9db45c27f8d1a48e9f770ddfc44e053c56a964b06abb1c"]
 
 
 def test_pair_count_once_per_distinct_order(z105_report):

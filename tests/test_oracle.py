@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacent
 from intersective import oracle
 from intersective.abelian import GroupSpec, element_order, subgroup_generated
 from intersective.cyclotomic import cyclotomic
@@ -35,10 +36,10 @@ def test_build_cayley_pentagon():
     X = build_cayley(G, [(0,), (1,)], 1)
     assert X.n_vertices == 5
     assert {r.bit_count() for r in X.rows} == {2}
-    assert X.adjacent([(0,)], [(1,)])
-    assert X.adjacent([(0,)], [(4,)])
-    assert not X.adjacent([(0,)], [(2,)])
-    assert not X.adjacent([(3,)], [(3,)])
+    assert adjacent(X, [(0,)], [(1,)])
+    assert adjacent(X, [(0,)], [(4,)])
+    assert not adjacent(X, [(0,)], [(2,)])
+    assert not adjacent(X, [(3,)], [(3,)])
 
 
 def test_build_cayley_product_degrees():
@@ -105,6 +106,14 @@ def test_builder_matches_reference():
     assert checked > 900
 
 
+def _random_subset(n: int, step: int) -> list[tuple[int]]:
+    """0 and 9 to 19 random nonzero multiples of step (fewer if <step> is smaller),
+    seeded by step, so that J spans <step> or a subgroup of it."""
+    rng = random.Random(step)
+    picked = rng.sample(range(step, n, step), min(rng.randint(9, 19), n // step - 1))
+    return [(0,)] + [(x,) for x in picked]
+
+
 @pytest.mark.parametrize("orders,J,N", [
     ((6,), [(0,), (2,)], 3),
     ((2, 4), [(0, 0), (0, 2)], 2),
@@ -112,6 +121,9 @@ def test_builder_matches_reference():
     ((2, 2), [(0, 0), (1, 0), (0, 1)], 4),
     ((8,), [(0,), (1,)], 4),  # 4096 vertices, MIS_CAP
     ((4, 64), [(0, 0), (2, 0), (0, 2)], 1),  # rank-2 bases of 256 and 64 elements
+    ((105,), [(k,) for k in cyclotomic(105).support()], 1),  # rotated masks of 105 bits
+    ((12,), [(0,), (9,), (6,)], 2),  # Z_12 and the rotations on <3> = {0, 3, 6, 9}
+    *(((60,), _random_subset(60, step), 1) for step in (1, 2, 3, 4, 5, 6)),
 ])
 def test_builder_matches_reference_on_larger_graphs(orders, J, N):
     G = GroupSpec(orders)
@@ -261,7 +273,7 @@ def test_kernel_incumbent_is_subgroup_missing_S():
         for u in K:
             for v in K:
                 assert tuple(G.sub(a, b) for a, b in zip(u, v)) in K
-        assert not any(X.adjacent(X.vertices[0], u) for u in K)
+        assert not any(adjacent(X, X.vertices[0], u) for u in K)
     assert found > 200
 
 
@@ -414,7 +426,7 @@ def test_witness_is_independent():
     r = max_independent_set(X)
     assert len(r.witness) == r.value
     for u, v in itertools.combinations(r.witness, 2):
-        assert not X.adjacent(u, v)
+        assert not adjacent(X, u, v)
 
 
 @st.composite
@@ -444,7 +456,7 @@ def test_independence_number_matches_networkx(X):
     r = max_independent_set(X)
     assert r.optimal
     assert r.value == _networkx_alpha(X) == len(r.witness)
-    assert not any(X.adjacent(u, v) for u, v in itertools.combinations(r.witness, 2))
+    assert not any(adjacent(X, u, v) for u, v in itertools.combinations(r.witness, 2))
 
 
 def test_z5_pair_at_n4_closes_in_fewer_nodes():
@@ -752,7 +764,7 @@ def test_timeout_returns_lower_bound():
     assert not r.optimal
     assert r.value >= 1
     for u, v in itertools.combinations(r.witness, 2):
-        assert not X.adjacent(u, v)
+        assert not adjacent(X, u, v)
 
 
 def test_exact_avoidance_timeout_is_lower_bound():
@@ -783,7 +795,7 @@ def test_lift_block_witness_through_reduction():
     assert len(set(lifted)) == 12
     X = build_cayley(G, J, 2)
     for u, v in itertools.combinations(lifted, 2):
-        assert not X.adjacent(u, v)
+        assert not adjacent(X, u, v)
 
 
 def test_lift_block_witness_index_one():

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conftest import adjacent
 from intersective import spectral
 from intersective.abelian import GroupSpec
 from intersective.cyclotomic import (IntPolynomial, cyclotomic, inverse_cyclotomic,
@@ -298,6 +299,42 @@ def test_walk_thresholds_decide_leaves_near_one_as_their_own_balls():
                 for _ in range(n // 2 + 1)]
         vals = _conjugate_layout(head, n)
         _assert_walk_is_per_leaf(_closed_live(n, rng), rng.randint(1, 3), vals)
+
+
+def test_root_of_unity_is_scale_invariant():
+    # e(j/n) and e(kj/kn) are the same ball, so every n can share one root table
+    for prec in (64, 128):
+        for n in range(1, 60):
+            for j in range(n):
+                b = ball_root_of_unity(j, n, prec)
+                for k in (2, 3, 5, 7):
+                    assert ball_root_of_unity(k * j, k * n, prec) == b, (j, n, k, prec)
+
+
+def _ball_values_per_n(h, n, prec):
+    """_ball_values with its own roots, ball_root_of_unity(j, n, prec) for j <= n/2."""
+    half = n // 2 + 1
+    roots = [ball_root_of_unity(j, n, prec) for j in range(half)]
+    roots += [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(roots[1:n - half + 1])]
+    out = []
+    for v in range(half):
+        balls = [(h[k], roots[k * v % n]) for k in h.support()]
+        out.append(ComplexBall(sum(c * b.x for c, b in balls), sum(c * b.y for c, b in balls),
+                               sum(abs(c) * b.r for c, b in balls), prec))
+    return out + [ComplexBall(b.x, -b.y, b.r, prec) for b in reversed(out[1:n - half + 1])]
+
+
+def test_ball_values_match_roots_computed_per_n():
+    # the shared table answers as each n's own roots would, filled in either order
+    rng = random.Random(33)
+    weights = [ONE_MINUS_T, cyclotomic(105), inverse_cyclotomic(15).scale(-1)]
+    weights += [_random_weight(rng.randint(3, 30), rng, False) for _ in range(3)]
+    for ns in ([105, 35, 21, 15, 7, 5, 3, 1], list(range(2, 40)), [210, 70, 64, 16]):
+        for n in ns + ns[::-1]:
+            for prec in (64, 256):
+                for h in weights:
+                    assert spectral._ball_values(h, n, prec) == _ball_values_per_n(h, n, prec), (
+                        str(h), n, prec)
 
 
 def test_ball_values_at_large_n_are_tight():
@@ -889,11 +926,11 @@ def test_spectral_upper_bound_involution_divisor():
 
 
 def verify_clique(X, C) -> bool:
-    """True iff the given vertices are distinct and pairwise adjacent in X, by X.adjacent."""
+    """True iff the given vertices are distinct and pairwise adjacent in X, by conftest.adjacent."""
     vs = [tuple(X.group.element(x) for x in v) for v in C]
     if len(set(vs)) != len(vs):
         return False
-    return all(X.adjacent(u, v) for u, v in itertools.combinations(vs, 2))
+    return all(adjacent(X, u, v) for u, v in itertools.combinations(vs, 2))
 
 
 def test_verify_clique():
